@@ -26,6 +26,7 @@ from .closures import (
     spectral_decomposition,
 )
 from .moments import (
+    DEFAULT_REALIZABILITY_TOL,
     NotRealizableError,
     _moments_from_recurrence_batch,
     is_strictly_realizable,
@@ -60,8 +61,9 @@ def _add_common(p):
         type=float,
         default=None,
         help="override the command's tolerance (realizability pivots for "
-        "close/spectrum, eigenvalue separation for verify-hyperbolicity, "
-        "certificate residuals for verify-stability)",
+        "close/spectrum, which may only tighten the library's floor "
+        f"{DEFAULT_REALIZABILITY_TOL:g} x M_0; eigenvalue separation for "
+        "verify-hyperbolicity; certificate residuals for verify-stability)",
     )
 
 
@@ -101,8 +103,16 @@ def _write_report(args, name, payload, extra_manifest=None):
 
 
 def _check_realizable(m, tol):
-    """Realizability gate honoring the --tol override."""
-    check = is_strictly_realizable(m) if tol is None else is_strictly_realizable(m, tol)
+    """Realizability gate honoring the --tol override.  The library gates
+    again at its own floor, so a looser override is refused up front."""
+    if tol is None:
+        tol = DEFAULT_REALIZABILITY_TOL
+    elif not tol >= DEFAULT_REALIZABILITY_TOL:
+        raise ValueError(
+            f"--tol {tol!r} is below the realizability floor "
+            f"{DEFAULT_REALIZABILITY_TOL!r}; close and spectrum can only tighten it"
+        )
+    check = is_strictly_realizable(m, tol)
     if not check:
         raise NotRealizableError(check.message, pivot_index=check.failing_index)
     return check

@@ -42,7 +42,6 @@ from .moments import (
 from .orthopoly import (
     NEAR_DEGENERACY_RTOL,
     _jacobi_batch,
-    _jacobi_nodes_weights,
     _monic_pair_batch,
     poly_mul,
 )
@@ -303,8 +302,9 @@ def jacobian_matrix(m, spec):
     return A
 
 
-def _spectral_batch(M, gamma, tol=None):
-    """Batched merged eigenstructure of hyqmom systems.
+def _spectral_from_recurrence(a, b, gamma):
+    """Batched merged eigenstructure of hyqmom systems from recurrence rows
+    a (J, n) and b (J, n+1).
 
     Eigenvalues: stacked tridiagonal eigensolves of the Q_n Jacobi matrix
     and of the same matrix extended by one row (diagonal a_n, off-diagonal
@@ -317,35 +317,36 @@ def _spectral_batch(M, gamma, tol=None):
 
     so positivity for gamma > -n is structural rather than numerical.
     """
-    kwargs = {} if tol is None else {"tol": tol}
-    ok, a, b, piv = _realizable_pivots_batch(M, **kwargs)
+    J, n = a.shape
+    an = gamma / n * np.sum(a, axis=1)
+    qroots, wq = _jacobi_batch(a, np.sqrt(b[:, 1:n]), b[:, :1])
+    rdiag = np.concatenate([a, an[:, None]], axis=1)
+    roff = np.concatenate(
+        [np.sqrt(b[:, 1:n]), np.sqrt((2 * n + gamma) / n * b[:, n:])], axis=1
+    )
+    rroots, wr = _jacobi_batch(rdiag, roff, b[:, :1])
+    lam = np.empty((J, 2 * n + 1))
+    om = np.empty((J, 2 * n + 1))
+    lam[:, 1::2] = qroots
+    lam[:, 0::2] = rroots
+    # at gamma = -2n only the eigenvalues are defined (R_{n+1} = (X - a_n) Q_n);
+    # degenerate-limit callers read those and ignore the infinite weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        om[:, 1::2] = np.divide(n + gamma, 2 * n + gamma) * wq
+        om[:, 0::2] = np.divide(n, 2 * n + gamma) * wr
+    return lam, om, qroots, rroots
+
+
+def _spectral_batch(M, gamma):
+    """Realizability gate on odd-length moment rows, then
+    _spectral_from_recurrence on their Wheeler coefficients."""
+    ok, a, b, _ = _realizable_pivots_batch(M)
     if not np.all(ok):
         bad = int(np.flatnonzero(~ok)[0])
         raise NotRealizableError(
             f"row {bad} of the batch is not strictly realizable", pivot_index=bad
         )
-    J, L = M.shape
-    n = L // 2
-    an = gamma / n * np.sum(a, axis=1)
-    if n == 1:
-        qroots = a.copy()
-        wq = b[:, :1].copy()
-    else:
-        qroots, qvecs = _jacobi_batch(a, np.sqrt(b[:, 1:n]), want_vectors=True)
-        wq = b[:, :1] * qvecs[:, 0, :] ** 2
-    rdiag = np.concatenate([a, an[:, None]], axis=1)
-    roff = np.concatenate(
-        [np.sqrt(b[:, 1:n]), np.sqrt((2 * n + gamma) / n * b[:, n:])], axis=1
-    )
-    rroots, rvecs = _jacobi_batch(rdiag, roff, want_vectors=True)
-    wr = b[:, :1] * rvecs[:, 0, :] ** 2
-    lam = np.empty((J, 2 * n + 1))
-    om = np.empty((J, 2 * n + 1))
-    lam[:, 1::2] = qroots
-    lam[:, 0::2] = rroots
-    om[:, 1::2] = (n + gamma) / (2 * n + gamma) * wq
-    om[:, 0::2] = n / (2 * n + gamma) * wr
-    return lam, om, qroots, rroots
+    return _spectral_from_recurrence(a, b, gamma)
 
 
 def spectral_decomposition(m, spec):

@@ -138,48 +138,41 @@ def hankel_matrix(m, size=None):
     return np.array([[m[i + j] for j in range(size)] for i in range(size)])
 
 
-def is_strictly_realizable(m, tol=DEFAULT_REALIZABILITY_TOL):
-    """Test positive definiteness of the Hankel matrix of ``m``.
-
-    Odd length 2n+1 tests H_n; even length 2n tests H_{n-1} (the trailing
-    odd moment is unconstrained).  The test runs an LDL^T factorization and
-    requires every pivot to exceed ``tol * M_0``; the pivots are the norms
-    <Q_k^2> of the induced orthogonal polynomials.
-
-    Returns a RealizabilityCheck that is truthy iff the test passed.
-    """
+def _realizability(m, tol):
+    """(RealizabilityCheck, a, b) of one moment vector from the Wheeler
+    pivots of _realizable_pivots_batch; pivots past a failing one are NaN."""
     m = _as_moment_array(m)
-    n = _half_order(len(m))
-    size = n + 1 if len(m) % 2 else n
-    if size == 0:  # length-1 even case cannot occur; guard length 2: H_0
-        size = 1
-    H = hankel_matrix(m, size)
-    pivots = np.full(size, np.nan)
-    threshold = tol * m[0]
-    L = np.eye(size)
-    failing = None
-    for i in range(size):
-        d = H[i, i] - np.dot(L[i, :i] ** 2, pivots[:i])
-        pivots[i] = d
-        if not (d > threshold) or not np.isfinite(d):
-            failing = i
-            break
-        for r in range(i + 1, size):
-            L[r, i] = (H[r, i] - np.dot(L[r, :i] * L[i, :i], pivots[:i])) / d
-    valid = pivots[: failing if failing is not None else size]
+    _half_order(len(m))
+    ok, a, b, piv = _realizable_pivots_batch(m[None, :], tol)
+    a, b, pivots = a[0], b[0], piv[0]
+    passed = np.isfinite(pivots) & (pivots > tol * m[0])
+    failing = None if ok[0] else int(np.flatnonzero(~passed)[0])
+    valid = pivots[:failing]
     if valid.size and np.min(valid) > 0:
         cond = float(np.max(np.abs(m)) * m[0] / np.min(valid))
     else:
         cond = np.inf
     if failing is None:
-        return RealizabilityCheck(True, pivots, None, cond, "all pivots positive")
-    return RealizabilityCheck(
-        False,
-        pivots,
-        failing,
-        cond,
-        f"pivot {failing} = {float(pivots[failing])!r} not above {float(threshold)!r}",
+        return RealizabilityCheck(True, pivots, None, cond, "all pivots positive"), a, b
+    pivots[failing + 1 :] = np.nan
+    message = (
+        f"pivot {failing} = {float(pivots[failing])!r} not above {float(tol * m[0])!r}"
     )
+    return RealizabilityCheck(False, pivots, failing, cond, message), a, b
+
+
+def is_strictly_realizable(m, tol=DEFAULT_REALIZABILITY_TOL):
+    """Test positive definiteness of the Hankel matrix of ``m``.
+
+    Odd length 2n+1 tests H_n; even length 2n tests H_{n-1} (the trailing
+    odd moment is unconstrained).  The pivots are the norms <Q_k^2> of the
+    induced orthogonal polynomials, i.e. the LDL^T pivots of the Hankel
+    matrix, computed by the same Wheeler recursion the closures and the
+    solver gate on; every pivot must be finite and exceed ``tol * M_0``.
+
+    Returns a RealizabilityCheck that is truthy iff the test passed.
+    """
+    return _realizability(m, tol)[0]
 
 
 def gaussian_moments(order, U, theta):
@@ -292,8 +285,10 @@ def _wheeler_batch(M):
 def _realizable_pivots_batch(M, tol=DEFAULT_REALIZABILITY_TOL):
     """Batched strict-realizability mask from the Wheeler pivots."""
     a, b, piv = _wheeler_batch(M)
-    ok = np.all(piv.real > tol * M[:, :1].real, axis=1) & np.all(
-        np.isfinite(M), axis=1
+    ok = (
+        np.all(piv.real > tol * M[:, :1].real, axis=1)
+        & np.all(np.isfinite(piv), axis=1)
+        & np.all(np.isfinite(M), axis=1)
     )
     return ok, a, b, piv
 
@@ -304,18 +299,13 @@ def moments_to_recurrence(m, tol=DEFAULT_REALIZABILITY_TOL):
     Raises NotRealizableError (carrying the failing pivot index) when some
     norm <Q_k^2> is not above tol * M_0.
     """
-    m = _as_moment_array(m)
-    _half_order(len(m))
-    a, b, piv = _wheeler_batch(m[None, :])
-    a, b, piv = a[0], b[0], piv[0]
-    bad = np.flatnonzero(~(piv > tol * m[0]))
-    if bad.size:
-        k = int(bad[0])
+    check, a, b = _realizability(m, tol)
+    if not check:
+        k = check.failing_index
         raise NotRealizableError(
-            f"moment vector is not strictly realizable: pivot {k} = "
-            f"{float(piv[k])!r} not above {float(tol * m[0])!r}",
+            f"moment vector is not strictly realizable: {check.message}",
             pivot_index=k,
-            pivot=float(piv[k]),
+            pivot=float(check.pivots[k]),
         )
     return RecurrenceCoefficients(a=a, b=b)
 

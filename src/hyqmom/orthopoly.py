@@ -5,6 +5,8 @@ problems (Golub & Welsch, Math. Comp. 23, 1969): the Jacobi matrix with
 diagonal a_k and off-diagonals sqrt(b_k) has the polynomial roots as
 eigenvalues, guaranteed real and distinct, and the quadrature weights are
 b_0 times the squared first eigenvector components, guaranteed positive.
+Every such eigensolve, single or batched, runs through ``_jacobi_batch``
+(stacked ``numpy.linalg.eigh``); single-matrix calls are its J = 1 case.
 Polynomial deflation and companion matrices are never used.
 """
 
@@ -14,10 +16,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .moments import (
-    RecurrenceCoefficients,
     _as_moment_array,
     _coeff_arrays,
     moments_to_recurrence,
@@ -118,24 +118,14 @@ def jacobi_roots(diag, offdiag_b):
         raise ValueError("need len(offdiag_b) == len(diag) - 1")
     if np.any(offdiag_b <= 0):
         raise ValueError("off-diagonal weights must be positive (cannot symmetrize)")
-    if len(diag) == 1:
-        return diag.copy()
-    return eigh_tridiagonal(diag, np.sqrt(offdiag_b), eigvals_only=True)
+    return _jacobi_batch(diag[None, :], np.sqrt(offdiag_b)[None, :])[0]
 
 
-def _jacobi_nodes_weights(diag, offdiag_b, total_mass):
-    """Golub-Welsch nodes and weights for one Jacobi matrix."""
-    diag = np.asarray(diag, dtype=float)
-    offdiag_b = np.asarray(offdiag_b, dtype=float)
-    if len(diag) == 1:
-        return diag.copy(), np.array([total_mass])
-    nodes, vecs = eigh_tridiagonal(diag, np.sqrt(offdiag_b))
-    return nodes, total_mass * vecs[0] ** 2
-
-
-def _jacobi_batch(diag, offdiag, want_vectors=False):
+def _jacobi_batch(diag, offdiag, mass=None):
     """Stacked symmetric-tridiagonal eigensolve; offdiag entries are the
-    already-square-rooted couplings."""
+    already-square-rooted couplings.  Given ``mass`` (shape (J, 1)) it
+    returns the Golub-Welsch rule: eigenvalues and the weights
+    mass * (first eigenvector components)^2."""
     J, m = diag.shape
     A = np.zeros((J, m, m))
     idx = np.arange(m)
@@ -143,9 +133,10 @@ def _jacobi_batch(diag, offdiag, want_vectors=False):
     if m > 1:
         A[:, idx[:-1], idx[1:]] = offdiag
         A[:, idx[1:], idx[:-1]] = offdiag
-    if want_vectors:
-        return np.linalg.eigh(A)
-    return np.linalg.eigvalsh(A)
+    if mass is None:
+        return np.linalg.eigvalsh(A)
+    nodes, vecs = np.linalg.eigh(A)
+    return nodes, mass * vecs[:, 0, :] ** 2
 
 
 def gauss_quadrature(m, tol=None):
@@ -160,8 +151,8 @@ def gauss_quadrature(m, tol=None):
     kwargs = {} if tol is None else {"tol": tol}
     a, b = moments_to_recurrence(m, **kwargs)
     n = len(m) // 2
-    nodes, weights = _jacobi_nodes_weights(a[:n], b[1:n], m[0])
-    return Quadrature(nodes=nodes, weights=weights)
+    nodes, weights = _jacobi_batch(a[None, :n], np.sqrt(b[None, 1:n]), b[None, :1])
+    return Quadrature(nodes=nodes[0], weights=weights[0])
 
 
 def check_interlacing(inner, outer):

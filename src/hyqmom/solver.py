@@ -28,13 +28,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version
-from .closures import ClosureSpec, _spectral_batch, close_hyqmom, spectral_decomposition
+from .closures import (
+    ClosureSpec,
+    _spectral_from_recurrence,
+    close_hyqmom,
+    spectral_decomposition,
+)
 from .moments import (
     DEFAULT_REALIZABILITY_TOL,
-    NotRealizableError,
     _moments_from_recurrence_batch,
     _realizable_pivots_batch,
-    _wheeler_batch,
     gaussian_moments,
 )
 from .orthopoly import Quadrature, _jacobi_batch, gauss_quadrature
@@ -152,7 +155,8 @@ def _reconstruct_batch(cells, gamma, variant, tol=DEFAULT_REALIZABILITY_TOL):
     The gauss variant never materializes the closed moment: the augmented
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
-    eigensolve yields nodes and Golub-Welsch weights directly.
+    eigensolve yields nodes and Golub-Welsch weights directly.  The eigen
+    variant reuses the gate's (a, b) for the spectral kernel.
     """
     ok, a, b, piv = _realizable_pivots_batch(cells, tol=tol)
     if not np.all(ok):
@@ -165,10 +169,8 @@ def _reconstruct_batch(cells, gamma, variant, tol=DEFAULT_REALIZABILITY_TOL):
         an = gamma / n * np.sum(a, axis=1)
         diag = np.concatenate([a, an[:, None]], axis=1)
         off = np.sqrt(b[:, 1:])
-        nodes, vecs = _jacobi_batch(diag, off, want_vectors=True)
-        weights = b[:, :1] * vecs[:, 0, :] ** 2
-        return nodes, weights
-    lam, om, _, _ = _spectral_batch(cells, gamma, tol=tol)
+        return _jacobi_batch(diag, off, b[:, :1])
+    lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
     return lam, om
 
 

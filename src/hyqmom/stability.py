@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import _hyqmom_factor_rows
+from .closures import _hyqmom_factor_rows, _spectral_from_recurrence
 from .moments import EquilibriumState, gaussian_moments
-from .orthopoly import _jacobi_batch, poly_eval, poly_mul, vandermonde_weights
+from .orthopoly import poly_eval, poly_mul, vandermonde_weights
 
 DEFAULT_TOLERANCES = {
     "condition_I": 1e-9,
@@ -105,19 +105,8 @@ def _equilibrium_spectrum(n, U, theta, gamma=1.0):
     """Eigenvalues (merged R/Q ordering), characteristic coefficients and
     factors of the closed system at an equilibrium state; all rho-free."""
     a, b = _equilibrium_recurrence(n, U, theta)
-    an, qn, qm, rn1 = _hyqmom_factor_rows(a, b, gamma)
-    if n == 1:
-        qroots = np.array([U])
-    else:
-        qroots = _jacobi_batch(a, np.sqrt(b[:, 1:n]))[0]
-    rdiag = np.concatenate([a, an[:, None]], axis=1)
-    roff = np.concatenate(
-        [np.sqrt(b[:, 1:n]), np.sqrt((2 * n + gamma) / n * b[:, n:])], axis=1
-    )
-    rroots = _jacobi_batch(rdiag, roff)[0]
-    lam = np.empty(2 * n + 1)
-    lam[1::2] = qroots
-    lam[0::2] = rroots
+    _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
+    lam = _spectral_from_recurrence(a, b, gamma)[0][0]
     return lam, poly_mul(qn[0], rn1[0]), qn[0], rn1[0]
 
 
@@ -166,22 +155,11 @@ def source_jacobian(state, n):
     return SourceDecomposition(S=S, P_inv=P_inv, similarity_residual=float(resid))
 
 
-def tail_polynomials(state, n):
-    """Tails F_k of the equilibrium characteristic polynomial (gamma = 1)
-    and the coupling polynomials h_j = sum_k F_k dU^j Delta_k.
-
-    F_N = 1 and F_{k-1} = X F_k + c_k; h_j truncates at degree N - j.
-    """
-    N = 2 * n
-    _, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta)
-    tails = [None] * (N + 1)
-    tails[N] = np.array([1.0])
-    for k in range(N, 0, -1):
-        t = np.zeros(len(tails[k]) + 1)
-        t[1:] = tails[k]
-        t[0] += c[k]
-        tails[k - 1] = t
-    delta = gaussian_moments(N, state.U, state.theta)
+def _h_polynomials(c, delta):
+    """Coupling polynomials h_j = sum_k F_k dU^j Delta_k (j = 0, 1, 2) from
+    the characteristic coefficients c and the moments Delta_0..Delta_N;
+    h_j truncates at degree N - j."""
+    N = len(delta) - 1
     h = []
     for j in range(3):
         coeffs = np.zeros(N - j + 1)
@@ -192,7 +170,30 @@ def tail_polynomials(state, n):
                 acc += c[l + k + 1] * fall * delta[l - j]
             coeffs[k] = acc
         h.append(coeffs)
+    return h
+
+
+def _tail_polynomials(state, n, c):
+    N = 2 * n
+    tails = [None] * (N + 1)
+    tails[N] = np.array([1.0])
+    for k in range(N, 0, -1):
+        t = np.zeros(len(tails[k]) + 1)
+        t[1:] = tails[k]
+        t[0] += c[k]
+        tails[k - 1] = t
+    h = _h_polynomials(c, gaussian_moments(N, state.U, state.theta))
     return TailPolynomials(tails=tails, h=h, char_coeffs=c)
+
+
+def tail_polynomials(state, n):
+    """Tails F_k of the equilibrium characteristic polynomial (gamma = 1)
+    and the coupling polynomials h_j = sum_k F_k dU^j Delta_k.
+
+    F_N = 1 and F_{k-1} = X F_k + c_k; h_j truncates at degree N - j.
+    """
+    _, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta)
+    return _tail_polynomials(state, n, c)
 
 
 def standard_eigenvalues(n, gamma=1.0):
@@ -221,36 +222,29 @@ def symmetrizer_weights(n):
     return w
 
 
+def _coupling_terms(lam, hpolys, w=1.0):
+    """Terms w_i h_j(lam_i) lam_i^beta of the coupling sums, one row per
+    (j, beta) with j = 0, 1, 2 and beta = 0..N-3."""
+    rows = []
+    for h in hpolys:
+        wh = w * poly_eval(h, lam)
+        rows += [wh * lam**beta for beta in range(len(lam) - 3)]
+    return np.array(rows).reshape(-1, len(lam))
+
+
+def _coupling_residual(lam, hpolys, w):
+    terms = _coupling_terms(lam, hpolys, w)
+    scale = np.sum(np.abs(terms), axis=1) + 1e-300
+    return float(np.max(np.abs(np.sum(terms, axis=1)) / scale, initial=0.0))
+
+
 def coupling_residuals(state, n, weights=None, gamma=1.0):
     """Max scaled residual of the coupling sums
     sum_i w_i h_j(lam_i) lam_i^beta over j = 0,1,2 and beta = 0..N-3."""
-    N = 2 * n
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta, gamma)
-    tp = tail_polynomials(state, n) if gamma == 1.0 else None
-    if gamma == 1.0:
-        hpolys = tp.h
-    else:
-        delta = gaussian_moments(N, state.U, state.theta)
-        hpolys = []
-        for j in range(3):
-            coeffs = np.zeros(N - j + 1)
-            for k in range(N - j + 1):
-                coeffs[k] = sum(
-                    c[l + k + 1]
-                    * (math.factorial(l) // math.factorial(l - j))
-                    * delta[l - j]
-                    for l in range(j, N - k + 1)
-                )
-            hpolys.append(coeffs)
+    hpolys = _h_polynomials(c, gaussian_moments(2 * n, state.U, state.theta))
     w = symmetrizer_weights(n) if weights is None else weights
-    worst = 0.0
-    for j in range(3):
-        hv = poly_eval(hpolys[j], lam)
-        for beta in range(N - 2):
-            terms = w * hv * lam**beta
-            scale = np.sum(np.abs(terms)) + 1e-300
-            worst = max(worst, abs(np.sum(terms)) / scale)
-    return worst
+    return _coupling_residual(lam, hpolys, w)
 
 
 def certify(state, n, tolerances=None):
@@ -265,7 +259,7 @@ def certify(state, n, tolerances=None):
     N = 2 * n
     src = source_jacobian(state, n)  # validates n >= 2
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta)
-    tp = tail_polynomials(state, n)
+    tp = _tail_polynomials(state, n, c)
     L = np.empty((N + 1, N + 1))
     for k in range(N + 1):
         L[:, k] = poly_eval(tp.tails[k], lam)
@@ -292,7 +286,7 @@ def certify(state, n, tolerances=None):
     spd_min_scaled = float(evals_eq[0] / np.abs(evals_eq).max())
 
     gap = float(np.min(np.diff(lam)) / np.max(np.abs(lam)))
-    coupling = coupling_residuals(state, n, weights=omega)
+    coupling = _coupling_residual(lam, tp.h, omega)
 
     residuals = {
         "conditionI_residual": src.similarity_residual,
@@ -335,6 +329,9 @@ def probe_symmetrizer(state, n, gamma):
     coupling relations for a general gamma.  Reports what it finds and
     claims nothing: positivity and block-diagonality are proved only for
     gamma = 1.
+
+    Needs scipy (``scipy.optimize.nnls``), which the rest of the package
+    does not use; install it, e.g. through the ``test`` extra.
     """
     from scipy.optimize import nnls
 
@@ -342,25 +339,11 @@ def probe_symmetrizer(state, n, gamma):
     if n < 2:
         raise ValueError("n >= 2 required")
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta, gamma)
-    delta = gaussian_moments(N, state.U, state.theta)
-    rows = []
-    for j in range(3):
-        coeffs = np.zeros(N - j + 1)
-        for k in range(N - j + 1):
-            coeffs[k] = sum(
-                c[l + k + 1]
-                * (math.factorial(l) // math.factorial(l - j))
-                * delta[l - j]
-                for l in range(j, N - k + 1)
-            )
-        hv = poly_eval(coeffs, lam)
-        for beta in range(N - 2):
-            rows.append(hv * lam**beta)
-    G = np.array(rows)
+    G = _coupling_terms(lam, _h_polynomials(c, gaussian_moments(N, state.U, state.theta)))
     scale = np.max(np.abs(G), axis=1, keepdims=True)
     Gs = G / scale
     system = np.vstack([Gs, np.ones((1, N + 1))])
-    target = np.zeros(len(rows) + 1)
+    target = np.zeros(len(G) + 1)
     target[-1] = 1.0
     w, _ = nnls(system, target)
     resid = float(np.linalg.norm(Gs @ w))

@@ -67,6 +67,32 @@ class TestClose:
         assert code == 2
         assert "pivot" in err
 
+    @pytest.mark.parametrize("command", ["close", "spectrum"])
+    def test_loosened_tol_rejected_exit_1(self, capsys, command):
+        # the library re-gates at the default floor, so a looser override
+        # must be refused as a usage error naming that floor
+        args = [command, "--moments", "1,0,1,0,1.00000000000001", "--tol", "1e-20"]
+        if command == "close":
+            args.insert(1, "--hyqmom")
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "1e-12" in err and "floor" in err
+
+    def test_gate_agrees_with_library_near_boundary(self, capsys):
+        # last pivot 1.44e-12 x M_0, just above the floor: the gate and
+        # close_hyqmom share one realizability predicate, so both accept
+        import hyqmom as hq
+
+        row = (
+            "1.0,1.9563665831253951,4.395420216606735,10.759123445555744,"
+            "27.82357296912319,73.6377332983277,198.11466826731376,"
+            "535.15663728695,1453.6503989887415"
+        )
+        expected = hq.close_hyqmom([float(x) for x in row.split(",")])
+        code, out, _ = run_cli(["close", "--hyqmom", "--moments", row], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == f"M_9 = {expected!r}"
+
     def test_missing_closure_flag_exit_1(self, capsys):
         code, _, _ = run_cli(["close", "--moments", "1,0,1"], capsys)
         assert code == 1
@@ -214,6 +240,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "M_4" in proc.stdout
+
+    def test_import_does_not_load_scipy(self):
+        # scipy is needed only by the experimental probe_symmetrizer
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hyqmom; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_usage_error_exit_1(self):
         proc = subprocess.run(

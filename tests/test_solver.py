@@ -12,6 +12,16 @@ from corpus import random_odd_moments
 SPEC1 = hq.hyqmom_closure(1.0)
 
 
+def hankel_positive_definite(m):
+    """Realizability oracle independent of the Wheeler pivots the solver
+    gates on: LAPACK's Cholesky factorization of the Hankel matrix."""
+    try:
+        np.linalg.cholesky(hq.hankel_matrix(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def uniform_grid(m, cells=8, tau=1.0, boundary="periodic", width=1.0):
     return hq.GridState(
         cells=np.tile(np.asarray(m, float), (cells, 1)),
@@ -160,7 +170,7 @@ class TestStep:
         grid = hq.GridState(cells=cells, dx=np.full(200, 1 / 200), tau=1.0)
         for _ in range(40):
             grid = hq.step(grid, SPEC1, "gauss", cfl=0.9)
-            ok = [bool(hq.is_strictly_realizable(c)) for c in grid.cells[::40]]
+            ok = [hankel_positive_definite(c) for c in grid.cells[::40]]
             assert all(ok)
 
     def test_infinite_tau_is_pure_transport(self):
@@ -193,7 +203,7 @@ class TestStep:
         )
         for _ in range(10):
             grid = hq.step(grid, SPEC1, "gauss", cfl=0.9)
-        assert bool(hq.is_strictly_realizable(grid.cells[0]))
+        assert hankel_positive_definite(grid.cells[0])
 
 
 class TestConfigValidation:
@@ -268,7 +278,7 @@ class TestConfigValidation:
         ]
         grid = build_initial_grid(hq.validate_config(cfg))
         for j in (0, grid.num_cells - 1):
-            assert bool(hq.is_strictly_realizable(grid.cells[j]))
+            assert hankel_positive_definite(grid.cells[j])
 
 
 class TestRun:
@@ -355,7 +365,7 @@ class TestRun:
         assert result.manifest["realizability_failures"] == 0
         assert result.grid.time == pytest.approx(0.1)
         for snap in result.snapshots:
-            ok = [bool(hq.is_strictly_realizable(c)) for c in snap.cells[::50]]
+            ok = [hankel_positive_definite(c) for c in snap.cells[::50]]
             assert all(ok)
 
     def test_runs_are_deterministic(self, tmp_path):

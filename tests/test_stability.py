@@ -6,6 +6,7 @@ import pytest
 
 import hyqmom as hq
 from hyqmom.orthopoly import poly_eval
+from hyqmom.stability import _equilibrium_spectrum
 from corpus import random_state
 
 
@@ -119,6 +120,14 @@ class TestSymmetrizerWeights:
         assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(hq.standard_eigenvalues(1), [-np.sqrt(3), 0, np.sqrt(3)])
 
+    def test_degenerate_limit_eigenvalues(self):
+        # at gamma = -2n, R_{n+1} = (X - a_n) Q_n: the R roots are the Q
+        # roots plus a_n = gamma * U, here 0
+        for n in (1, 2, 3):
+            lam = hq.standard_eigenvalues(n, gamma=-2.0 * n)
+            expected = np.sort(np.append(lam[1::2], 0.0))
+            assert np.allclose(lam[0::2], expected, atol=1e-12)
+
     def test_total_mass_one(self):
         for n in range(1, 7):
             assert np.sum(hq.symmetrizer_weights(n)) == pytest.approx(1.0, rel=1e-12)
@@ -195,6 +204,23 @@ class TestCouplingIdentities:
             n = int(rng.integers(2, 4))
             st = random_state(rng)
             assert hq.coupling_residuals(st, n) < 1e-8
+
+    def test_residual_matches_loop_reference(self, rng):
+        # the batched reduction over (j, beta) rows is the same arithmetic
+        # as the per-row loop, so the results agree exactly
+        for _ in range(10):
+            n = int(rng.integers(2, 5))
+            st = random_state(rng)
+            lam = _equilibrium_spectrum(n, st.U, st.theta)[0]
+            w = hq.symmetrizer_weights(n)
+            h = hq.tail_polynomials(st, n).h
+            worst = 0.0
+            for j in range(3):
+                hv = poly_eval(h[j], lam)
+                for beta in range(2 * n - 2):
+                    terms = w * hv * lam**beta
+                    worst = max(worst, abs(np.sum(terms)) / (np.sum(np.abs(terms)) + 1e-300))
+            assert hq.coupling_residuals(st, n, weights=w) == worst
 
     def test_reduced_set_at_standard_state(self):
         # the j=0 sums up to beta = 2n-1 vanish with the chosen weights,
