@@ -10,9 +10,10 @@ the source Jacobian at equilibrium states:
   (III) the congruence-transformed symmetrizer K = P^{-T} A_0 P^{-1}
         is block diagonal.
 
-The positive diagonal inside A_0 is computed once, at the standard state,
-from a small Vandermonde solve; scaling covariance of the gamma = 1 closure
-makes the same weights work at every (rho, U, theta).
+The positive diagonal inside A_0 is fixed once, at the standard state, by
+a small Vandermonde system, and read off the two Gauss rules behind the
+spectrum; scaling covariance of the gamma = 1 closure makes the same
+weights work at every (rho, U, theta).
 """
 
 import numpy as np

@@ -29,8 +29,7 @@ from .moments import (
     DEFAULT_REALIZABILITY_TOL,
     NotRealizableError,
     _moments_from_recurrence_batch,
-    is_strictly_realizable,
-    moments_to_recurrence,
+    _realizability,
 )
 from .orthopoly import check_interlacing
 from .solver import ConfigError, RealizabilityLossError, run
@@ -103,8 +102,9 @@ def _write_report(args, name, payload, extra_manifest=None):
 
 
 def _check_realizable(m, tol):
-    """Realizability gate honoring the --tol override.  The library gates
-    again at its own floor, so a looser override is refused up front."""
+    """Realizability gate honoring the --tol override; returns the check
+    and the recurrence rows (a, b).  The library gates again at its own
+    floor, so a looser override is refused up front."""
     if tol is None:
         tol = DEFAULT_REALIZABILITY_TOL
     elif not tol >= DEFAULT_REALIZABILITY_TOL:
@@ -112,15 +112,15 @@ def _check_realizable(m, tol):
             f"--tol {tol!r} is below the realizability floor "
             f"{DEFAULT_REALIZABILITY_TOL!r}; close and spectrum can only tighten it"
         )
-    check = is_strictly_realizable(m, tol)
+    check, a, b = _realizability(m, tol)
     if not check:
         raise NotRealizableError(check.message, pivot_index=check.failing_index)
-    return check
+    return check, a, b
 
 
 def _cmd_close(args):
     m = _parse_moments(args.moments)
-    check = _check_realizable(m, args.tol)
+    check, a, b = _check_realizable(m, args.tol)
     variant = "hyqmom" if args.hyqmom else ("qmom" if args.qmom else "new")
     if variant == "hyqmom":
         closed = close_hyqmom(m, args.gamma)
@@ -128,14 +128,13 @@ def _cmd_close(args):
         closed = close_qmom(m)
     else:
         closed = close_new(m)
-    rc = moments_to_recurrence(m)
     detail = {
         "closure": variant,
         "gamma": args.gamma if variant == "hyqmom" else None,
         "moments": [float(x) for x in m],
         "closed_moment": closed,
-        "a": [float(x) for x in rc.a],
-        "b": [float(x) for x in rc.b],
+        "a": [float(x) for x in a],
+        "b": [float(x) for x in b],
         "pivots": [float(x) for x in check.pivots],
         "condition_estimate": check.condition_estimate,
         "realizable": True,
@@ -146,8 +145,8 @@ def _cmd_close(args):
         print(",".join(repr(float(x)) for x in list(m) + [closed]))
     else:
         print(f"M_{len(m)} = {closed!r}")
-        print(f"a = {[float(x) for x in rc.a]}")
-        print(f"b = {[float(x) for x in rc.b]}")
+        print(f"a = {[float(x) for x in a]}")
+        print(f"b = {[float(x) for x in b]}")
         print(f"pivots = {[float(x) for x in check.pivots]} (all above threshold)")
     _write_report(args, "close.json", detail)
     return EXIT_OK

@@ -156,12 +156,17 @@ def _hyqmom_factor_rows(a, b, gamma):
 
 
 def _close_hyqmom_batch(M, gamma):
-    """Closed moments for a batch of odd-length rows; no validation.
+    """Closed moments for a batch of odd-length rows; no validation."""
+    a, b, _ = _wheeler_batch(M)
+    return _close_from_recurrence(M, a, b, gamma)
+
+
+def _close_from_recurrence(M, a, b, gamma):
+    """Closed moments of odd-length rows M with Wheeler rows (a, b).
 
     Uses the linear identity M_{2n+1} = <X^{2n+1} - (X - a_n) Q_n^2>, i.e.
     the expansion of <X Q_n^2> = a_n <Q_n^2> in raw moments.
     """
-    a, b, _ = _wheeler_batch(M)
     n = a.shape[1]
     an = gamma / n * np.sum(a, axis=1)
     qn, _ = _monic_pair_batch(a, b, n)
@@ -178,10 +183,8 @@ def close_hyqmom(m, gamma=1.0):
     """HyQMOM closure of (M_0..M_2n): the unique M_{2n+1} whose induced
     a_n equals (gamma/n) * sum(a_0..a_{n-1})."""
     m = _odd_input(m)
-    n = len(m) // 2
-    _check_gamma(gamma, n)
-    moments_to_recurrence(m)
-    return float(_close_hyqmom_batch(m[None, :], gamma)[0])
+    a, b = _hyqmom_recurrence(m, gamma)
+    return float(_close_from_recurrence(m[None, :], a, b, gamma)[0])
 
 
 def close_qmom(m):
@@ -260,14 +263,7 @@ def characteristic_polynomial(m, spec):
     polynomial: the validated G itself.
     """
     if spec.variant == "hyqmom":
-        m = _odd_input(m)
-        n = len(m) // 2
-        _check_gamma(spec.gamma, n)
-        a, b = moments_to_recurrence(m)
-        _, qn, _, rn1 = _hyqmom_factor_rows(a[None, :], b[None, :], spec.gamma)
-        return CharacteristicPolynomial(
-            c=poly_mul(qn[0], rn1[0]), factors={"Qn": qn[0], "Rn1": rn1[0]}
-        )
+        return _hyqmom_characteristic(*_hyqmom_recurrence(m, spec.gamma), spec.gamma)
     if spec.variant == "qmom":
         m = _even_input(m)
         a, b = moments_to_recurrence(m)
@@ -288,6 +284,21 @@ def characteristic_polynomial(m, spec):
     moments_to_recurrence(m)
     g = _validated_builder_poly(m, spec.builder)
     return CharacteristicPolynomial(c=g, factors={})
+
+
+def _hyqmom_recurrence(m, gamma):
+    """Validated (a, b) rows, shapes (1, n) and (1, n+1), of a hyqmom input."""
+    m = _odd_input(m)
+    _check_gamma(gamma, len(m) // 2)
+    a, b = moments_to_recurrence(m)
+    return a[None, :], b[None, :]
+
+
+def _hyqmom_characteristic(a, b, gamma):
+    _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
+    return CharacteristicPolynomial(
+        c=poly_mul(qn[0], rn1[0]), factors={"Qn": qn[0], "Rn1": rn1[0]}
+    )
 
 
 def jacobian_matrix(m, spec):
@@ -357,11 +368,10 @@ def spectral_decomposition(m, spec):
             "spectral_decomposition is defined for the hyqmom closure; "
             "other variants expose only their characteristic polynomial"
         )
-    m = _odd_input(m)
-    n = len(m) // 2
-    _check_gamma(spec.gamma, n)
-    cp = characteristic_polynomial(m, spec)
-    lam, om, qroots, rroots = _spectral_batch(m[None, :], spec.gamma)
+    a, b = _hyqmom_recurrence(m, spec.gamma)
+    n = a.shape[1]
+    cp = _hyqmom_characteristic(a, b, spec.gamma)
+    lam, om, _, _ = _spectral_from_recurrence(a, b, spec.gamma)
     lam, om = lam[0], om[0]
     if not np.all(np.diff(lam) > 0):
         raise RuntimeError(

@@ -14,15 +14,17 @@ The BGK relaxation is handled semi-implicitly: the update divides by
 Under the CFL condition dt * max|node| <= dx every convex factor in the
 update is nonnegative, so each post-step cell stays strictly realizable;
 the step asserts the factors and re-checks realizability, failing hard on
-loss.  Flux accumulation uses numpy reductions in a fixed order, so runs
-are reproducible for identical configs.
+loss.  A grid computes its Wheeler realizability gate once and keeps it,
+so the post-step check of one step is the gate of the next.  Flux
+accumulation uses numpy reductions in a fixed order, so runs are
+reproducible for identical configs.
 """
 
 from __future__ import annotations
 
 import json
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,6 @@ from .closures import (
     spectral_decomposition,
 )
 from .moments import (
-    DEFAULT_REALIZABILITY_TOL,
     _moments_from_recurrence_batch,
     _realizable_pivots_batch,
     gaussian_moments,
@@ -76,8 +77,15 @@ class GridState:
     time: float = 0.0
     boundary: str = "periodic"
 
+    def __setattr__(self, name, value):
+        # a read-only copy of the cells keeps the memoized gate valid
+        if name == "cells":
+            value = np.array(np.atleast_2d(value), dtype=float)
+            value.flags.writeable = False
+            super().__setattr__("_gate_memo", None)
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        self.cells = np.atleast_2d(np.asarray(self.cells, dtype=float))
         self.dx = np.asarray(self.dx, dtype=float)
         if self.dx.ndim == 0:
             self.dx = np.full(self.cells.shape[0], float(self.dx))
@@ -100,6 +108,13 @@ class GridState:
     def num_cells(self):
         return self.cells.shape[0]
 
+    def _gate(self):
+        """(ok, a, b) of _realizable_pivots_batch on the cells, memoized."""
+        if self._gate_memo is None:
+            ok, a, b, _ = _realizable_pivots_batch(self.cells)
+            self._gate_memo = (ok, a, b)
+        return self._gate_memo
+
 
 @dataclass
 class Snapshot:
@@ -116,6 +131,15 @@ class RunResult:
     files: list = field(default_factory=list)
 
 
+def _check_flux(spec, variant, n):
+    if spec.variant != "hyqmom":
+        raise ValueError("the kinetic solver closes with the hyqmom closure")
+    if variant not in FLUX_VARIANTS:
+        raise ValueError(f"flux variant must be one of {FLUX_VARIANTS}")
+    if variant == "eigen" and spec.gamma <= -n:
+        raise ValueError("eigen-node fluxes need gamma > -n for positive weights")
+
+
 def reconstruct_nodes(m, spec, variant):
     """Delta reconstruction of one cell as a Quadrature.
 
@@ -123,17 +147,11 @@ def reconstruct_nodes(m, spec, variant):
     the even-length result.  ``eigen``: system eigenvalues and weights.
     Either way the rule reproduces M_0..M_2n.
     """
-    if spec.variant != "hyqmom":
-        raise ValueError("the kinetic solver closes with the hyqmom closure")
-    if variant not in FLUX_VARIANTS:
-        raise ValueError(f"flux variant must be one of {FLUX_VARIANTS}")
     m = np.asarray(m, dtype=float)
-    n = len(m) // 2
+    _check_flux(spec, variant, len(m) // 2)
     if variant == "gauss":
         augmented = np.append(m, close_hyqmom(m, spec.gamma))
         return gauss_quadrature(augmented)
-    if spec.gamma <= -n:
-        raise ValueError("eigen-node fluxes need gamma > -n for positive weights")
     sd = spectral_decomposition(m, spec)
     return Quadrature(nodes=sd.eigenvalues, weights=sd.weights)
 
@@ -149,23 +167,18 @@ def kinetic_flux(left, right, k):
     )
 
 
-def _reconstruct_batch(cells, gamma, variant, tol=DEFAULT_REALIZABILITY_TOL):
-    """Nodes/weights for every cell at once.
+def _reconstruct_batch(a, b, gamma, variant):
+    """Nodes/weights for every cell at once from the gate's recurrence
+    rows a (J, n) and b (J, n+1).
 
     The gauss variant never materializes the closed moment: the augmented
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
     eigensolve yields nodes and Golub-Welsch weights directly.  The eigen
-    variant reuses the gate's (a, b) for the spectral kernel.
+    variant hands (a, b) to the spectral kernel.
     """
-    ok, a, b, piv = _realizable_pivots_batch(cells, tol=tol)
-    if not np.all(ok):
-        bad = int(np.flatnonzero(~ok)[0])
-        raise RealizabilityLossError(
-            f"cell {bad} is not strictly realizable", cell=bad
-        )
-    n = cells.shape[1] // 2
     if variant == "gauss":
+        n = a.shape[1]
         an = gamma / n * np.sum(a, axis=1)
         diag = np.concatenate([a, an[:, None]], axis=1)
         off = np.sqrt(b[:, 1:])
@@ -201,28 +214,10 @@ def _interface_fluxes(nodes, weights, order_count, boundary):
     return fplus[left] + fminus[right]
 
 
-def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
-    """Advance the grid by one upwind step with semi-implicit relaxation.
-
-    dt defaults to cfl * min(dx / max|node|); an explicit dt must still
-    respect the per-cell CFL bound (asserted through the convex-update
-    factors).  Output cells are re-checked for strict realizability.
-    """
-    if spec.variant != "hyqmom":
-        raise ValueError("the kinetic solver closes with the hyqmom closure")
-    if variant not in FLUX_VARIANTS:
-        raise ValueError(f"flux variant must be one of {FLUX_VARIANTS}")
-    if not 0 < cfl <= 1:
-        raise ValueError("cfl must lie in (0, 1]")
-    n = grid.n
-    if variant == "eigen" and spec.gamma <= -n:
-        raise ValueError("eigen-node fluxes need gamma > -n")
-    try:
-        nodes, weights = _reconstruct_batch(grid.cells, spec.gamma, variant)
-    except RealizabilityLossError as err:
-        raise RealizabilityLossError(
-            f"{err} at t={grid.time!r}", cell=err.cell, time=grid.time
-        ) from None
+def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
+    """The grid one step on, from the gate's (a, b); the update's full-size
+    temporaries are freed on return, before the post-step check."""
+    nodes, weights = _reconstruct_batch(a, b, gamma, variant)
     smax = np.max(np.abs(nodes), axis=1)
     with np.errstate(divide="ignore"):
         dt_cfl = cfl * np.min(np.where(smax > 0, grid.dx / smax, np.inf))
@@ -250,24 +245,36 @@ def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
     theta = grid.cells[:, 2] / rho - U**2
     maxwellian = rho[:, None] * gaussian_moments(L - 1, U, theta)
     r = step_dt / grid.tau
-    new_cells = (mstar + r * maxwellian) / (1.0 + r)
+    cells = (mstar + r * maxwellian) / (1.0 + r)
+    return replace(grid, cells=cells, time=float(grid.time) + step_dt)
 
-    new_time = float(grid.time) + step_dt
-    ok, _, _, _ = _realizable_pivots_batch(new_cells)
+
+def _require_realizable(grid, what):
+    ok, a, b = grid._gate()
     if not np.all(ok):
         bad = int(np.flatnonzero(~ok)[0])
         raise RealizabilityLossError(
-            f"cell {bad} lost strict realizability at t={new_time!r}",
-            cell=bad,
-            time=new_time,
+            f"cell {bad} {what} at t={grid.time!r}", cell=bad, time=grid.time
         )
-    return GridState(
-        cells=new_cells,
-        dx=grid.dx,
-        tau=grid.tau,
-        time=new_time,
-        boundary=grid.boundary,
-    )
+    return a, b
+
+
+def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
+    """Advance the grid by one upwind step with semi-implicit relaxation.
+
+    dt defaults to cfl * min(dx / max|node|), capped by dt_max; an explicit
+    dt must still respect the per-cell CFL bound (asserted through the
+    convex-update factors).  The step gates on the input grid's memoized
+    realizability check and runs that check once on the output grid, where
+    it stays memoized as the next step's gate.
+    """
+    _check_flux(spec, variant, grid.n)
+    if not 0 < cfl <= 1:
+        raise ValueError("cfl must lie in (0, 1]")
+    a, b = _require_realizable(grid, "is not strictly realizable")
+    new = _advance(grid, a, b, spec.gamma, variant, cfl, dt, dt_max)
+    _require_realizable(new, "lost strict realizability")
+    return new
 
 
 def total_moments(grid):
@@ -277,7 +284,7 @@ def total_moments(grid):
 
 
 def _flagged_cells(grid):
-    _, _, b, _ = _realizable_pivots_batch(grid.cells)
+    _, _, b = grid._gate()
     rho = grid.cells[:, 0]
     theta = grid.cells[:, 2] / rho - (grid.cells[:, 1] / rho) ** 2
     near = np.min(b[:, 1:], axis=1) < NEAR_BOUNDARY_FRACTION * theta
@@ -436,7 +443,7 @@ def _snapshot_csv_lines(cfg, grid):
     )
     x0, _ = cfg["domain"]
     centers = x0 + (np.cumsum(grid.dx) - 0.5 * grid.dx)
-    ok, _, _, _ = _realizable_pivots_batch(grid.cells)
+    ok, _, _ = grid._gate()
     rho = grid.cells[:, 0]
     U = grid.cells[:, 1] / rho
     theta = grid.cells[:, 2] / rho - U**2
@@ -470,33 +477,19 @@ def run(config, output_dir=None):
         cfg = validate_config(config)
     spec = ClosureSpec("hyqmom", gamma=cfg["gamma"])
     grid = build_initial_grid(cfg)
-    snapshots = [Snapshot(0.0, grid.cells.copy(), _flagged_cells(grid))]
+    snapshots = [Snapshot(0.0, grid.cells, _flagged_cells(grid))]
     steps = 0
     interval = cfg["snapshot_every"]
     next_snap = interval if interval is not None else np.inf
     while grid.time < cfg["t_final"] - 1e-14:
         # cap the step so the run lands exactly on snapshot times and t_final
         dt_room = min(cfg["t_final"], next_snap) - grid.time
-        trial = step(
-            grid,
-            spec,
-            cfg["flux_variant"],
-            cfl=cfg["cfl"],
-            dt_max=cfg["dt_max"],
-        )
-        if trial.time > grid.time + dt_room:
-            trial = step(
-                grid,
-                spec,
-                cfg["flux_variant"],
-                cfl=cfg["cfl"],
-                dt=dt_room,
-                dt_max=cfg["dt_max"],
-            )
-        grid = trial
+        if cfg["dt_max"] is not None:
+            dt_room = min(cfg["dt_max"], dt_room)
+        grid = step(grid, spec, cfg["flux_variant"], cfl=cfg["cfl"], dt_max=dt_room)
         steps += 1
         if grid.time >= next_snap - 1e-14 or grid.time >= cfg["t_final"] - 1e-14:
-            snapshots.append(Snapshot(grid.time, grid.cells.copy(), _flagged_cells(grid)))
+            snapshots.append(Snapshot(grid.time, grid.cells, _flagged_cells(grid)))
             while next_snap <= grid.time + 1e-14:
                 next_snap += interval if interval is not None else np.inf
 
@@ -517,13 +510,7 @@ def run(config, output_dir=None):
         out.mkdir(parents=True, exist_ok=True)
         for i, snap in enumerate(snapshots):
             name = f"snapshot_{i:04d}.csv"
-            snap_grid = GridState(
-                cells=snap.cells,
-                dx=grid.dx,
-                tau=grid.tau,
-                time=snap.time,
-                boundary=grid.boundary,
-            )
+            snap_grid = replace(grid, cells=snap.cells, time=snap.time)
             path = out / name
             path.write_text("\n".join(_snapshot_csv_lines(cfg, snap_grid)) + "\n")
             manifest["snapshots"].append({"time": snap.time, "file": name})

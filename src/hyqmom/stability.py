@@ -12,9 +12,10 @@ certificate checks, at the stated tolerances:
   (III) K = P^{-T} A_0 P^{-1} is block diagonal (the off-diagonal blocks
         encode the coupling sums over the h_j polynomials).
 
-The diagonal weights of D are computed once at the standard state (U = 0,
-theta = 1) from a Vandermonde solve against the standard-normal moments
-with the top entry shifted by (n-1)!; the affine scaling law of the
+The diagonal weights of D are defined at the standard state (U = 0,
+theta = 1) by a Vandermonde system against the standard-normal moments with
+the top entry shifted by (n-1)!, and computed in closed form from the two
+Golub-Welsch rules of the spectral kernel; the affine scaling law of the
 gamma = 1 closure makes the same weights valid at every state.
 
 Positive definiteness of A_0 is certified structurally: A_0 = L^T D L is a
@@ -37,7 +38,7 @@ import numpy as np
 
 from .closures import _hyqmom_factor_rows, _spectral_from_recurrence
 from .moments import EquilibriumState, gaussian_moments
-from .orthopoly import poly_eval, poly_mul, vandermonde_weights
+from .orthopoly import poly_eval, poly_mul
 
 DEFAULT_TOLERANCES = {
     "condition_I": 1e-9,
@@ -202,19 +203,22 @@ def standard_eigenvalues(n, gamma=1.0):
 
 
 def symmetrizer_weights(n):
-    """Positive diagonal of the symmetrizer, computed at the standard state.
+    """Positive diagonal of the symmetrizer, defined at the standard state
+    as the solution of the Vandermonde system sum_i w_i lam_i^k = p_k,
+    k = 0..2n, on the standard eigenvalues, where p_k are the standard-normal
+    moments except p_2n = Delta_2n + (n-1)!.  The same weights certify every
+    equilibrium state thanks to the affine scaling of the gamma = 1 closure.
 
-    Solves the Vandermonde system sum_i w_i lam_i^k = p_k on the standard
-    eigenvalues, where p_k are the standard-normal moments except
-    p_2n = Delta_2n + (n-1)!.  The same weights certify every equilibrium
-    state thanks to the affine scaling of the gamma = 1 closure.
+    By 1/P'(lam) and the Christoffel identities the solution is
+    n/(2n+1) w' on the Q_n roots and (n+1)/(2n+1) w'' on the R_{n+1} roots,
+    the Golub-Welsch weights of the two rules; the spectral weights are the
+    same rules with the two factors swapped, which is how w is computed.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    lam = standard_eigenvalues(n)
-    p = gaussian_moments(2 * n, 0.0, 1.0)
-    p[2 * n] += math.factorial(n - 1)
-    w = vandermonde_weights(lam, p)
+    w = _spectral_from_recurrence(*_equilibrium_recurrence(n, 0.0, 1.0), 1.0)[1][0]
+    w[1::2] *= n / (n + 1)
+    w[0::2] *= (n + 1) / n
     if np.min(w) <= 0:
         raise RuntimeError(
             "symmetrizer weights came out non-positive; internal error"

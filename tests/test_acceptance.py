@@ -388,7 +388,8 @@ def test_criterion_6_realizability_preservation():
                     tau=0.5,
                     boundary="periodic",
                 )
-                nodes, _ = _reconstruct_batch(grid.cells, 1.0, variant)
+                _, a, b, _ = _realizable_pivots_batch(grid.cells)
+                nodes, _ = _reconstruct_batch(a, b, 1.0, variant)
                 t_final = 0.25 / float(np.max(np.abs(nodes)))
                 while grid.time < t_final:
                     new = hq.step(grid, spec, variant, cfl=0.9)

@@ -135,6 +135,23 @@ class TestSpectrum:
         assert "near-degenerate" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["close", "--hyqmom"], ["spectrum"]],
+    ids=["close", "spectrum"],
+)
+def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
+    # one for the --tol gate, whose (a, b) close prints, and one inside the
+    # library call, which gates at its own floor
+    import hyqmom as hq
+
+    sweeps = count_calls(hq.moments, "_wheeler_batch")
+    closure_sweeps = count_calls(hq.closures, "_wheeler_batch")
+    code, _, _ = run_cli(args + ["--moments", "1,0.2,1.3,0.5,4.1"], capsys)
+    assert code == 0
+    assert sweeps[0] + closure_sweeps[0] == 2
+
+
 class TestVerifyHyperbolicity:
     def test_passes_modest_order(self, capsys):
         code, out, _ = run_cli(

@@ -102,6 +102,21 @@ class TestCloseHyqmom:
             hq.close_hyqmom([1, 0, 1, 0], 1.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: hq.close_hyqmom(m, 1.0),
+        lambda m: hq.spectral_decomposition(m, hq.hyqmom_closure(1.0)),
+    ],
+    ids=["close_hyqmom", "spectral_decomposition"],
+)
+def test_one_wheeler_sweep_per_call(call, count_calls):
+    sweeps = count_calls(hq.moments, "_wheeler_batch")
+    closure_sweeps = count_calls(hq.closures, "_wheeler_batch")
+    call(np.array([1.0, 0.2, 1.3, 0.5, 4.1]))
+    assert sweeps[0] + closure_sweeps[0] == 1
+
+
 class TestCloseNew:
     def test_symmetric_two_node(self):
         # close_qmom gives 1; <Q_1^2> = <X^2> = 1

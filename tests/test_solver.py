@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
+from hyqmom.moments import _realizable_pivots_batch
 from hyqmom.solver import _reconstruct_batch, build_initial_grid
 from corpus import random_odd_moments
 
@@ -76,7 +77,9 @@ class TestReconstructNodes:
     def test_batch_matches_scalar(self, rng):
         for variant in ("gauss", "eigen"):
             cells = random_odd_moments(rng, 2, count=10)
-            nodes, weights = _reconstruct_batch(cells, 1.0, variant)
+            ok, a, b, _ = _realizable_pivots_batch(cells)
+            assert np.all(ok)
+            nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
             for j in range(10):
                 q = hq.reconstruct_nodes(cells[j], SPEC1, variant)
                 assert np.allclose(nodes[j], q.nodes, rtol=1e-9, atol=1e-12)
@@ -84,9 +87,11 @@ class TestReconstructNodes:
 
     def test_loss_reported_with_cell_index(self):
         cells = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+        grid = hq.GridState(cells=cells, dx=np.full(2, 0.5), tau=1.0)
         with pytest.raises(hq.RealizabilityLossError) as exc:
-            _reconstruct_batch(cells, 1.0, "gauss")
+            hq.step(grid, SPEC1, "gauss")
         assert exc.value.cell == 1
+        assert exc.value.time == 0.0
 
 
 class TestKineticFlux:
@@ -204,6 +209,27 @@ class TestStep:
         for _ in range(10):
             grid = hq.step(grid, SPEC1, "gauss", cfl=0.9)
         assert hankel_positive_definite(grid.cells[0])
+
+
+class TestGridState:
+    def test_cells_are_a_read_only_copy(self):
+        m = hq.maxwellian_moments(1.0, 0.0, 1.0, 4)
+        cells = np.tile(m, (4, 1))
+        grid = hq.GridState(cells=cells, dx=np.full(4, 0.25), tau=1.0)
+        assert not np.shares_memory(grid.cells, cells)
+        cells[0, 0] = -1.0
+        assert grid.cells[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            grid.cells[0, 0] = -1.0
+
+    def test_new_cells_drop_the_memoized_gate(self):
+        m = hq.maxwellian_moments(1.0, 0.0, 1.0, 2)
+        grid = uniform_grid(m, cells=2)
+        hq.step(grid, SPEC1, "gauss")  # memoizes the gate of the good cells
+        grid.cells = np.array([m, [1.0, 0.0, -1.0]])
+        with pytest.raises(hq.RealizabilityLossError) as exc:
+            hq.step(grid, SPEC1, "gauss")
+        assert exc.value.cell == 1
 
 
 class TestConfigValidation:
@@ -367,6 +393,18 @@ class TestRun:
         for snap in result.snapshots:
             ok = [hankel_positive_definite(c) for c in snap.cells[::50]]
             assert all(ok)
+
+    def test_one_step_call_and_one_sweep_per_step(self, count_calls):
+        # the post-step check is the next step's gate, and no step is
+        # recomputed to land on a snapshot time or t_final
+        path = Path(__file__).parents[1] / "demos" / "configs" / "riemann_n2.json"
+        steps = count_calls(hq.solver, "step")
+        sweeps = count_calls(hq.moments, "_wheeler_batch")
+        other = count_calls(hq.closures, "_wheeler_batch")
+        result = hq.run(path)
+        assert steps[0] == result.manifest["steps"]
+        assert sweeps[0] == result.manifest["steps"] + 1
+        assert other[0] == 0
 
     def test_runs_are_deterministic(self, tmp_path):
         cfg = TestConfigValidation().base()

@@ -136,6 +136,30 @@ class TestSymmetrizerWeights:
         for n in range(1, 7):
             assert np.min(hq.symmetrizer_weights(n)) > 0
 
+    def test_high_precision_vandermonde_reference(self):
+        # the defining Vandermonde system solved at 60 digits on eigenvalues
+        # of the exact standard-state Jacobi matrices (a_k = 0, b_k = k)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+
+        def eigenvalues(off):
+            T = mp.matrix(len(off) + 1, len(off) + 1)
+            for i, o in enumerate(off):
+                T[i, i + 1] = T[i + 1, i] = o
+            return list(mp.eigsy(T, eigvals_only=True))
+
+        with mpmath.workdps(60):
+            for n in range(1, 9):
+                inner = [mp.sqrt(k) for k in range(1, n)]
+                lam = eigenvalues(inner) + eigenvalues(inner + [mp.sqrt(2 * n + 1)])
+                p = [mp.mpf(math.prod(range(k - 1, 0, -2))) if k % 2 == 0 else mp.zero
+                     for k in range(2 * n + 1)]
+                p[2 * n] += math.factorial(n - 1)
+                V = mp.matrix([[x**k for x in lam] for k in range(2 * n + 1)])
+                exact = dict(zip(lam, mp.lu_solve(V, mp.matrix(p))))
+                expected = [float(exact[x]) for x in sorted(lam)]
+                assert np.allclose(hq.symmetrizer_weights(n), expected, rtol=1e-13, atol=0)
+
     def test_two_rule_split(self):
         # the weights decompose into n/(2n+1) of the standard-normal Gauss
         # rule at the inner nodes and (n+1)/(2n+1) of the outer rule whose
