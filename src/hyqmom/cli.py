@@ -20,9 +20,7 @@ from . import __version__
 from .closures import (
     ClosureSpec,
     _spectral_batch,
-    close_hyqmom,
-    close_new,
-    close_qmom,
+    close,
     spectral_decomposition,
 )
 from .moments import (
@@ -122,12 +120,7 @@ def _cmd_close(args):
     m = _parse_moments(args.moments)
     check, a, b = _check_realizable(m, args.tol)
     variant = "hyqmom" if args.hyqmom else ("qmom" if args.qmom else "new")
-    if variant == "hyqmom":
-        closed = close_hyqmom(m, args.gamma)
-    elif variant == "qmom":
-        closed = close_qmom(m)
-    else:
-        closed = close_new(m)
+    closed = close(m, ClosureSpec(variant, gamma=args.gamma if args.hyqmom else 1.0))
     detail = {
         "closure": variant,
         "gamma": args.gamma if variant == "hyqmom" else None,

@@ -1,27 +1,29 @@
 """Moment closures and the spectral structure of the closed systems.
 
-Supported closures for the first unclosed moment:
+Every closure is fixed by a monic polynomial G of degree N+1 through the
+one identity M_{N+1} = <X^{N+1} - G> = -<G[:-1], M>, and G is then the
+characteristic polynomial of the closed system (criterion <dG/dM> = 0).
+The four variants differ only in G:
 
-* ``qmom``      -- n-point delta reconstruction of an even-length vector;
-                   places the augmented vector on the cone boundary
-                   (<Q_n^2> = 0).  The closed system is degenerate: every
-                   characteristic root has multiplicity two.
-* ``hyqmom``    -- fixes the next recurrence coefficient of an odd-length
-                   vector as a_n = (gamma/n) * sum(a_0..a_{n-1}); strictly
-                   hyperbolic for gamma > -2n, with positive eigenvalue
-                   weights for gamma > -n.  gamma = 1 is the affine-invariant
-                   member.
-* ``new``       -- closes an even-length vector through the polynomial
-                   Q_n^2 - Q_{n-1}^2, giving 2n distinct characteristic
-                   roots while staying a pure moment functional.
-* ``polynomial`` -- user-supplied monic polynomial G(X; M); the closure is
-                   M_{N+1} = <X^{N+1} - G>.  G is the characteristic
-                   polynomial of the closed system iff <dG/dM> = 0, which is
+* ``qmom``      -- G = Q_n^2 on an even-length vector: the n-point delta
+                   reconstruction, which places the augmented vector on the
+                   cone boundary (<Q_n^2> = 0).  Every characteristic root
+                   has multiplicity two.
+* ``hyqmom``    -- G = Q_n R_{n+1} on an odd-length vector, with
+                   R_{n+1} = (X - a_n) Q_n - ((2n+gamma)/n) b_n Q_{n-1} and
+                   a_n = (gamma/n) * sum(a_0..a_{n-1}); strictly hyperbolic
+                   for gamma > -2n, with positive eigenvalue weights for
+                   gamma > -n.  gamma = 1 is the affine-invariant member.
+* ``new``       -- G = Q_n^2 - Q_{n-1}^2 on an even-length vector, giving 2n
+                   distinct characteristic roots while staying a pure moment
+                   functional.
+* ``polynomial`` -- user-supplied G(X; M), whose criterion <dG/dM> = 0 is
                    validated numerically.
 
-The characteristic polynomial of the hyqmom system factorizes as
-Q_n * R_{n+1} with R_{n+1} = (X - a_n) Q_n - ((2n+gamma)/n) b_n Q_{n-1};
-the system eigenvalues are the merged, interlacing roots of the two factors.
+For hyqmom, <Q_n R_{n+1}> = <(X - a_n) Q_n^2> - ((2n+gamma)/n) b_n
+<Q_n Q_{n-1}>, and the last term vanishes by orthogonality: the closure is
+the unique M_{2n+1} whose induced a_n is the prescribed one.  The system
+eigenvalues are the merged, interlacing roots of the two factors.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .orthopoly import (
     NEAR_DEGENERACY_RTOL,
     _jacobi_batch,
     _monic_pair_batch,
-    poly_mul,
 )
 
 VARIANTS = ("qmom", "hyqmom", "new", "polynomial")
@@ -143,10 +144,15 @@ def _even_input(m):
     return m
 
 
+def _hyqmom_an(a, gamma):
+    """The hyqmom rule a_n = (gamma/n) * sum(a_0..a_{n-1}) for rows a (J, n)."""
+    return gamma / a.shape[1] * np.sum(a, axis=1)
+
+
 def _hyqmom_factor_rows(a, b, gamma):
     """Batched (a_n, Qn, Qn-1, Rn1) for odd-length inputs; dtype generic."""
     n = a.shape[1]
-    an = gamma / n * np.sum(a, axis=1)
+    an = _hyqmom_an(a, gamma)
     qn, qm = _monic_pair_batch(a, b, n)
     rn1 = np.zeros((a.shape[0], n + 2), dtype=qn.dtype)
     rn1[:, 1:] = qn
@@ -155,69 +161,58 @@ def _hyqmom_factor_rows(a, b, gamma):
     return an, qn, qm, rn1
 
 
-def _close_hyqmom_batch(M, gamma):
-    """Closed moments for a batch of odd-length rows; no validation."""
-    a, b, _ = _wheeler_batch(M)
-    return _close_from_recurrence(M, a, b, gamma)
+def _row_products(p, q):
+    """Row-wise polynomial products of coefficient rows p and q."""
+    out = np.zeros((p.shape[0], p.shape[1] + q.shape[1] - 1), dtype=np.result_type(p, q))
+    for i in range(p.shape[1]):
+        out[:, i : i + q.shape[1]] += p[:, i : i + 1] * q
+    return out
 
 
-def _close_from_recurrence(M, a, b, gamma):
-    """Closed moments of odd-length rows M with Wheeler rows (a, b).
-
-    Uses the linear identity M_{2n+1} = <X^{2n+1} - (X - a_n) Q_n^2>, i.e.
-    the expansion of <X Q_n^2> = a_n <Q_n^2> in raw moments.
-    """
+def _characteristic_rows(a, b, variant, gamma):
+    """Characteristic coefficient rows (low-to-high) and factor rows of the
+    hyqmom, qmom or new closure from Wheeler rows (a, b); dtype generic."""
+    if variant == "hyqmom":
+        _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
+        return _row_products(qn, rn1), {"Qn": qn, "Rn1": rn1}
     n = a.shape[1]
-    an = gamma / n * np.sum(a, axis=1)
-    qn, _ = _monic_pair_batch(a, b, n)
-    q2 = np.zeros((M.shape[0], 2 * n + 1), dtype=qn.dtype)
-    for i in range(n + 1):
-        q2[:, i : i + n + 1] += qn[:, i : i + 1] * qn
-    xq2 = np.zeros((M.shape[0], 2 * n + 2), dtype=q2.dtype)
-    xq2[:, 1:] = q2
-    xq2[:, : 2 * n + 1] -= an[:, None] * q2
-    return -np.sum(xq2[:, : 2 * n + 1] * M, axis=1)
+    qn, qm = _monic_pair_batch(a, b, n)
+    c = _row_products(qn, qn)
+    if variant == "qmom":
+        return c, {"Qn": qn}
+    c[:, : 2 * n - 1] -= _row_products(qm, qm)
+    return c, {"Qn": qn, "Qn_minus_1": qm}
+
+
+def _close_hyqmom_batch(M, gamma):
+    """Closed moments -<G[:-1], M> for a batch of odd-length rows; no
+    validation."""
+    a, b, _ = _wheeler_batch(M)
+    c, _ = _characteristic_rows(a, b, "hyqmom", gamma)
+    return -np.sum(c[:, :-1] * M, axis=1)
+
+
+def close(m, spec):
+    """Closure named by ``spec``: M_{N+1} = -<G[:-1], M> with G the
+    characteristic polynomial of the closed system."""
+    return float(-np.dot(characteristic_polynomial(m, spec).c[:-1], m))
 
 
 def close_hyqmom(m, gamma=1.0):
     """HyQMOM closure of (M_0..M_2n): the unique M_{2n+1} whose induced
     a_n equals (gamma/n) * sum(a_0..a_{n-1})."""
-    m = _odd_input(m)
-    a, b = _hyqmom_recurrence(m, gamma)
-    return float(_close_from_recurrence(m[None, :], a, b, gamma)[0])
+    return close(m, hyqmom_closure(gamma))
 
 
 def close_qmom(m):
     """QMOM closure of (M_0..M_{2n-1}): M_2n = <X^2n - Q_n^2>, the boundary
     value that makes <Q_n^2> of the augmented vector vanish."""
-    m = _even_input(m)
-    a, b = moments_to_recurrence(m)
-    n = len(m) // 2
-    qn, _ = _monic_pair_batch(a[None, :], b[None, :], n)
-    q2 = poly_mul(qn[0], qn[0])
-    return float(-np.dot(q2[: 2 * n], m))
+    return close(m, qmom_closure())
 
 
 def close_new(m):
     """Strictly hyperbolic even-length closure M_2n = <X^2n - Q_n^2 + Q_{n-1}^2>."""
-    m = _even_input(m)
-    _, b = moments_to_recurrence(m)
-    n = len(m) // 2
-    return close_qmom(m) + float(np.prod(b[:n]))
-
-
-def close(m, spec):
-    """Dispatch the closure named by ``spec`` on ``m``."""
-    if spec.variant == "hyqmom":
-        return close_hyqmom(m, spec.gamma)
-    if spec.variant == "qmom":
-        return close_qmom(m)
-    if spec.variant == "new":
-        return close_new(m)
-    m = _as_moment_array(m)
-    moments_to_recurrence(m)
-    g = _validated_builder_poly(m, spec.builder)
-    return float(-np.dot(g[:-1], m))
+    return close(m, new_hyperbolic_closure())
 
 
 def _ladder_scales(m):
@@ -262,55 +257,38 @@ def characteristic_polynomial(m, spec):
     hyqmom: Q_n * R_{n+1}; qmom: Q_n^2; new: Q_n^2 - Q_{n-1}^2;
     polynomial: the validated G itself.
     """
+    if spec.variant == "polynomial":
+        m = _as_moment_array(m)
+        moments_to_recurrence(m)
+        return CharacteristicPolynomial(c=_validated_builder_poly(m, spec.builder), factors={})
+    c, factors = _characteristic_rows(*_recurrence_rows(m, spec), spec.variant, spec.gamma)
+    return CharacteristicPolynomial(c=c[0], factors={k: f[0] for k, f in factors.items()})
+
+
+def _recurrence_rows(m, spec):
+    """Validated Wheeler rows (a, b), shapes (1, n) and (1, len(b)), of a
+    hyqmom (odd-length) or qmom/new (even-length) input; one sweep."""
     if spec.variant == "hyqmom":
-        return _hyqmom_characteristic(*_hyqmom_recurrence(m, spec.gamma), spec.gamma)
-    if spec.variant == "qmom":
+        m = _odd_input(m)
+        _check_gamma(spec.gamma, len(m) // 2)
+    else:
         m = _even_input(m)
-        a, b = moments_to_recurrence(m)
-        n = len(m) // 2
-        qn, _ = _monic_pair_batch(a[None, :], b[None, :], n)
-        return CharacteristicPolynomial(
-            c=poly_mul(qn[0], qn[0]), factors={"Qn": qn[0]}
-        )
-    if spec.variant == "new":
-        m = _even_input(m)
-        a, b = moments_to_recurrence(m)
-        n = len(m) // 2
-        qn, qm = _monic_pair_batch(a[None, :], b[None, :], n)
-        c = poly_mul(qn[0], qn[0])
-        c[: 2 * n - 1] -= poly_mul(qm[0], qm[0])
-        return CharacteristicPolynomial(c=c, factors={"Qn": qn[0], "Qn_minus_1": qm[0]})
-    m = _as_moment_array(m)
-    moments_to_recurrence(m)
-    g = _validated_builder_poly(m, spec.builder)
-    return CharacteristicPolynomial(c=g, factors={})
-
-
-def _hyqmom_recurrence(m, gamma):
-    """Validated (a, b) rows, shapes (1, n) and (1, n+1), of a hyqmom input."""
-    m = _odd_input(m)
-    _check_gamma(gamma, len(m) // 2)
     a, b = moments_to_recurrence(m)
     return a[None, :], b[None, :]
 
 
-def _hyqmom_characteristic(a, b, gamma):
-    _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
-    return CharacteristicPolynomial(
-        c=poly_mul(qn[0], rn1[0]), factors={"Qn": qn[0], "Rn1": rn1[0]}
-    )
+def _companion(c):
+    """Companion matrix of the monic c (low-to-high): the shift on the
+    superdiagonal and -c_0..-c_N in the last row."""
+    A = np.eye(len(c) - 1, k=1)
+    A[-1, :] = -c[:-1]
+    return A
 
 
 def jacobian_matrix(m, spec):
-    """Coefficient matrix of the closed system: companion form with the
-    shift on the superdiagonal and -c_0..-c_N in the last row."""
-    cp = characteristic_polynomial(m, spec)
-    N1 = len(cp.c) - 1
-    A = np.zeros((N1, N1))
-    for k in range(N1 - 1):
-        A[k, k + 1] = 1.0
-    A[N1 - 1, :] = -cp.c[:N1]
-    return A
+    """Coefficient matrix of the closed system: the companion matrix of its
+    characteristic polynomial."""
+    return _companion(characteristic_polynomial(m, spec).c)
 
 
 def _spectral_from_recurrence(a, b, gamma):
@@ -329,7 +307,7 @@ def _spectral_from_recurrence(a, b, gamma):
     so positivity for gamma > -n is structural rather than numerical.
     """
     J, n = a.shape
-    an = gamma / n * np.sum(a, axis=1)
+    an = _hyqmom_an(a, gamma)
     qroots, wq = _jacobi_batch(a, np.sqrt(b[:, 1:n]), b[:, :1])
     rdiag = np.concatenate([a, an[:, None]], axis=1)
     roff = np.concatenate(
@@ -368,9 +346,9 @@ def spectral_decomposition(m, spec):
             "spectral_decomposition is defined for the hyqmom closure; "
             "other variants expose only their characteristic polynomial"
         )
-    a, b = _hyqmom_recurrence(m, spec.gamma)
+    a, b = _recurrence_rows(m, spec)
     n = a.shape[1]
-    cp = _hyqmom_characteristic(a, b, spec.gamma)
+    c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
     lam, om, _, _ = _spectral_from_recurrence(a, b, spec.gamma)
     lam, om = lam[0], om[0]
     if not np.all(np.diff(lam) > 0):
@@ -387,10 +365,10 @@ def spectral_decomposition(m, spec):
     radius = np.max(np.abs(lam))
     near = bool(np.min(np.diff(lam)) < NEAR_DEGENERACY_RTOL * radius)
     return SpectralDecomposition(
-        c=cp.c,
+        c=c[0],
         eigenvalues=lam,
         weights=om,
-        factors=cp.factors,
+        factors={k: f[0] for k, f in factors.items()},
         gamma=spec.gamma,
         weights_positive=positive,
         near_degenerate=near,

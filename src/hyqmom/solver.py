@@ -32,16 +32,16 @@ import numpy as np
 from . import __version__ as _version
 from .closures import (
     ClosureSpec,
+    _hyqmom_an,
+    _recurrence_rows,
     _spectral_from_recurrence,
-    close_hyqmom,
-    spectral_decomposition,
 )
 from .moments import (
     _moments_from_recurrence_batch,
     _realizable_pivots_batch,
     gaussian_moments,
 )
-from .orthopoly import Quadrature, _jacobi_batch, gauss_quadrature
+from .orthopoly import Quadrature, _jacobi_batch
 
 FLUX_VARIANTS = ("gauss", "eigen")
 BOUNDARIES = ("periodic", "zero-gradient")
@@ -141,19 +141,17 @@ def _check_flux(spec, variant, n):
 
 
 def reconstruct_nodes(m, spec, variant):
-    """Delta reconstruction of one cell as a Quadrature.
+    """Delta reconstruction of one cell as a Quadrature: the J = 1 view of
+    _reconstruct_batch on the cell's gated recurrence rows.
 
-    ``gauss``: augment with the hyqmom closure and take the Gauss rule of
-    the even-length result.  ``eigen``: system eigenvalues and weights.
-    Either way the rule reproduces M_0..M_2n.
+    ``gauss``: the n+1-point Gauss rule of the vector augmented by the
+    hyqmom closure.  ``eigen``: system eigenvalues and weights.  Either way
+    the rule reproduces M_0..M_2n.
     """
     m = np.asarray(m, dtype=float)
     _check_flux(spec, variant, len(m) // 2)
-    if variant == "gauss":
-        augmented = np.append(m, close_hyqmom(m, spec.gamma))
-        return gauss_quadrature(augmented)
-    sd = spectral_decomposition(m, spec)
-    return Quadrature(nodes=sd.eigenvalues, weights=sd.weights)
+    nodes, weights = _reconstruct_batch(*_recurrence_rows(m, spec), spec.gamma, variant)
+    return Quadrature(nodes=nodes[0], weights=weights[0])
 
 
 def kinetic_flux(left, right, k):
@@ -178,9 +176,7 @@ def _reconstruct_batch(a, b, gamma, variant):
     variant hands (a, b) to the spectral kernel.
     """
     if variant == "gauss":
-        n = a.shape[1]
-        an = gamma / n * np.sum(a, axis=1)
-        diag = np.concatenate([a, an[:, None]], axis=1)
+        diag = np.concatenate([a, _hyqmom_an(a, gamma)[:, None]], axis=1)
         off = np.sqrt(b[:, 1:])
         return _jacobi_batch(diag, off, b[:, :1])
     lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
@@ -466,7 +462,8 @@ def run(config, output_dir=None):
     ``config`` may be a dict or a path to a JSON file.  Snapshots are taken
     at t = 0, whenever the accumulated time crosses a multiple of
     ``snapshot_every``, and at t_final.  With ``output_dir`` set, each
-    snapshot is written as CSV next to a JSON run manifest.
+    snapshot is written as CSV when it is taken, and a JSON run manifest
+    is written at the end.
     """
     started = _time.time()
     if isinstance(config, (str, Path)):
@@ -477,7 +474,20 @@ def run(config, output_dir=None):
         cfg = validate_config(config)
     spec = ClosureSpec("hyqmom", gamma=cfg["gamma"])
     grid = build_initial_grid(cfg)
-    snapshots = [Snapshot(0.0, grid.cells, _flagged_cells(grid))]
+    out = None if output_dir is None else Path(output_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    snapshots, files = [], []
+
+    def take_snapshot(grid):
+        # written from the live grid, whose memoized gate gives the flags
+        snapshots.append(Snapshot(grid.time, grid.cells, _flagged_cells(grid)))
+        if out is not None:
+            path = out / f"snapshot_{len(files):04d}.csv"
+            path.write_text("\n".join(_snapshot_csv_lines(cfg, grid)) + "\n")
+            files.append(str(path))
+
+    take_snapshot(grid)
     steps = 0
     interval = cfg["snapshot_every"]
     next_snap = interval if interval is not None else np.inf
@@ -489,7 +499,7 @@ def run(config, output_dir=None):
         grid = step(grid, spec, cfg["flux_variant"], cfl=cfg["cfl"], dt_max=dt_room)
         steps += 1
         if grid.time >= next_snap - 1e-14 or grid.time >= cfg["t_final"] - 1e-14:
-            snapshots.append(Snapshot(grid.time, grid.cells, _flagged_cells(grid)))
+            take_snapshot(grid)
             while next_snap <= grid.time + 1e-14:
                 next_snap += interval if interval is not None else np.inf
 
@@ -499,27 +509,16 @@ def run(config, output_dir=None):
         "version": _version,
         "steps": steps,
         "final_time": grid.time,
-        "snapshots": [],
+        "snapshots": [{"time": s.time} for s in snapshots],
         "flagged_cells": {repr(s.time): s.flagged_cells for s in snapshots if s.flagged_cells},
         "realizability_failures": 0,
         "passed": True,
     }
-    files = []
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, snap in enumerate(snapshots):
-            name = f"snapshot_{i:04d}.csv"
-            snap_grid = replace(grid, cells=snap.cells, time=snap.time)
-            path = out / name
-            path.write_text("\n".join(_snapshot_csv_lines(cfg, snap_grid)) + "\n")
-            manifest["snapshots"].append({"time": snap.time, "file": name})
-            files.append(str(path))
-        manifest["wall_clock_s"] = _time.time() - started
+    for entry, path in zip(manifest["snapshots"], files):
+        entry["file"] = Path(path).name
+    manifest["wall_clock_s"] = _time.time() - started
+    if out is not None:
         man_path = out / "run_manifest.json"
         man_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         files.append(str(man_path))
-    else:
-        manifest["snapshots"] = [{"time": s.time} for s in snapshots]
-        manifest["wall_clock_s"] = _time.time() - started
     return RunResult(snapshots=snapshots, manifest=manifest, grid=grid, files=files)

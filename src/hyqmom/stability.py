@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import _hyqmom_factor_rows, _spectral_from_recurrence
+from .closures import _companion, _hyqmom_factor_rows, _spectral_from_recurrence
 from .moments import EquilibriumState, gaussian_moments
 from .orthopoly import poly_eval, poly_mul
 
@@ -272,10 +272,7 @@ def certify(state, n, tolerances=None):
     asym = np.linalg.norm(A0 - A0.T) / np.linalg.norm(A0)
     A0 = 0.5 * (A0 + A0.T)
 
-    A = np.zeros((N + 1, N + 1))
-    for k in range(N):
-        A[k, k + 1] = 1.0
-    A[N, :] = -c[: N + 1]
+    A = _companion(c)
     commutator = np.linalg.norm(A0 @ A - A.T @ A0) / np.linalg.norm(A0)
 
     K = src.P_inv.T @ A0 @ src.P_inv

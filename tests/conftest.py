@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,3 +27,15 @@ def count_calls(monkeypatch):
         return counter
 
     return install
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a child interpreter that imports the hyqmom under
+    test rather than whatever the bare interpreter would find."""
+    import hyqmom
+
+    env = dict(os.environ)
+    root = str(Path(hyqmom.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env

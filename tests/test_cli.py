@@ -137,8 +137,13 @@ class TestSpectrum:
 
 @pytest.mark.parametrize(
     "args",
-    [["close", "--hyqmom"], ["spectrum"]],
-    ids=["close", "spectrum"],
+    [
+        ["close", "--hyqmom", "--moments", "1,0.2,1.3,0.5,4.1"],
+        ["spectrum", "--moments", "1,0.2,1.3,0.5,4.1"],
+        ["close", "--new", "--moments", "1,0.2,1.3,0.5"],
+        ["close", "--qmom", "--moments", "1,0.2,1.3,0.5"],
+    ],
+    ids=["close", "spectrum", "close-new", "close-qmom"],
 )
 def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
     # one for the --tol gate, whose (a, b) close prints, and one inside the
@@ -147,7 +152,7 @@ def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
 
     sweeps = count_calls(hq.moments, "_wheeler_batch")
     closure_sweeps = count_calls(hq.closures, "_wheeler_batch")
-    code, _, _ = run_cli(args + ["--moments", "1,0.2,1.3,0.5,4.1"], capsys)
+    code, _, _ = run_cli(args, capsys)
     assert code == 0
     assert sweeps[0] + closure_sweeps[0] == 2
 
@@ -249,27 +254,33 @@ class TestSimulate:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "hyqmom", "close", "--qmom", "--moments", "1,0,1,0"],
             capture_output=True,
             text=True,
+            env=package_env,
         )
         assert proc.returncode == 0
         assert "M_4" in proc.stdout
 
-    def test_import_does_not_load_scipy(self):
+    def test_import_does_not_load_scipy(self, package_env):
         # scipy is needed only by the experimental probe_symmetrizer
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, hyqmom; print('scipy' in sys.modules)"],
             capture_output=True,
             text=True,
+            env=package_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_usage_error_exit_1(self):
+    def test_usage_error_exit_1(self, package_env):
         proc = subprocess.run(
-            [sys.executable, "-m", "hyqmom", "close"], capture_output=True, text=True
+            [sys.executable, "-m", "hyqmom", "close"],
+            capture_output=True,
+            text=True,
+            env=package_env,
         )
         assert proc.returncode == 1
+        assert "usage: hyqmom" in proc.stderr

@@ -102,19 +102,108 @@ class TestCloseHyqmom:
             hq.close_hyqmom([1, 0, 1, 0], 1.0)
 
 
+ODD = np.array([1.0, 0.2, 1.3, 0.5, 4.1])
+EVEN = ODD[:4]
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda m: hq.close_hyqmom(m, 1.0),
-        lambda m: hq.spectral_decomposition(m, hq.hyqmom_closure(1.0)),
+        lambda: hq.close_hyqmom(ODD, 1.0),
+        lambda: hq.spectral_decomposition(ODD, hq.hyqmom_closure(1.0)),
+        lambda: hq.close_qmom(EVEN),
+        lambda: hq.close_new(EVEN),
+        lambda: hq.characteristic_polynomial(ODD, hq.hyqmom_closure(1.0)),
+        lambda: hq.characteristic_polynomial(EVEN, hq.qmom_closure()),
+        lambda: hq.characteristic_polynomial(EVEN, hq.new_hyperbolic_closure()),
     ],
-    ids=["close_hyqmom", "spectral_decomposition"],
+    ids=[
+        "close_hyqmom",
+        "spectral_decomposition",
+        "close_qmom",
+        "close_new",
+        "characteristic_polynomial-hyqmom",
+        "characteristic_polynomial-qmom",
+        "characteristic_polynomial-new",
+    ],
 )
 def test_one_wheeler_sweep_per_call(call, count_calls):
     sweeps = count_calls(hq.moments, "_wheeler_batch")
     closure_sweeps = count_calls(hq.closures, "_wheeler_batch")
-    call(np.array([1.0, 0.2, 1.3, 0.5, 4.1]))
+    call()
     assert sweeps[0] + closure_sweeps[0] == 1
+
+
+def _mp_recurrence(m):
+    """Wheeler (a, b) of an mpmath moment list, odd or even length."""
+    L, n = len(m), len(m) // 2
+    a, b = [m[1] / m[0]], [m[0]]
+    prev, cur = [0] * L, m
+    for k in range(1, n + 1 if L % 2 else n):
+        nxt = [0] * L
+        for l in range(k, L - k):
+            nxt[l] = cur[l + 1] - a[k - 1] * cur[l] - b[k - 1] * prev[l]
+        b.append(nxt[k] / cur[k - 1])
+        if k < n:
+            a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
+        prev, cur = cur, nxt
+    return a, b
+
+
+def _mp_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _mp_closure(row, mp, gamma=None):
+    """The closed moment of one double row at mpmath precision, the value
+    that annihilates <(X - a_n) Q_n^2> (hyqmom, gamma given), <Q_n^2>
+    (qmom, gamma None) or <Q_n^2 - Q_{n-1}^2> (new, gamma "new"), and the
+    magnitude sum |p_k M_k| of the terms it is summed from."""
+    m = [mp.mpf(float(x)) for x in row]
+    a, b = _mp_recurrence(m)
+    n = len(a)
+    q = [[1], [-a[0], 1]]
+    for k in range(1, n):
+        nxt = [0] + q[k]
+        for i, c in enumerate(q[k]):
+            nxt[i] -= a[k] * c
+        for i, c in enumerate(q[k - 1]):
+            nxt[i] -= b[k] * c
+        q.append(nxt)
+    p = _mp_mul(q[n], q[n])
+    if gamma == "new":
+        for i, c in enumerate(_mp_mul(q[n - 1], q[n - 1])):
+            p[i] -= c
+    elif gamma is not None:
+        p = _mp_mul(p, [-mp.mpf(gamma) / n * mp.fsum(a), 1])
+    terms = [c * x for c, x in zip(p, m)]
+    return -mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+
+
+def test_high_precision_closure_reference():
+    # 60-digit closures of the exact double rows: a ~ U[-2, 2],
+    # b ~ U[0.3, 3], n = 1..8, 20 draws per cell.  The error is taken
+    # relative to the magnitude of the summed terms, since an exact closure
+    # can cancel far below the moments it is made of.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    worst = {}
+    with mpmath.workdps(60):
+        for n in range(1, 9):
+            cells = [(f"hyqmom gamma={g}", random_odd_moments, gv, hq.hyqmom_closure(gv))
+                     for g, gv in (("1", 1.0), ("0", 0.0), ("-n+0.1", -n + 0.1))]
+            cells += [("qmom", random_even_moments, None, hq.qmom_closure()),
+                      ("new", random_even_moments, "new", hq.new_hyperbolic_closure())]
+            for name, draw, key, spec in cells:
+                for m in draw(rng, n, count=20, a_range=(-2, 2), b_range=(0.3, 3)):
+                    exact, scale = _mp_closure(m, mpmath.mp, key)
+                    err = float(abs(hq.close(m, spec) - exact) / scale)
+                    worst[name] = max(worst.get(name, 0.0), err)
+    assert max(worst.values()) <= 1e-14, worst
 
 
 class TestCloseNew:

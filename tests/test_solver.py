@@ -7,7 +7,7 @@ import pytest
 
 import hyqmom as hq
 from hyqmom.moments import _realizable_pivots_batch
-from hyqmom.solver import _reconstruct_batch, build_initial_grid
+from hyqmom.solver import _interface_fluxes, _reconstruct_batch, build_initial_grid
 from corpus import random_odd_moments
 
 SPEC1 = hq.hyqmom_closure(1.0)
@@ -75,13 +75,19 @@ class TestReconstructNodes:
             hq.reconstruct_nodes([1, 0, 1], hq.hyqmom_closure(-1.5), "eigen")
 
     def test_batch_matches_scalar(self, rng):
+        # independent references: the Gauss rule of the vector augmented by
+        # the materialized closure, and the single-vector spectral path
         for variant in ("gauss", "eigen"):
             cells = random_odd_moments(rng, 2, count=10)
             ok, a, b, _ = _realizable_pivots_batch(cells)
             assert np.all(ok)
             nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
             for j in range(10):
-                q = hq.reconstruct_nodes(cells[j], SPEC1, variant)
+                if variant == "gauss":
+                    q = hq.gauss_quadrature(np.append(cells[j], hq.close_hyqmom(cells[j], 1.0)))
+                else:
+                    sd = hq.spectral_decomposition(cells[j], SPEC1)
+                    q = hq.Quadrature(nodes=sd.eigenvalues, weights=sd.weights)
                 assert np.allclose(nodes[j], q.nodes, rtol=1e-9, atol=1e-12)
                 assert np.allclose(weights[j], q.weights, rtol=1e-8, atol=1e-12)
 
@@ -95,6 +101,25 @@ class TestReconstructNodes:
 
 
 class TestKineticFlux:
+    @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_interface_fluxes_match_scalar(self, rng, variant, boundary):
+        # every interface of the batched flux, boundary ones included,
+        # against the single-interface reference
+        cells = random_odd_moments(rng, 2, count=6)
+        _, a, b, _ = _realizable_pivots_batch(cells)
+        nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
+        flux = _interface_fluxes(nodes, weights, 5, boundary)
+        rules = [hq.Quadrature(nodes=x, weights=w) for x, w in zip(nodes, weights)]
+        if boundary == "periodic":
+            pairs = [(rules[i - 1], rules[i % 6]) for i in range(7)]
+        else:
+            pairs = [(rules[max(i - 1, 0)], rules[min(i, 5)]) for i in range(7)]
+        for i, (left, right) in enumerate(pairs):
+            for k in range(5):
+                expect = hq.kinetic_flux(left, right, k)
+                assert flux[i, k] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
     def test_full_upwind_from_left(self):
         left = hq.Quadrature(nodes=np.array([0.5, 2.0]), weights=np.array([1.0, 0.5]))
         right = hq.Quadrature(nodes=np.array([1.0, 3.0]), weights=np.array([2.0, 2.0]))
@@ -394,14 +419,16 @@ class TestRun:
             ok = [hankel_positive_definite(c) for c in snap.cells[::50]]
             assert all(ok)
 
-    def test_one_step_call_and_one_sweep_per_step(self, count_calls):
-        # the post-step check is the next step's gate, and no step is
-        # recomputed to land on a snapshot time or t_final
+    def test_one_step_call_and_one_sweep_per_step(self, tmp_path, count_calls):
+        # the post-step check is the next step's gate, no step is recomputed
+        # to land on a snapshot time or t_final, and each snapshot CSV reads
+        # the live grid's gate
         path = Path(__file__).parents[1] / "demos" / "configs" / "riemann_n2.json"
         steps = count_calls(hq.solver, "step")
         sweeps = count_calls(hq.moments, "_wheeler_batch")
         other = count_calls(hq.closures, "_wheeler_batch")
-        result = hq.run(path)
+        result = hq.run(path, output_dir=tmp_path)
+        assert len(result.files) == len(result.snapshots) + 1
         assert steps[0] == result.manifest["steps"]
         assert sweeps[0] == result.manifest["steps"] + 1
         assert other[0] == 0
