@@ -49,12 +49,3 @@ for _ in range(50):
     assert c.passed
 print(f"\n50 random states at n=3: all certificates pass "
       f"(worst off-block residual {worst:.2e})")
-
-# --- probing other gamma values (no theorem claimed) ---------------------------
-print("\nExperimental weight search away from gamma = 1:")
-for gamma in (0.5, 1.0, 1.5):
-    out = hq.probe_symmetrizer(hq.EquilibriumState(1.0, 0.4, 1.0), 2, gamma)
-    print(
-        f"  gamma = {gamma}: coupling residual {out['coupling_residual']:.3e}, "
-        f"nonnegative solution found: {out['all_positive']}"
-    )

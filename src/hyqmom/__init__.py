@@ -30,13 +30,11 @@ from .moments import (
 )
 from .orthopoly import (
     Quadrature,
-    build_polynomials,
     check_interlacing,
     gauss_quadrature,
     jacobi_roots,
     poly_eval,
     poly_mul,
-    vandermonde_weights,
 )
 from .closures import (
     CharacteristicPolynomial,
@@ -62,7 +60,6 @@ from .stability import (
     TailPolynomials,
     certify,
     coupling_residuals,
-    probe_symmetrizer,
     source_jacobian,
     standard_eigenvalues,
     symmetrizer_weights,
@@ -75,7 +72,6 @@ from .solver import (
     RunResult,
     Snapshot,
     build_initial_grid,
-    kinetic_flux,
     reconstruct_nodes,
     run,
     step,

@@ -93,16 +93,13 @@ class EquilibriumState:
         m = np.asarray(m, dtype=float)
         if m.size < 3:
             raise ValueError("need at least (M_0, M_1, M_2) to define a state")
-        rho = m[0]
-        if rho <= 0:
+        if m[0] <= 0:
             raise ValueError("M_0 must be positive")
-        U = m[1] / rho
-        theta = (rho * m[2] - m[1] ** 2) / rho**2
-        return cls(rho=float(rho), U=float(U), theta=float(theta))
+        return cls(*(float(x) for x in _primitive_rows(m)))
 
     def moments(self, order):
         """Maxwellian moment vector rho * Delta_k(U, theta), k = 0..order."""
-        return self.rho * gaussian_moments(order, self.U, self.theta)
+        return maxwellian_moments(self.rho, self.U, self.theta, order)
 
     def as_dict(self):
         return {"rho": self.rho, "U": self.U, "theta": self.theta}
@@ -203,6 +200,17 @@ def gaussian_moment(k, U, theta):
     return float(gaussian_moments(k, U, theta)[..., k])
 
 
+def _gaussian_u_derivatives(order, U, theta, jmax):
+    """dU^j Delta_k = k!/(k-j)! Delta_{k-j}(U, theta) for j = 0..jmax and
+    k = 0..order, stacked on a leading j axis; zero where j > k."""
+    delta = gaussian_moments(order, U, theta)
+    out = np.zeros((jmax + 1,) + delta.shape)
+    for j in range(min(jmax, order) + 1):
+        fall = np.array([math.perm(k, j) for k in range(j, order + 1)], dtype=float)
+        out[j, ..., j:] = fall * delta[..., : order + 1 - j]
+    return out
+
+
 def gaussian_moment_u_derivative(k, j, U, theta):
     """j-th derivative of Delta_k with respect to the mean velocity.
 
@@ -210,11 +218,7 @@ def gaussian_moment_u_derivative(k, j, U, theta):
     """
     if j < 0 or k < 0:
         raise ValueError("orders must be nonnegative")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if j > k:
-        return 0.0
-    return math.factorial(k) // math.factorial(k - j) * gaussian_moment(k - j, U, theta)
+    return float(_gaussian_u_derivatives(k, U, theta, j)[j, k])
 
 
 def maxwellian_moments(rho, U, theta, order):
@@ -222,6 +226,26 @@ def maxwellian_moments(rho, U, theta, order):
     if rho <= 0:
         raise ValueError("rho must be positive")
     return rho * gaussian_moments(order, U, theta)
+
+
+def _primitive_rows(M):
+    """(rho, U, theta) of moment rows from M_0..M_2: U = M_1/rho and
+    theta = M_2/rho - U^2."""
+    rho = M[..., 0]
+    U = M[..., 1] / rho
+    return rho, U, M[..., 2] / rho - U**2
+
+
+def _maxwellian_recurrence(rho, U, theta, n):
+    """Recurrence rows (a, b), shapes (J, n) and (J, n+1), of the Maxwellian
+    moments rho * Delta(U, theta) of J states: a_k = U, b_0 = rho and
+    b_k = k theta."""
+    rho, U, theta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float).reshape(-1) for x in (rho, U, theta))
+    )
+    a = np.repeat(U[:, None], n, axis=1)
+    b = np.concatenate([rho[:, None], theta[:, None] * np.arange(1.0, n + 1)], axis=1)
+    return a, b
 
 
 def affine_transform(m, u, sigma):

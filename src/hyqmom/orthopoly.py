@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import (
-    _as_moment_array,
-    _coeff_arrays,
-    moments_to_recurrence,
-)
+from .moments import _as_moment_array, moments_to_recurrence
 
 # Two roots closer than this fraction of the spectral radius are flagged as
 # near-degenerate (boundary-of-realizability inputs); not an error.
@@ -61,35 +57,10 @@ def poly_mul(p, q):
     return np.convolve(p, q)
 
 
-def build_polynomials(rc, up_to):
-    """Monic Q_0..Q_{up_to} from the recursion Q_{k+1} = (X-a_k)Q_k - b_k Q_{k-1}.
-
-    Needs a_0..a_{up_to-1} and b_1..b_{up_to-1}; b_0 never enters.  Returns a
-    list of low-to-high coefficient arrays.
-    """
-    a, b = _coeff_arrays(rc)
-    if up_to < 0:
-        raise ValueError("up_to must be >= 0")
-    if up_to > 0 and (len(a) < up_to or len(b) < up_to):
-        raise ValueError(
-            f"need a_0..a_{up_to - 1} and b_1..b_{up_to - 1} "
-            f"to build Q_{up_to}, got {len(a)} and {len(b)} entries"
-        )
-    polys = [np.array([1.0])]
-    if up_to == 0:
-        return polys
-    polys.append(np.array([-a[0], 1.0]))
-    for k in range(1, up_to):
-        q = np.zeros(k + 2)
-        q[1:] = polys[k]
-        q[: k + 1] -= a[k] * polys[k]
-        q[: k] -= b[k] * polys[k - 1][: k]
-        polys.append(q)
-    return polys
-
-
 def _monic_pair_batch(a, b, deg):
-    """Batched (Q_deg, Q_{deg-1}) coefficient rows; dtype follows a."""
+    """Batched monic (Q_deg, Q_{deg-1}) coefficient rows (low-to-high) from
+    the recursion Q_{k+1} = (X - a_k) Q_k - b_k Q_{k-1}, which reads
+    a_0..a_{deg-1} and b_1..b_{deg-1}; dtype follows a."""
     J = a.shape[0]
     dtype = np.result_type(a.dtype, b.dtype)
     qm = np.zeros((J, deg + 1), dtype=dtype)
@@ -166,24 +137,3 @@ def check_interlacing(inner, outer):
     merged[1::2] = inner
     return bool(np.all(np.diff(merged) > 0))
 
-
-def vandermonde_weights(nodes, power_sums):
-    """Solve sum_i w_i x_i^k = q_k by Bjorck-Pereyra progressive elimination.
-
-    The dual Vandermonde algorithm (Bjorck & Pereyra, Math. Comp. 24, 1970);
-    accurate for modest sizes and well-separated nodes.
-    """
-    x = np.asarray(nodes, dtype=float)
-    w = np.array(power_sums, dtype=float)
-    if len(x) != len(w):
-        raise ValueError("need as many power sums as nodes")
-    n = len(x) - 1
-    for k in range(n):
-        for i in range(n, k, -1):
-            w[i] -= x[k] * w[i - 1]
-    for k in range(n - 1, -1, -1):
-        for i in range(k + 1, n + 1):
-            w[i] /= x[i] - x[i - k - 1]
-        for i in range(k, n):
-            w[i] -= w[i + 1]
-    return w

@@ -37,7 +37,10 @@ from .closures import (
     _spectral_from_recurrence,
 )
 from .moments import (
+    MAX_HALF_ORDER,
+    _maxwellian_recurrence,
     _moments_from_recurrence_batch,
+    _primitive_rows,
     _realizable_pivots_batch,
     gaussian_moments,
 )
@@ -154,17 +157,6 @@ def reconstruct_nodes(m, spec, variant):
     return Quadrature(nodes=nodes[0], weights=weights[0])
 
 
-def kinetic_flux(left, right, k):
-    """Upwind-split kinetic flux of order k across one interface:
-    sum w max(0,u)^{k+1} from the left cell plus sum w min(0,u)^{k+1}
-    from the right cell."""
-    lp = np.maximum(left.nodes, 0.0)
-    rm = np.minimum(right.nodes, 0.0)
-    return float(
-        np.sum(left.weights * lp ** (k + 1)) + np.sum(right.weights * rm ** (k + 1))
-    )
-
-
 def _reconstruct_batch(a, b, gamma, variant):
     """Nodes/weights for every cell at once from the gate's recurrence
     rows a (J, n) and b (J, n+1).
@@ -236,9 +228,7 @@ def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     flux = _interface_fluxes(nodes, weights, L, grid.boundary)
     mstar = grid.cells + (step_dt / grid.dx)[:, None] * (flux[:-1] - flux[1:])
 
-    rho = grid.cells[:, 0]
-    U = grid.cells[:, 1] / rho
-    theta = grid.cells[:, 2] / rho - U**2
+    rho, U, theta = _primitive_rows(grid.cells)
     maxwellian = rho[:, None] * gaussian_moments(L - 1, U, theta)
     r = step_dt / grid.tau
     cells = (mstar + r * maxwellian) / (1.0 + r)
@@ -281,8 +271,7 @@ def total_moments(grid):
 
 def _flagged_cells(grid):
     _, _, b = grid._gate()
-    rho = grid.cells[:, 0]
-    theta = grid.cells[:, 2] / rho - (grid.cells[:, 1] / rho) ** 2
+    theta = _primitive_rows(grid.cells)[2]
     near = np.min(b[:, 1:], axis=1) < NEAR_BOUNDARY_FRACTION * theta
     return [int(i) for i in np.flatnonzero(near)]
 
@@ -308,7 +297,8 @@ def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     out = {}
-    out["n"] = int(_require(cfg, "n", int, lambda v: 1 <= v <= 10, "integer in 1..10"))
+    cap = MAX_HALF_ORDER
+    out["n"] = int(_require(cfg, "n", int, lambda v: 1 <= v <= cap, f"integer in 1..{cap}"))
     out["gamma"] = float(
         _require(cfg, "gamma", (int, float), lambda v: v > -2 * cfg.get("n", 1), "gamma > -2n")
     )
@@ -391,17 +381,15 @@ def validate_config(cfg):
 
 
 def _segment_coefficients(seg, n):
-    """Recurrence coefficients of one initial segment: the Maxwellian values
-    a_k = U, b_0 = rho, b_k = k*theta, plus the optional additive
-    perturbations; positivity of b is enforced so every built cell is
-    realizable by construction."""
-    a = np.full(n, seg["U"])
-    b = np.concatenate([[seg["rho"]], seg["theta"] * np.arange(1.0, n + 1)])
-    a[: len(seg["da"])] += seg["da"]
-    b[: len(seg["db"])] += seg["db"]
+    """Recurrence rows (1, n) and (1, n+1) of one initial segment: the
+    Maxwellian rows plus the optional additive perturbations; positivity
+    of b is enforced so every built cell is realizable by construction."""
+    a, b = _maxwellian_recurrence(seg["rho"], seg["U"], seg["theta"], n)
+    a[0, : len(seg["da"])] += seg["da"]
+    b[0, : len(seg["db"])] += seg["db"]
     if np.any(b <= 0):
-        k = int(np.flatnonzero(b <= 0)[0])
-        raise ConfigError("initial", f"perturbed b_{k} = {b[k]!r} is not positive")
+        k = int(np.flatnonzero(b[0] <= 0)[0])
+        raise ConfigError("initial", f"perturbed b_{k} = {b[0, k]!r} is not positive")
     return a, b
 
 
@@ -418,7 +406,7 @@ def build_initial_grid(cfg):
         mask = (centers > lower) & (centers <= seg["x_until"] + 1e-15)
         if np.any(mask):
             a, b = _segment_coefficients(seg, n)
-            row = _moments_from_recurrence_batch(a[None, :], b[None, :], 2 * n + 1)[0]
+            row = _moments_from_recurrence_batch(a, b, 2 * n + 1)[0]
             cells[mask] = row
         lower = seg["x_until"]
     return GridState(
@@ -440,9 +428,7 @@ def _snapshot_csv_lines(cfg, grid):
     x0, _ = cfg["domain"]
     centers = x0 + (np.cumsum(grid.dx) - 0.5 * grid.dx)
     ok, _, _ = grid._gate()
-    rho = grid.cells[:, 0]
-    U = grid.cells[:, 1] / rho
-    theta = grid.cells[:, 2] / rho - U**2
+    rho, U, theta = _primitive_rows(grid.cells)
     lines = [",".join(header)]
     for j in range(grid.num_cells):
         vals = (

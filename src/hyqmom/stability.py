@@ -31,13 +31,12 @@ spectrum rather than on a raw eigenvalue threshold.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closures import _companion, _hyqmom_factor_rows, _spectral_from_recurrence
-from .moments import EquilibriumState, gaussian_moments
+from .moments import EquilibriumState, _gaussian_u_derivatives, _maxwellian_recurrence
 from .orthopoly import poly_eval, poly_mul
 
 DEFAULT_TOLERANCES = {
@@ -95,17 +94,10 @@ class StabilityCertificate:
         }
 
 
-def _equilibrium_recurrence(n, U, theta):
-    """(a, b) rows of the equilibrium moment vector: a_k = U, b_k = k theta."""
-    a = np.full((1, n), float(U))
-    b = np.concatenate([[1.0], theta * np.arange(1.0, n + 1)])[None, :]
-    return a, b
-
-
 def _equilibrium_spectrum(n, U, theta, gamma=1.0):
     """Eigenvalues (merged R/Q ordering), characteristic coefficients and
     factors of the closed system at an equilibrium state; all rho-free."""
-    a, b = _equilibrium_recurrence(n, U, theta)
+    a, b = _maxwellian_recurrence(1.0, U, theta, n)
     _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
     lam = _spectral_from_recurrence(a, b, gamma)[0][0]
     return lam, poly_mul(qn[0], rn1[0]), qn[0], rn1[0]
@@ -126,65 +118,37 @@ def source_jacobian(state, n):
         )
     N = 2 * n
     rho, U, theta = state.rho, state.U, state.theta
-    delta = gaussian_moments(N, U, theta)
-
-    def d1(k):
-        return k * delta[k - 1] if k >= 1 else 0.0
-
-    def d2(k):
-        return k * (k - 1) * delta[k - 2] if k >= 2 else 0.0
-
-    shat = np.zeros((N - 2, 3))
-    for k in range(3, N + 1):
-        shat[k - 3, 0] = delta[k] - U * d1(k) + 0.5 * (U**2 - theta) * d2(k)
-        shat[k - 3, 1] = d1(k) - U * d2(k)
-        shat[k - 3, 2] = 0.5 * d2(k)
+    delta, d1, d2 = _gaussian_u_derivatives(N, U, theta, 2)
     S = np.zeros((N + 1, N + 1))
-    S[3:, :3] = shat
+    S[3:, 0] = delta[3:] - U * d1[3:] + 0.5 * (U**2 - theta) * d2[3:]
+    S[3:, 1] = d1[3:] - U * d2[3:]
+    S[3:, 2] = 0.5 * d2[3:]
     S[3:, 3:] = -np.eye(N - 2)
 
-    P_inv = np.zeros((N + 1, N + 1))
-    for j in range(N + 1):
-        P_inv[j, 0] = delta[j]
-        P_inv[j, 1] = rho * d1(j)
-        P_inv[j, 2] = 0.5 * rho * d2(j)
-    for i in range(3, N + 1):
-        P_inv[i, i] = 1.0
+    P_inv = np.eye(N + 1)
+    P_inv[:, 0] = delta
+    P_inv[:, 1] = rho * d1
+    P_inv[:, 2] = 0.5 * rho * d2
     block = np.zeros(N + 1)
     block[3:] = -1.0
     resid = np.linalg.norm(S @ P_inv - P_inv * block[None, :]) / np.linalg.norm(P_inv)
     return SourceDecomposition(S=S, P_inv=P_inv, similarity_residual=float(resid))
 
 
-def _h_polynomials(c, delta):
-    """Coupling polynomials h_j = sum_k F_k dU^j Delta_k (j = 0, 1, 2) from
-    the characteristic coefficients c and the moments Delta_0..Delta_N;
-    h_j truncates at degree N - j."""
-    N = len(delta) - 1
-    h = []
-    for j in range(3):
-        coeffs = np.zeros(N - j + 1)
-        for k in range(N - j + 1):
-            acc = 0.0
-            for l in range(j, N - k + 1):
-                fall = math.factorial(l) // math.factorial(l - j)
-                acc += c[l + k + 1] * fall * delta[l - j]
-            coeffs[k] = acc
-        h.append(coeffs)
-    return h
-
-
 def _tail_polynomials(state, n, c):
+    """Tails F_k = sum_m c_{k+1+m} X^m of the characteristic coefficients c,
+    as rows of one matrix, and the coupling polynomials
+    h_j = sum_k dU^j Delta_k F_k at the state, j = 0, 1, 2."""
     N = 2 * n
-    tails = [None] * (N + 1)
-    tails[N] = np.array([1.0])
-    for k in range(N, 0, -1):
-        t = np.zeros(len(tails[k]) + 1)
-        t[1:] = tails[k]
-        t[0] += c[k]
-        tails[k - 1] = t
-    h = _h_polynomials(c, gaussian_moments(N, state.U, state.theta))
-    return TailPolynomials(tails=tails, h=h, char_coeffs=c)
+    F = np.zeros((N + 1, N + 1))
+    for k in range(N + 1):
+        F[k, : N + 1 - k] = c[k + 1 :]
+    H = _gaussian_u_derivatives(N, state.U, state.theta, 2) @ F
+    return TailPolynomials(
+        tails=[F[k, : N + 1 - k] for k in range(N + 1)],
+        h=[H[j, : N + 1 - j] for j in range(3)],
+        char_coeffs=c,
+    )
 
 
 def tail_polynomials(state, n):
@@ -216,7 +180,7 @@ def symmetrizer_weights(n):
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    w = _spectral_from_recurrence(*_equilibrium_recurrence(n, 0.0, 1.0), 1.0)[1][0]
+    w = _spectral_from_recurrence(*_maxwellian_recurrence(1.0, 0.0, 1.0, n), 1.0)[1][0]
     w[1::2] *= n / (n + 1)
     w[0::2] *= (n + 1) / n
     if np.min(w) <= 0:
@@ -226,18 +190,14 @@ def symmetrizer_weights(n):
     return w
 
 
-def _coupling_terms(lam, hpolys, w=1.0):
-    """Terms w_i h_j(lam_i) lam_i^beta of the coupling sums, one row per
-    (j, beta) with j = 0, 1, 2 and beta = 0..N-3."""
+def _coupling_residual(lam, hpolys, w):
+    """Max over the rows (j, beta), j = 0, 1, 2 and beta = 0..N-3, of the
+    sum of the terms w_i h_j(lam_i) lam_i^beta scaled by their magnitude."""
     rows = []
     for h in hpolys:
         wh = w * poly_eval(h, lam)
         rows += [wh * lam**beta for beta in range(len(lam) - 3)]
-    return np.array(rows).reshape(-1, len(lam))
-
-
-def _coupling_residual(lam, hpolys, w):
-    terms = _coupling_terms(lam, hpolys, w)
+    terms = np.array(rows).reshape(-1, len(lam))
     scale = np.sum(np.abs(terms), axis=1) + 1e-300
     return float(np.max(np.abs(np.sum(terms, axis=1)) / scale, initial=0.0))
 
@@ -246,9 +206,8 @@ def coupling_residuals(state, n, weights=None, gamma=1.0):
     """Max scaled residual of the coupling sums
     sum_i w_i h_j(lam_i) lam_i^beta over j = 0,1,2 and beta = 0..N-3."""
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta, gamma)
-    hpolys = _h_polynomials(c, gaussian_moments(2 * n, state.U, state.theta))
     w = symmetrizer_weights(n) if weights is None else weights
-    return _coupling_residual(lam, hpolys, w)
+    return _coupling_residual(lam, _tail_polynomials(state, n, c).h, w)
 
 
 def certify(state, n, tolerances=None):
@@ -324,36 +283,3 @@ def certify(state, n, tolerances=None):
         passed=all(conditions.values()),
     )
 
-
-def probe_symmetrizer(state, n, gamma):
-    """Experimental search for nonnegative diagonal weights satisfying the
-    coupling relations for a general gamma.  Reports what it finds and
-    claims nothing: positivity and block-diagonality are proved only for
-    gamma = 1.
-
-    Needs scipy (``scipy.optimize.nnls``), which the rest of the package
-    does not use; install it, e.g. through the ``test`` extra.
-    """
-    from scipy.optimize import nnls
-
-    N = 2 * n
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta, gamma)
-    G = _coupling_terms(lam, _h_polynomials(c, gaussian_moments(N, state.U, state.theta)))
-    scale = np.max(np.abs(G), axis=1, keepdims=True)
-    Gs = G / scale
-    system = np.vstack([Gs, np.ones((1, N + 1))])
-    target = np.zeros(len(G) + 1)
-    target[-1] = 1.0
-    w, _ = nnls(system, target)
-    resid = float(np.linalg.norm(Gs @ w))
-    return {
-        "n": n,
-        "gamma": gamma,
-        "state": state.as_dict(),
-        "weights": [float(x) for x in w],
-        "coupling_residual": resid,
-        "min_weight": float(np.min(w)),
-        "all_positive": bool(np.min(w) > 0),
-    }

@@ -24,6 +24,7 @@ from hyqmom.moments import (
     _wheeler_batch,
 )
 from hyqmom.solver import _reconstruct_batch
+from reference import mp_recurrence, mp_tridiagonal_eigenvalues
 
 SEED = 20250810
 SAMPLES = 1000
@@ -192,27 +193,13 @@ def _mp_separation(row, gamma, mp):
     a Wheeler recursion and two Jacobi eigensolves in mpmath arithmetic."""
     m = [mp.mpf(float(x)) for x in row]
     n = len(m) // 2
-    a, b = [m[1] / m[0]], [m[0]]
-    prev, cur = [mp.zero] * len(m), m
-    for k in range(1, n + 1):
-        nxt = [mp.zero] * len(m)
-        for l in range(k, len(m) - k):
-            nxt[l] = cur[l + 1] - a[k - 1] * cur[l] - b[k - 1] * prev[l]
-        b.append(nxt[k] / cur[k - 1])
-        if k < n:
-            a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
-        prev, cur = cur, nxt
+    a, b = mp_recurrence(m)
     g = mp.mpf(float(gamma))
     diag = a + [g / n * mp.fsum(a)]
     off = [mp.sqrt(x) for x in b[1:n]] + [mp.sqrt((2 * n + g) / n * b[n])]
     roots = []
     for size in (n, n + 1):
-        T = mp.matrix(size, size)
-        for k in range(size):
-            T[k, k] = diag[k]
-            if k + 1 < size:
-                T[k, k + 1] = T[k + 1, k] = off[k]
-        roots.extend(mp.eigsy(T, eigvals_only=True))
+        roots.extend(mp_tridiagonal_eigenvalues(diag[:size], off[: size - 1], mp))
     roots.sort()
     return min(y - x for x, y in zip(roots, roots[1:]))
 

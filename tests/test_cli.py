@@ -265,7 +265,7 @@ class TestEntryPoint:
         assert "M_4" in proc.stdout
 
     def test_import_does_not_load_scipy(self, package_env):
-        # scipy is needed only by the experimental probe_symmetrizer
+        # no code path in the package needs scipy; only the tests use it
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, hyqmom; print('scipy' in sys.modules)"],
             capture_output=True,

@@ -3,7 +3,9 @@ import pytest
 
 import hyqmom as hq
 from hyqmom.moments import _wheeler_batch
+from hyqmom.orthopoly import _monic_pair_batch
 from corpus import random_even_moments, random_odd_moments
+from reference import mp_mul, mp_recurrence, vandermonde_weights
 
 
 def closure_by_coefficient_inversion(m, gamma):
@@ -134,37 +136,13 @@ def test_one_wheeler_sweep_per_call(call, count_calls):
     assert sweeps[0] + closure_sweeps[0] == 1
 
 
-def _mp_recurrence(m):
-    """Wheeler (a, b) of an mpmath moment list, odd or even length."""
-    L, n = len(m), len(m) // 2
-    a, b = [m[1] / m[0]], [m[0]]
-    prev, cur = [0] * L, m
-    for k in range(1, n + 1 if L % 2 else n):
-        nxt = [0] * L
-        for l in range(k, L - k):
-            nxt[l] = cur[l + 1] - a[k - 1] * cur[l] - b[k - 1] * prev[l]
-        b.append(nxt[k] / cur[k - 1])
-        if k < n:
-            a.append(nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1])
-        prev, cur = cur, nxt
-    return a, b
-
-
-def _mp_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
 def _mp_closure(row, mp, gamma=None):
     """The closed moment of one double row at mpmath precision, the value
     that annihilates <(X - a_n) Q_n^2> (hyqmom, gamma given), <Q_n^2>
     (qmom, gamma None) or <Q_n^2 - Q_{n-1}^2> (new, gamma "new"), and the
     magnitude sum |p_k M_k| of the terms it is summed from."""
     m = [mp.mpf(float(x)) for x in row]
-    a, b = _mp_recurrence(m)
+    a, b = mp_recurrence(m)
     n = len(a)
     q = [[1], [-a[0], 1]]
     for k in range(1, n):
@@ -174,12 +152,12 @@ def _mp_closure(row, mp, gamma=None):
         for i, c in enumerate(q[k - 1]):
             nxt[i] -= b[k] * c
         q.append(nxt)
-    p = _mp_mul(q[n], q[n])
+    p = mp_mul(q[n], q[n])
     if gamma == "new":
-        for i, c in enumerate(_mp_mul(q[n - 1], q[n - 1])):
+        for i, c in enumerate(mp_mul(q[n - 1], q[n - 1])):
             p[i] -= c
     elif gamma is not None:
-        p = _mp_mul(p, [-mp.mpf(gamma) / n * mp.fsum(a), 1])
+        p = mp_mul(p, [-mp.mpf(gamma) / n * mp.fsum(a), 1])
     terms = [c * x for c, x in zip(p, m)]
     return -mp.fsum(terms), mp.fsum(abs(t) for t in terms)
 
@@ -273,7 +251,7 @@ class TestCharacteristicPolynomial:
     def test_polynomial_closure_recovers_qmom(self, rng):
         def builder(m):
             a, b = hq.moments_to_recurrence(m)
-            qn = hq.build_polynomials((a, b), len(m) // 2)[-1]
+            qn = _monic_pair_batch(a[None, :], b[None, :], len(m) // 2)[0][0]
             return hq.poly_mul(qn, qn)
 
         m = random_even_moments(rng, 2)[0]
@@ -356,7 +334,7 @@ class TestSpectralDecomposition:
         for n in (1, 2, 3, 4):
             m = random_odd_moments(rng, n, a_range=(-2, 2), b_range=(0.5, 5))[0]
             sd = hq.spectral_decomposition(m, hq.hyqmom_closure(1.0))
-            w = hq.vandermonde_weights(sd.eigenvalues, m)
+            w = vandermonde_weights(sd.eigenvalues, m)
             assert np.allclose(sd.weights, w, rtol=1e-8, atol=1e-9 * np.max(sd.weights))
 
     def test_equilibrium_affine_covariance(self, rng):

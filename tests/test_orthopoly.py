@@ -4,29 +4,35 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
+from hyqmom.orthopoly import _monic_pair_batch
 from corpus import random_even_moments, random_odd_moments
+from reference import vandermonde_weights
+
+
+def monic(a, b, deg):
+    """Q_deg of the monic recursion with coefficients a, b."""
+    return _monic_pair_batch(np.array([a], dtype=float), np.array([b], dtype=float), deg)[0][0]
 
 
 class TestBuildPolynomials:
     def test_hermite_start(self):
-        polys = hq.build_polynomials(([0.0, 0.0], [99.0, 1.0]), 2)
-        assert np.allclose(polys[1], [0, 1])          # X
-        assert np.allclose(polys[2], [-1, 0, 1])      # X^2 - 1
+        a, b = [0.0, 0.0], [99.0, 1.0]
+        assert np.allclose(monic(a, b, 1), [0, 1])          # X
+        assert np.allclose(monic(a, b, 2), [-1, 0, 1])      # X^2 - 1
 
     def test_centering(self):
         U = 1.8
-        polys = hq.build_polynomials(([U], [5.0]), 1)
-        assert np.allclose(polys[1], [-U, 1])
+        assert np.allclose(monic([U], [5.0], 1), [-U, 1])
 
     def test_hermite_cubic(self):
         # apply the recursion by hand: Q_3 = X^3 - 3X
-        polys = hq.build_polynomials(([0.0, 0.0, 0.0], [7.0, 1.0, 2.0]), 3)
-        assert np.allclose(polys[3], [0, -3, 0, 1])
+        q3 = monic([0.0, 0.0, 0.0], [7.0, 1.0, 2.0], 3)
+        assert np.allclose(q3, [0, -3, 0, 1])
 
     def test_recursion_holds_coefficientwise(self, rng):
         a = rng.uniform(-2, 2, 5)
         b = rng.uniform(0.1, 5, 5)
-        polys = hq.build_polynomials((a, b), 5)
+        polys = [monic(a, b, k) for k in range(6)]
         for k in range(1, 5):
             lhs = polys[k + 1]
             rhs = np.zeros_like(lhs)
@@ -34,10 +40,6 @@ class TestBuildPolynomials:
             rhs[: k + 1] -= a[k] * polys[k]
             rhs[: k] -= b[k] * polys[k - 1]
             assert np.array_equal(lhs, rhs)
-
-    def test_insufficient_coefficients(self):
-        with pytest.raises(ValueError):
-            hq.build_polynomials(([0.0], [1.0]), 2)
 
 
 class TestJacobiRoots:
@@ -65,7 +67,7 @@ class TestJacobiRoots:
             m = random_odd_moments(rng, n)[0]
             a, b = hq.moments_to_recurrence(m)
             roots = hq.jacobi_roots(a[:n], b[1:n])
-            poly = hq.build_polynomials((a, b), n)[n]
+            poly = monic(a, b, n)
             alt = np.sort(np.roots(poly[::-1]).real)
             radius = np.max(np.abs(roots))
             assert np.max(np.abs(roots - alt)) < 1e-9 * radius
@@ -153,13 +155,13 @@ class TestVandermondeWeights:
             q = rng.uniform(-2, 2, size)
             V = np.vander(x, increasing=True).T
             expect = np.linalg.solve(V, q)
-            got = hq.vandermonde_weights(x, q)
+            got = vandermonde_weights(x, q)
             assert np.allclose(got, expect, rtol=1e-8, atol=1e-10)
 
     def test_known_rule(self):
-        w = hq.vandermonde_weights([-np.sqrt(3), 0, np.sqrt(3)], [1, 0, 1])
+        w = vandermonde_weights([-np.sqrt(3), 0, np.sqrt(3)], [1, 0, 1])
         assert np.allclose(w, [1 / 6, 2 / 3, 1 / 6])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            hq.vandermonde_weights([0.0, 1.0], [1.0])
+            vandermonde_weights([0.0, 1.0], [1.0])

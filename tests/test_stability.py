@@ -8,6 +8,26 @@ import hyqmom as hq
 from hyqmom.orthopoly import poly_eval
 from hyqmom.stability import _equilibrium_spectrum
 from corpus import random_state
+from reference import mp_tridiagonal_eigenvalues
+
+
+def mp_u_derivatives(order, U, theta, jmax):
+    """dU^j Delta_k(U, theta) = k!/(k-j)! Delta_{k-j} for j = 0..jmax and
+    k = 0..order, in the scalar type of U and theta."""
+    delta = [1, U]
+    for k in range(1, order):
+        delta.append(U * delta[k] + k * theta * delta[k - 1])
+    return [
+        [math.perm(k, j) * delta[k - j] if k >= j else 0 for k in range(order + 1)]
+        for j in range(jmax + 1)
+    ]
+
+
+def rho_delta(M, k):
+    """rho * Delta_k(U, theta) as a function of (M_0, M_1, M_2)."""
+    rho = M[0]
+    U = M[1] / rho
+    return rho * mp_u_derivatives(k, U, M[2] / rho - U**2, 0)[0][k]
 
 
 def rho_delta_derivative_fd(state, k, h=1e-6):
@@ -60,6 +80,38 @@ class TestSourceJacobian:
             scale = np.max(np.abs(fd)) + 1.0
             assert np.allclose(src.S[k, :3], fd, atol=1e-5 * scale)
 
+    def test_coupling_block_high_precision_reference(self):
+        # S[3:, :3] against 60-digit derivatives of rho * Delta_k(M_0, M_1,
+        # M_2), n = 2..6, 10 states each; errors relative to the magnitude
+        # of the terms dU^j Delta_k that each entry is summed from
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for n in range(2, 7):
+                N = 2 * n
+                for _ in range(10):
+                    st = random_state(rng, theta_range=(0.5, 3), u_range=(-2, 2))
+                    rho, U, th = (mp.mpf(x) for x in (st.rho, st.U, st.theta))
+                    S = hq.source_jacobian(st, n).S
+                    d = mp_u_derivatives(N, abs(U), th, 2)
+                    M = (rho, rho * U, rho * (th + U**2))
+                    for k in range(3, N + 1):
+                        exact = [
+                            mp.diff(lambda *m: rho_delta(m, k), M, order)
+                            for order in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                        ]
+                        scale = [
+                            d[0][k] + abs(U) * d[1][k] + abs(U**2 - th) / 2 * d[2][k],
+                            d[1][k] + abs(U) * d[2][k],
+                            d[2][k] / 2,
+                        ]
+                        for got, e, sc in zip(S[k, :3], exact, scale):
+                            worst = max(worst, float(abs(got - e) / sc))
+        print(f"\nsource Jacobian vs 60-digit derivatives: worst {worst:.2e}")
+        assert worst <= 1e-13
+
     def test_small_order_unsupported(self):
         with pytest.raises(ValueError, match="n >= 2"):
             hq.source_jacobian(hq.EquilibriumState(1, 0, 1), 1)
@@ -104,6 +156,35 @@ class TestTailPolynomials:
                 scale = np.max(np.abs(rhs)) + 1e-300
                 assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
 
+    def test_h_high_precision_reference(self):
+        # h_j = sum_k F_k dU^j Delta_k built at 60 digits from the same
+        # characteristic coefficients, n = 2..6, 10 states each; errors
+        # relative to the magnitude of the summed terms
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for n in range(2, 7):
+                N = 2 * n
+                for _ in range(10):
+                    st = random_state(rng, theta_range=(0.5, 3), u_range=(-2, 2))
+                    tp = hq.tail_polynomials(st, n)
+                    c = [mp.mpf(float(x)) for x in tp.char_coeffs]
+                    U, th = mp.mpf(st.U), mp.mpf(st.theta)
+                    d = mp_u_derivatives(N, U, th, 2)
+                    d_abs = mp_u_derivatives(N, abs(U), th, 2)
+                    for j in range(3):
+                        assert len(tp.h[j]) == N - j + 1
+                        for m in range(N - j + 1):
+                            # F_k holds c_{k+1+m} at degree m
+                            ks = range(j, N - m + 1)
+                            exact = mp.fsum(c[k + 1 + m] * d[j][k] for k in ks)
+                            scale = mp.fsum(abs(c[k + 1 + m]) * d_abs[j][k] for k in ks)
+                            worst = max(worst, float(abs(tp.h[j][m] - exact) / scale))
+        print(f"\ncoupling polynomials vs 60-digit sums: worst {worst:.2e}")
+        assert worst <= 1e-13
+
 
 class TestSymmetrizerWeights:
     def test_n2_exact_values(self):
@@ -143,10 +224,7 @@ class TestSymmetrizerWeights:
         mp = mpmath.mp
 
         def eigenvalues(off):
-            T = mp.matrix(len(off) + 1, len(off) + 1)
-            for i, o in enumerate(off):
-                T[i, i + 1] = T[i + 1, i] = o
-            return list(mp.eigsy(T, eigvals_only=True))
+            return mp_tridiagonal_eigenvalues([mp.zero] * (len(off) + 1), off, mp)
 
         with mpmath.workdps(60):
             for n in range(1, 9):
@@ -326,13 +404,3 @@ class TestCouplingIdentities:
             assert abs(s0) < 1e-10
             assert abs(s1) < 1e-10
 
-
-class TestProbe:
-    def test_affine_member_is_feasible(self):
-        out = hq.probe_symmetrizer(hq.EquilibriumState(1, 0, 1), 2, 1.0)
-        assert out["coupling_residual"] < 1e-8
-        assert out["all_positive"]
-
-    def test_reports_other_gammas_without_claims(self):
-        out = hq.probe_symmetrizer(hq.EquilibriumState(1.0, 0.5, 1.0), 2, 2.0)
-        assert set(out) >= {"coupling_residual", "weights", "min_weight", "all_positive"}
