@@ -446,10 +446,10 @@ def run(config, output_dir=None):
     """Advance a configured problem to t_final, emitting snapshots.
 
     ``config`` may be a dict or a path to a JSON file.  Snapshots are taken
-    at t = 0, whenever the accumulated time crosses a multiple of
-    ``snapshot_every``, and at t_final.  With ``output_dir`` set, each
-    snapshot is written as CSV when it is taken, and a JSON run manifest
-    is written at the end.
+    at t = 0, at each k * ``snapshot_every`` the run reaches, and at
+    t_final, and carry those exact times rather than sums of step sizes.
+    With ``output_dir`` set, each snapshot is written as CSV when it is
+    taken, and a JSON run manifest is written at the end.
     """
     started = _time.time()
     if isinstance(config, (str, Path)):
@@ -474,20 +474,25 @@ def run(config, output_dir=None):
             files.append(str(path))
 
     take_snapshot(grid)
-    steps = 0
-    interval = cfg["snapshot_every"]
+    steps, k_snap = 0, 1
+    t_final, interval = cfg["t_final"], cfg["snapshot_every"]
     next_snap = interval if interval is not None else np.inf
-    while grid.time < cfg["t_final"] - 1e-14:
-        # cap the step so the run lands exactly on snapshot times and t_final
-        dt_room = min(cfg["t_final"], next_snap) - grid.time
+    while grid.time < t_final - 1e-14:
+        # cap the step so the run lands on the k-th snapshot time k * interval
+        # and on t_final, then pin the time to them against accumulated roundoff
+        dt_room = min(t_final, next_snap) - grid.time
         if cfg["dt_max"] is not None:
             dt_room = min(cfg["dt_max"], dt_room)
         grid = step(grid, spec, cfg["flux_variant"], cfl=cfg["cfl"], dt_max=dt_room)
         steps += 1
-        if grid.time >= next_snap - 1e-14 or grid.time >= cfg["t_final"] - 1e-14:
+        for target in (next_snap, t_final):
+            if abs(grid.time - target) <= 1e-14:
+                grid.time = target  # a plain attribute: the memoized gate stays
+        if grid.time >= next_snap - 1e-14 or grid.time >= t_final - 1e-14:
             take_snapshot(grid)
             while next_snap <= grid.time + 1e-14:
-                next_snap += interval if interval is not None else np.inf
+                k_snap += 1
+                next_snap = k_snap * interval
 
     manifest = {
         "command": "simulate",

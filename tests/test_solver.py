@@ -356,6 +356,16 @@ class TestRun:
             "x", "M_0", "M_1", "M_2", "M_3", "M_4", "rho", "U", "theta", "realizable_flag",
         ]
 
+    def test_snapshot_times_are_exact_multiples(self, count_calls):
+        # the k-th snapshot sits at k * snapshot_every exactly rather than at
+        # a sum of step sizes, and pinning the time costs no Wheeler sweep
+        path = Path(__file__).parents[1] / "demos" / "configs" / "relaxation_homogeneous.json"
+        sweeps = count_calls(hq.moments, "_wheeler_batch")
+        result = hq.run(path)
+        assert [s.time for s in result.snapshots] == [k * 0.1 for k in range(6)]
+        assert result.manifest["final_time"] == 0.5
+        assert sweeps[0] == result.manifest["steps"] + 1
+
     def test_snapshot_rows_parse_back(self, tmp_path):
         cfg = TestConfigValidation().base()
         cfg["t_final"] = 0.0
