@@ -192,18 +192,19 @@ def _cmd_verify_hyperbolicity(args):
     gaps = np.diff(lam, axis=1)
     radius = np.max(np.abs(lam), axis=1)
     separation = np.min(gaps, axis=1) / radius
-    interlaced = np.all(gaps > 0, axis=1)
+    not_interlaced = ~np.all(gaps > 0, axis=1)
+    too_close = separation <= tol
+    bad_weight = np.min(om, axis=1) <= 0 if gamma > -n else np.zeros_like(too_close)
     failures = []
-    for i in range(args.samples):
+    for i in np.flatnonzero(not_interlaced | too_close | bad_weight):
         reasons = []
-        if not interlaced[i]:
+        if not_interlaced[i]:
             reasons.append("interlacing")
-        if separation[i] <= tol:
+        if too_close[i]:
             reasons.append(f"separation {separation[i]!r}")
-        if gamma > -n and np.min(om[i]) <= 0:
+        if bad_weight[i]:
             reasons.append("nonpositive weight")
-        if reasons:
-            failures.append({"sample": i, "reasons": reasons})
+        failures.append({"sample": int(i), "reasons": reasons})
     report = {
         "n": n,
         "gamma": gamma,

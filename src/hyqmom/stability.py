@@ -30,6 +30,7 @@ spectrum rather than on a raw eigenvalue threshold.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -54,11 +55,13 @@ class SourceDecomposition:
     """Relaxation-source Jacobian with its block diagonalizer.
 
     The relaxation rate is normalized to one; the solver reintroduces tau.
+    ``u_derivatives`` holds the rows dU^j Delta_k, j = 0, 1, 2, at the state.
     """
 
     S: np.ndarray
     P_inv: np.ndarray
     similarity_residual: float
+    u_derivatives: np.ndarray
 
 
 @dataclass
@@ -118,7 +121,8 @@ def source_jacobian(state, n):
         )
     N = 2 * n
     rho, U, theta = state.rho, state.U, state.theta
-    delta, d1, d2 = _gaussian_u_derivatives(N, U, theta, 2)
+    derivs = _gaussian_u_derivatives(N, U, theta, 2)
+    delta, d1, d2 = derivs
     S = np.zeros((N + 1, N + 1))
     S[3:, 0] = delta[3:] - U * d1[3:] + 0.5 * (U**2 - theta) * d2[3:]
     S[3:, 1] = d1[3:] - U * d2[3:]
@@ -132,18 +136,21 @@ def source_jacobian(state, n):
     block = np.zeros(N + 1)
     block[3:] = -1.0
     resid = np.linalg.norm(S @ P_inv - P_inv * block[None, :]) / np.linalg.norm(P_inv)
-    return SourceDecomposition(S=S, P_inv=P_inv, similarity_residual=float(resid))
+    return SourceDecomposition(
+        S=S, P_inv=P_inv, similarity_residual=float(resid), u_derivatives=derivs
+    )
 
 
-def _tail_polynomials(state, n, c):
+def _tail_polynomials(derivs, c):
     """Tails F_k = sum_m c_{k+1+m} X^m of the characteristic coefficients c,
     as rows of one matrix, and the coupling polynomials
-    h_j = sum_k dU^j Delta_k F_k at the state, j = 0, 1, 2."""
-    N = 2 * n
+    h_j = sum_k dU^j Delta_k F_k from the rows ``derivs`` (3, N+1) of
+    dU^j Delta_k at the state, j = 0, 1, 2."""
+    N = len(c) - 2
     F = np.zeros((N + 1, N + 1))
     for k in range(N + 1):
         F[k, : N + 1 - k] = c[k + 1 :]
-    H = _gaussian_u_derivatives(N, state.U, state.theta, 2) @ F
+    H = derivs @ F
     return TailPolynomials(
         tails=[F[k, : N + 1 - k] for k in range(N + 1)],
         h=[H[j, : N + 1 - j] for j in range(3)],
@@ -158,7 +165,7 @@ def tail_polynomials(state, n):
     F_N = 1 and F_{k-1} = X F_k + c_k; h_j truncates at degree N - j.
     """
     _, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta)
-    return _tail_polynomials(state, n, c)
+    return _tail_polynomials(_gaussian_u_derivatives(2 * n, state.U, state.theta, 2), c)
 
 
 def standard_eigenvalues(n, gamma=1.0):
@@ -166,6 +173,7 @@ def standard_eigenvalues(n, gamma=1.0):
     return _equilibrium_spectrum(n, 0.0, 1.0, gamma)[0]
 
 
+@functools.cache
 def symmetrizer_weights(n):
     """Positive diagonal of the symmetrizer, defined at the standard state
     as the solution of the Vandermonde system sum_i w_i lam_i^k = p_k,
@@ -175,8 +183,11 @@ def symmetrizer_weights(n):
 
     By 1/P'(lam) and the Christoffel identities the solution is
     n/(2n+1) w' on the Q_n roots and (n+1)/(2n+1) w'' on the R_{n+1} roots,
-    the Golub-Welsch weights of the two rules; the spectral weights are the
+    the Gauss weights of the two rules; the spectral weights are the
     same rules with the two factors swapped, which is how w is computed.
+
+    The weights depend on n alone, so each n is computed once; the array
+    returned is shared between calls and read-only.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -187,6 +198,7 @@ def symmetrizer_weights(n):
         raise RuntimeError(
             "symmetrizer weights came out non-positive; internal error"
         )
+    w.flags.writeable = False
     return w
 
 
@@ -207,7 +219,8 @@ def coupling_residuals(state, n, weights=None, gamma=1.0):
     sum_i w_i h_j(lam_i) lam_i^beta over j = 0,1,2 and beta = 0..N-3."""
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta, gamma)
     w = symmetrizer_weights(n) if weights is None else weights
-    return _coupling_residual(lam, _tail_polynomials(state, n, c).h, w)
+    derivs = _gaussian_u_derivatives(2 * n, state.U, state.theta, 2)
+    return _coupling_residual(lam, _tail_polynomials(derivs, c).h, w)
 
 
 def certify(state, n, tolerances=None):
@@ -222,7 +235,7 @@ def certify(state, n, tolerances=None):
     N = 2 * n
     src = source_jacobian(state, n)  # validates n >= 2
     lam, c, _, _ = _equilibrium_spectrum(n, state.U, state.theta)
-    tp = _tail_polynomials(state, n, c)
+    tp = _tail_polynomials(src.u_derivatives, c)
     L = np.empty((N + 1, N + 1))
     for k in range(N + 1):
         L[:, k] = poly_eval(tp.tails[k], lam)
