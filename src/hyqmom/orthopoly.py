@@ -93,10 +93,15 @@ def jacobi_roots(diag, offdiag_b):
 
 
 def _jacobi_batch(diag, offdiag, mass=None):
-    """Stacked symmetric-tridiagonal eigensolve; offdiag entries are the
-    already-square-rooted couplings.  Given ``mass`` (shape (J, 1)) it
-    returns the Golub-Welsch rule: eigenvalues and the weights
-    mass * (first eigenvector components)^2."""
+    """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
+    already-square-rooted couplings beta_1..beta_{m-1}.  Given ``mass``
+    (shape (J, 1)) it also returns the Gauss weights as Christoffel numbers
+    mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
+    polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
+    with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
+    Golub-Welsch weights, without computing eigenvectors.  A zero coupling
+    (a decoupled matrix) leaves the eigenvalues exact and the weights
+    undefined (0 or nan)."""
     J, m = diag.shape
     A = np.zeros((J, m, m))
     idx = np.arange(m)
@@ -104,10 +109,20 @@ def _jacobi_batch(diag, offdiag, mass=None):
     if m > 1:
         A[:, idx[:-1], idx[1:]] = offdiag
         A[:, idx[1:], idx[:-1]] = offdiag
+    nodes = np.linalg.eigvalsh(A)
     if mass is None:
-        return np.linalg.eigvalsh(A)
-    nodes, vecs = np.linalg.eigh(A)
-    return nodes, mass * vecs[:, 0, :] ** 2
+        return nodes
+    p_prev, p = np.zeros_like(nodes), np.ones_like(nodes)
+    christoffel = np.ones_like(nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m - 1):
+            p_next = (nodes - diag[:, k : k + 1]) * p
+            if k:
+                p_next -= offdiag[:, k - 1 : k] * p_prev
+            p_next /= offdiag[:, k : k + 1]
+            christoffel += p_next * p_next
+            p_prev, p = p, p_next
+    return nodes, mass / christoffel
 
 
 def gauss_quadrature(m, tol=None):

@@ -68,13 +68,26 @@ def mp_mul(p, q):
     return out
 
 
-def mp_tridiagonal_eigenvalues(diag, off, mp):
-    """Eigenvalues of the symmetric tridiagonal matrix with diagonal
-    ``diag`` and off-diagonal ``off`` (already square-rooted couplings),
-    by mpmath's dense symmetric eigensolver."""
+def _mp_tridiagonal(diag, off, mp):
     T = mp.matrix(len(diag), len(diag))
     for k, d in enumerate(diag):
         T[k, k] = d
     for k, o in enumerate(off):
         T[k, k + 1] = T[k + 1, k] = o
-    return list(mp.eigsy(T, eigvals_only=True))
+    return T
+
+
+def mp_tridiagonal_eigenvalues(diag, off, mp):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off`` (already square-rooted couplings),
+    by mpmath's dense symmetric eigensolver."""
+    return list(mp.eigsy(_mp_tridiagonal(diag, off, mp), eigvals_only=True))
+
+
+def mp_golub_welsch(diag, off, mass, mp):
+    """Gauss rule of the same Jacobi matrix by Golub & Welsch: nodes in
+    ascending order and weights mass * (first eigenvector component)^2,
+    from mpmath's dense symmetric eigensolver."""
+    nodes, vecs = mp.eigsy(_mp_tridiagonal(diag, off, mp))
+    order = sorted(range(len(diag)), key=lambda i: nodes[i])
+    return [nodes[i] for i in order], [mass * vecs[0, i] ** 2 for i in order]

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.orthopoly import _monic_pair_batch
+from hyqmom.moments import _moments_from_recurrence_batch
+from hyqmom.orthopoly import _jacobi_batch, _monic_pair_batch
 from corpus import random_even_moments, random_odd_moments
-from reference import vandermonde_weights
+from reference import mp_golub_welsch, vandermonde_weights
 
 
 def monic(a, b, deg):
@@ -122,6 +123,67 @@ class TestGaussQuadrature:
         data = json.loads(q.to_json())
         assert np.allclose(data["nodes"], [-1.0, 1.0])
         assert np.allclose(data["weights"], [0.5, 0.5])
+
+
+def _recurrence_row(rng, m, case):
+    """Recurrence rows a (m,) and b (m,) of a Gaussian-like measure: a_k
+    near U, b_k near k theta, mass b_0 in [0.5, 2].  ``near boundary``
+    scales one coupling b_k (k >= 1) by 1e-10."""
+    theta = rng.uniform(0.5, 2.0)
+    U = 5.0 if case == "U=5" else 0.0
+    a = U + rng.uniform(-0.3, 0.3, m) * np.sqrt(theta)
+    b = np.arange(m) * theta * rng.uniform(0.5, 1.5, m)
+    b[0] = rng.uniform(0.5, 2.0)
+    if case == "near boundary" and m > 1:
+        b[rng.integers(1, m)] *= 1e-10
+    return a, b
+
+
+class TestChristoffelWeights:
+    CASES = ("U=0", "U=5", "near boundary")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_high_precision_golub_welsch_reference(self, rng, case):
+        # the same double-precision Jacobi matrices solved at 60 digits;
+        # weights read from eigh's eigenvectors were off by up to 6e-8 on
+        # the near-boundary rows and 1.1e-12 at U = 5
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        worst = 0.0
+        with mpmath.workdps(60):
+            for m in range(1, 12):
+                for _ in range(4):
+                    a, b = _recurrence_row(rng, m, case)
+                    off = np.sqrt(b[1:])
+                    nodes, weights = _jacobi_batch(a[None, :], off[None, :], b[None, :1])
+                    ref_nodes, ref_weights = mp_golub_welsch(
+                        [mp.mpf(x) for x in a], [mp.mpf(x) for x in off], mp.mpf(b[0]), mp
+                    )
+                    for x, w, rx, rw in zip(nodes[0], weights[0], ref_nodes, ref_weights):
+                        worst = max(worst, float(abs(mp.mpf(w) - rw) / rw))
+                        assert float(abs(mp.mpf(x) - rx)) <= 1e-13 * max(1.0, abs(float(rx)))
+        print(f"\n{case}: worst relative weight error {worst:.2e}")
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gauss_rule_reproduces_moments(self, rng, case):
+        # sum_i w_i x_i^k against the input M_k, summed at 60 digits and
+        # scaled by sum_i |w_i x_i^k|
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        worst = 0.0
+        with mpmath.workdps(60):
+            for n in range(1, 11):
+                for _ in range(4):
+                    a, b = _recurrence_row(rng, n, case)
+                    m = _moments_from_recurrence_batch(a[None, :], b[None, :], 2 * n)[0]
+                    q = hq.gauss_quadrature(m)
+                    for k in range(2 * n):
+                        terms = [mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(q.weights, q.nodes)]
+                        err = abs(mp.fsum(terms) - mp.mpf(m[k])) / mp.fsum(abs(t) for t in terms)
+                        worst = max(worst, float(err))
+        print(f"\n{case}: worst scaled moment residual {worst:.2e}")
+        assert worst <= 1e-12
 
 
 class TestInterlacing:
