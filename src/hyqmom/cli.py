@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .closures import (
     ClosureSpec,
+    _hyqmom_an,
     _spectral_batch,
     close,
     spectral_decomposition,
@@ -59,8 +60,9 @@ def _add_common(p):
         default=None,
         help="override the command's tolerance (realizability pivots for "
         "close/spectrum, which may only tighten the library's floor "
-        f"{DEFAULT_REALIZABILITY_TOL:g} x M_0; eigenvalue separation for "
-        "verify-hyperbolicity; certificate residuals for verify-stability)",
+        f"{DEFAULT_REALIZABILITY_TOL:g} x M_0; the relative eigenvalue gap that "
+        "verify-hyperbolicity counts as near-degenerate, a diagnostic that "
+        "fails no draw; certificate residuals for verify-stability)",
     )
 
 
@@ -179,6 +181,41 @@ def _cmd_spectrum(args):
     return EXIT_OK
 
 
+def _hyperbolicity_failures(a, b, gamma, lam, om):
+    """Failure records of the draws with recurrence rows a (J, n) and
+    b (J, n+1) and merged spectra (lam, om) at this gamma.
+
+    A draw fails when its Q_n and R_{n+1} roots do not interlace strictly,
+    when two adjacent eigenvalue enclosures overlap, or (for gamma > -n) on
+    a nonpositive weight.  Each computed eigenvalue of a symmetric
+    tridiagonal T of order m lies within (m+1) eps ||T||_F of an exact one,
+    with ||T||_F taken from the draw's own (a, b) for T_Q (order n) and
+    T_R (order n+1).  Interlaced eigenvalues alternate between the two, so
+    disjoint adjacent enclosures prove 2n+1 distinct eigenvalues; a small
+    gap alone fails nothing, as the theorem gives no lower bound on it.
+    """
+    n = a.shape[1]
+    eps = np.finfo(float).eps
+    tq = np.sum(a**2, axis=1) + 2 * np.sum(b[:, 1:n], axis=1)
+    tr = tq + _hyqmom_an(a, gamma) ** 2 + 2 * (2 * n + gamma) / n * b[:, n]
+    enclosure = (n + 1) * eps * np.sqrt(tq) + (n + 2) * eps * np.sqrt(tr)
+    gaps = np.diff(lam, axis=1)
+    not_interlaced = ~np.all(gaps > 0, axis=1)
+    overlap = ~(np.min(gaps, axis=1) > enclosure)
+    bad_weight = np.min(om, axis=1) <= 0 if gamma > -n else np.zeros_like(overlap)
+    failures = []
+    for i in np.flatnonzero(not_interlaced | overlap | bad_weight):
+        reasons = []
+        if not_interlaced[i]:
+            reasons.append("interlacing")
+        if overlap[i]:
+            reasons.append(f"enclosures overlap (gap {float(np.min(gaps[i]))!r})")
+        if bad_weight[i]:
+            reasons.append("nonpositive weight")
+        failures.append({"sample": int(i), "reasons": reasons})
+    return failures
+
+
 def _cmd_verify_hyperbolicity(args):
     tol = 1e-7 if args.tol is None else args.tol
     n, gamma = args.n, args.gamma
@@ -189,22 +226,9 @@ def _cmd_verify_hyperbolicity(args):
     b = rng.uniform(args.b_range[0], args.b_range[1], (args.samples, n + 1))
     moments = _moments_from_recurrence_batch(a, b, 2 * n + 1)
     lam, om, _, _ = _spectral_batch(moments, gamma)
-    gaps = np.diff(lam, axis=1)
     radius = np.max(np.abs(lam), axis=1)
-    separation = np.min(gaps, axis=1) / radius
-    not_interlaced = ~np.all(gaps > 0, axis=1)
-    too_close = separation <= tol
-    bad_weight = np.min(om, axis=1) <= 0 if gamma > -n else np.zeros_like(too_close)
-    failures = []
-    for i in np.flatnonzero(not_interlaced | too_close | bad_weight):
-        reasons = []
-        if not_interlaced[i]:
-            reasons.append("interlacing")
-        if too_close[i]:
-            reasons.append(f"separation {separation[i]!r}")
-        if bad_weight[i]:
-            reasons.append("nonpositive weight")
-        failures.append({"sample": int(i), "reasons": reasons})
+    separation = np.min(np.diff(lam, axis=1), axis=1) / radius
+    failures = _hyperbolicity_failures(a, b, gamma, lam, om)
     report = {
         "n": n,
         "gamma": gamma,
@@ -215,6 +239,7 @@ def _cmd_verify_hyperbolicity(args):
         "b_range": list(args.b_range),
         "separation_tol": tol,
         "min_separation": float(separation.min()),
+        "near_degenerate": int(np.sum(separation <= tol)),
         "failures": failures,
         "passed": not failures,
     }
@@ -224,6 +249,7 @@ def _cmd_verify_hyperbolicity(args):
         print(
             f"n={n} gamma={gamma}: {args.samples} samples, "
             f"min separation {report['min_separation']!r}, "
+            f"{report['near_degenerate']} near-degenerate (separation <= {tol!r}), "
             f"{len(failures)} failure(s)"
         )
     _write_report(args, "hyperbolicity_report.json", report)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyqmom.cli import main
+from hyqmom.cli import _hyperbolicity_failures, main
+from hyqmom.closures import _spectral_from_recurrence
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
@@ -186,6 +187,39 @@ class TestVerifyHyperbolicity:
         a = (tmp_path / "a" / "hyperbolicity_report.json").read_bytes()
         b = (tmp_path / "b" / "hyperbolicity_report.json").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_small_gaps_are_counted_not_failed(self, n, capsys, tmp_path):
+        # default ranges and seed 0 draw gaps below 1e-7 x spectral radius;
+        # their eigenvalue enclosures are still disjoint
+        code, _, _ = run_cli(
+            ["verify-hyperbolicity", "--n", str(n), "--seed", "0", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        report = json.loads((tmp_path / "hyperbolicity_report.json").read_text())
+        assert code == 0
+        assert report["failures"] == []
+        assert report["near_degenerate"] > 0
+        assert report["min_separation"] <= report["separation_tol"]
+
+    def test_overlapping_enclosures_fail(self):
+        # at gamma = -2n the R_{n+1} coupling vanishes and every Q_n root is
+        # a double eigenvalue: each draw's adjacent enclosures overlap
+        n = 3
+        rng = np.random.default_rng(4)
+        a = rng.uniform(-5.0, 5.0, (20, n))
+        b = rng.uniform(0.1, 10.0, (20, n + 1))
+        gamma = np.float64(-2 * n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
+        failures = _hyperbolicity_failures(a, b, gamma, lam, om)
+        assert [f["sample"] for f in failures] == list(range(20))
+        assert all(
+            any(r.startswith("enclosures overlap") for r in f["reasons"]) for f in failures
+        )
+        # the same draws at gamma = 1 are certified
+        lam, om, _, _ = _spectral_from_recurrence(a, b, 1.0)
+        assert _hyperbolicity_failures(a, b, 1.0, lam, om) == []
 
 
 class TestVerifyStability:
