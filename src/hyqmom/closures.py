@@ -299,7 +299,7 @@ def _spectral_from_recurrence(a, b, gamma):
     and of the same matrix extended by one row (diagonal a_n, off-diagonal
     sqrt(((2n+gamma)/n) b_n)), which is the modified-final-row form of
     R_{n+1}.  Weights: the unique Vandermonde solution assembled from the
-    two Golub-Welsch rules,
+    two Gauss rules,
 
         omega_odd  = (n+gamma)/(2n+gamma) * w'   (Q_n rule)
         omega_even = n/(2n+gamma) * w''          (R_{n+1} rule)

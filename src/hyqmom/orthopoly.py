@@ -3,11 +3,14 @@
 Root finding goes exclusively through symmetric-tridiagonal eigenvalue
 problems (Golub & Welsch, Math. Comp. 23, 1969): the Jacobi matrix with
 diagonal a_k and off-diagonals sqrt(b_k) has the polynomial roots as
-eigenvalues, guaranteed real and distinct, and the quadrature weights are
-b_0 times the squared first eigenvector components, guaranteed positive.
+eigenvalues, guaranteed real and distinct.  The quadrature weights are the
+Christoffel numbers b_0 / sum_k p_k(x)^2 over the orthonormal polynomials
+at each node (Gautschi, Orthogonal Polynomials, 2004), equal to b_0 times
+the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
-(stacked ``numpy.linalg.eigh``); single-matrix calls are its J = 1 case.
-Polynomial deflation and companion matrices are never used.
+(stacked ``numpy.linalg.eigvalsh``, no eigenvectors); single-matrix calls
+are its J = 1 case.  Polynomial deflation and companion matrices are never
+used.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def _jacobi_batch(diag, offdiag, mass=None):
     nodes = np.linalg.eigvalsh(A)
     if mass is None:
         return nodes
-    p_prev, p = np.zeros_like(nodes), np.ones_like(nodes)
+    p_prev, p = None, np.ones_like(nodes)
     christoffel = np.ones_like(nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m - 1):

@@ -164,7 +164,7 @@ def _reconstruct_batch(a, b, gamma, variant):
     The gauss variant never materializes the closed moment: the augmented
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
-    eigensolve yields nodes and Golub-Welsch weights directly.  The eigen
+    eigensolve yields nodes and Gauss (Christoffel) weights directly.  The eigen
     variant hands (a, b) to the spectral kernel.
     """
     if variant == "gauss":

@@ -15,7 +15,7 @@ certificate checks, at the stated tolerances:
 The diagonal weights of D are defined at the standard state (U = 0,
 theta = 1) by a Vandermonde system against the standard-normal moments with
 the top entry shifted by (n-1)!, and computed in closed form from the two
-Golub-Welsch rules of the spectral kernel; the affine scaling law of the
+Gauss rules of the spectral kernel; the affine scaling law of the
 gamma = 1 closure makes the same weights valid at every state.
 
 Positive definiteness of A_0 is certified structurally: A_0 = L^T D L is a

@@ -159,9 +159,10 @@ class TestChristoffelWeights:
                     ref_nodes, ref_weights = mp_golub_welsch(
                         [mp.mpf(x) for x in a], [mp.mpf(x) for x in off], mp.mpf(b[0]), mp
                     )
-                    for x, w, rx, rw in zip(nodes[0], weights[0], ref_nodes, ref_weights):
+                    for x, rx in zip(nodes[0], ref_nodes):
+                        assert abs(mp.mpf(x) - rx) <= 1e-13 * max(1, abs(rx))
+                    for w, rw in zip(weights[0], ref_weights):
                         worst = max(worst, float(abs(mp.mpf(w) - rw) / rw))
-                        assert float(abs(mp.mpf(x) - rx)) <= 1e-13 * max(1.0, abs(float(rx)))
         print(f"\n{case}: worst relative weight error {worst:.2e}")
         assert worst <= 1e-12
 
@@ -180,7 +181,7 @@ class TestChristoffelWeights:
                     q = hq.gauss_quadrature(m)
                     for k in range(2 * n):
                         terms = [mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(q.weights, q.nodes)]
-                        err = abs(mp.fsum(terms) - mp.mpf(m[k])) / mp.fsum(abs(t) for t in terms)
+                        err = abs(mp.fsum(terms) - m[k]) / mp.fsum(abs(t) for t in terms)
                         worst = max(worst, float(err))
         print(f"\n{case}: worst scaled moment residual {worst:.2e}")
         assert worst <= 1e-12
