@@ -188,9 +188,9 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
     A draw fails when its Q_n and R_{n+1} roots do not interlace strictly,
     when two adjacent eigenvalue enclosures overlap, or (for gamma > -n) on
     a nonpositive weight.  Each computed eigenvalue of a symmetric
-    tridiagonal T of order m lies within (m+1) eps ||T||_F of an exact one,
-    with ||T||_F taken from the draw's own (a, b) for T_Q (order n) and
-    T_R (order n+1).  Interlaced eigenvalues alternate between the two, so
+    tridiagonal T of order m is enclosed with the backward-error radius
+    (m+1) eps ||T||_F, with ||T||_F taken from the draw's own (a, b) for
+    T_Q (order n) and T_R (order n+1).  Interlaced eigenvalues alternate between the two, so
     disjoint adjacent enclosures prove 2n+1 distinct eigenvalues; a small
     gap alone fails nothing, as the theorem gives no lower bound on it.
     """

@@ -115,7 +115,8 @@ def _jacobi_batch(diag, offdiag, mass=None):
     nodes = np.linalg.eigvalsh(A)
     if mass is None:
         return nodes
-    p_prev, p = None, np.ones_like(nodes)
+    del A  # the recurrence needs only the rows; free the dense matrices
+    p_prev, p = 0.0, 1.0
     christoffel = np.ones_like(nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m - 1):
