@@ -91,7 +91,9 @@ def _write_report(args, name, payload, extra_manifest=None):
         "command": args.command,
         "version": __version__,
         "arguments": {
-            k: v for k, v in vars(args).items() if k not in ("func", "command")
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("func", "command", "_started")
         },
         "outputs": [name],
         "wall_clock_s": _time.time() - args._started,
@@ -216,9 +218,17 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
     return failures
 
 
+def _require_samples(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+
+
 def _cmd_verify_hyperbolicity(args):
     tol = 1e-7 if args.tol is None else args.tol
     n, gamma = args.n, args.gamma
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _require_samples(args)
     if gamma <= -2 * n:
         raise ValueError(f"gamma must exceed -2n = {-2 * n}")
     rng = np.random.default_rng(args.seed)
@@ -260,6 +270,7 @@ def _cmd_verify_stability(args):
     n = args.n
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_samples(args)
     if n == 1:
         report = {
             "n": n,

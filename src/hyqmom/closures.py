@@ -305,25 +305,26 @@ def _spectral_from_recurrence(a, b, gamma):
         omega_even = n/(2n+gamma) * w''          (R_{n+1} rule)
 
     so positivity for gamma > -n is structural rather than numerical.
+    The merged (lam, om) are (J, 2n+1) transposed views of order-major
+    buffers, as the nodes and weights of ``_jacobi_batch`` are.
     """
     J, n = a.shape
     an = _hyqmom_an(a, gamma)
-    qroots, wq = _jacobi_batch(a, np.sqrt(b[:, 1:n]), b[:, :1])
-    rdiag = np.concatenate([a, an[:, None]], axis=1)
-    roff = np.concatenate(
-        [np.sqrt(b[:, 1:n]), np.sqrt((2 * n + gamma) / n * b[:, n:])], axis=1
-    )
+    qoff = np.sqrt(b[:, 1:n])
+    qroots, wq = _jacobi_batch(a, qoff, b[:, :1])
+    rdiag = np.concatenate([a.T, an[None, :]]).T
+    roff = np.concatenate([qoff.T, np.sqrt((2 * n + gamma) / n * b.T[n:])]).T
     rroots, wr = _jacobi_batch(rdiag, roff, b[:, :1])
-    lam = np.empty((J, 2 * n + 1))
-    om = np.empty((J, 2 * n + 1))
-    lam[:, 1::2] = qroots
-    lam[:, 0::2] = rroots
+    lam = np.empty((2 * n + 1, J))
+    om = np.empty((2 * n + 1, J))
+    lam[1::2] = qroots.T
+    lam[0::2] = rroots.T
     # at gamma = -2n only the eigenvalues are defined (R_{n+1} = (X - a_n) Q_n);
     # degenerate-limit callers read those and ignore the infinite weights
     with np.errstate(divide="ignore", invalid="ignore"):
-        om[:, 1::2] = np.divide(n + gamma, 2 * n + gamma) * wq
-        om[:, 0::2] = np.divide(n, 2 * n + gamma) * wr
-    return lam, om, qroots, rroots
+        om[1::2] = np.divide(n + gamma, 2 * n + gamma) * wq.T
+        om[0::2] = np.divide(n, 2 * n + gamma) * wr.T
+    return lam.T, om.T, qroots, rroots
 
 
 def _spectral_batch(M, gamma):

@@ -13,6 +13,14 @@ boundary.
 Both directions of the bijection are exponentially ill-conditioned in the
 order when expressed in raw moments; supported order is capped at n <= 10
 and every realizability check reports a cancellation-loss estimate.
+
+The batched kernels take (J, L) moment rows, J cells of L moments, and run
+order-major: the Wheeler recursion works on contiguous length-J rows of
+M.T, one per order, and returns its (J, .) coefficient and pivot arrays as
+transposed views of order-major buffers, and ``gaussian_moments`` builds one
+row per order before returning the moment axis last.  A Fortran-ordered
+input, such as the solver's cells, is read row by row without a copy; a
+C-ordered one gives the same values.
 """
 
 from __future__ import annotations
@@ -186,13 +194,14 @@ def gaussian_moments(order, U, theta):
     if np.any(theta <= 0):
         raise ValueError("theta must be positive")
     shape = np.broadcast_shapes(U.shape, theta.shape)
-    out = np.zeros(shape + (order + 1,))
-    out[..., 0] = 1.0
+    # built order-major, one contiguous row per order, returned moment-last
+    out = np.zeros((order + 1,) + shape)
+    out[0] = 1.0
     if order >= 1:
-        out[..., 1] = U
+        out[1] = U
     for k in range(1, order):
-        out[..., k + 1] = U * out[..., k] + k * theta * out[..., k - 1]
-    return out if shape else out.reshape(order + 1)
+        out[k + 1] = U * out[k] + k * theta * out[k - 1]
+    return np.moveaxis(out, 0, -1)
 
 
 def gaussian_moment(k, U, theta):
@@ -273,46 +282,50 @@ def _wheeler_batch(M):
     Returns (a, b, pivots) with shapes (J, n_a), (J, n_b), (J, n_b) where the
     pivots are the norms <Q_k^2>.  No realizability enforcement here; callers
     inspect the pivots.  dtype follows the input (complex inputs supported,
-    which is what derivative probes rely on).
+    which is what derivative probes rely on).  The recursion reads M.T
+    order-major, one contiguous length-J row per order (a C-ordered input
+    is copied to that layout first), and the outputs are transposed views
+    of order-major buffers.
     """
     M = np.asarray(M)
     J, L = M.shape
     n = (L - 1) // 2 if L % 2 else L // 2
     n_a = n
     n_b = n + 1 if L % 2 else n
-    prev = np.zeros_like(M)
-    cur = M.copy()
-    a = np.zeros((J, max(n_a, 1)), dtype=M.dtype)
-    b = np.zeros((J, n_b), dtype=M.dtype)
-    piv = np.zeros((J, n_b), dtype=M.dtype)
+    cur = np.ascontiguousarray(M.T)  # only read, never written
+    prev = np.zeros_like(cur)
+    a = np.zeros((max(n_a, 1), J), dtype=M.dtype)
+    b = np.zeros((n_b, J), dtype=M.dtype)
+    piv = np.zeros((n_b, J), dtype=M.dtype)
     if n_a:
-        a[:, 0] = M[:, 1] / M[:, 0]
-    b[:, 0] = M[:, 0]
-    piv[:, 0] = M[:, 0]
+        a[0] = cur[1] / cur[0]
+    b[0] = cur[0]
+    piv[0] = cur[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, n_b):
-            nxt = np.zeros_like(M)
+            # rows outside lo:hi are never read again
+            nxt = np.empty_like(cur)
             lo, hi = k, L - k
-            nxt[:, lo:hi] = (
-                cur[:, lo + 1 : hi + 1]
-                - a[:, k - 1 : k] * cur[:, lo:hi]
-                - b[:, k - 1 : k] * prev[:, lo:hi]
+            nxt[lo:hi] = (
+                cur[lo + 1 : hi + 1] - a[k - 1] * cur[lo:hi] - b[k - 1] * prev[lo:hi]
             )
-            piv[:, k] = nxt[:, k]
-            b[:, k] = nxt[:, k] / cur[:, k - 1]
+            piv[k] = nxt[k]
+            b[k] = nxt[k] / cur[k - 1]
             if k < n_a:
-                a[:, k] = nxt[:, k + 1] / nxt[:, k] - cur[:, k] / cur[:, k - 1]
+                a[k] = nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1]
             prev, cur = cur, nxt
-    return a[:, :n_a], b, piv
+    return a[:n_a].T, b.T, piv.T
 
 
 def _realizable_pivots_batch(M, tol=DEFAULT_REALIZABILITY_TOL):
-    """Batched strict-realizability mask from the Wheeler pivots."""
+    """Batched strict-realizability mask from the Wheeler pivots, reduced
+    over the order axis of the order-major rows."""
     a, b, piv = _wheeler_batch(M)
+    X, P = M.T, piv.T
     ok = (
-        np.all(piv.real > tol * M[:, :1].real, axis=1)
-        & np.all(np.isfinite(piv), axis=1)
-        & np.all(np.isfinite(M), axis=1)
+        np.all(P.real > tol * X[0].real, axis=0)
+        & np.all(np.isfinite(P), axis=0)
+        & np.all(np.isfinite(X), axis=0)
     )
     return ok, a, b, piv
 

@@ -102,31 +102,36 @@ def _jacobi_batch(diag, offdiag, mass=None):
     mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
     polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
     with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
-    Golub-Welsch weights, without computing eigenvectors.  A zero coupling
+    Golub-Welsch weights, without computing eigenvectors.  The matrices are
+    filled through strided views of their diagonals and the recurrence runs
+    order-major, on contiguous length-J rows of the transposed nodes; nodes
+    and weights then come back as (J, m) transposed views.  A zero coupling
     (a decoupled matrix) leaves the eigenvalues exact and the weights
     undefined (0 or nan)."""
     J, m = diag.shape
     A = np.zeros((J, m, m))
-    idx = np.arange(m)
-    A[:, idx, idx] = diag
+    flat = A.reshape(J, m * m)
+    flat[:, :: m + 1] = diag
     if m > 1:
-        A[:, idx[:-1], idx[1:]] = offdiag
-        A[:, idx[1:], idx[:-1]] = offdiag
+        flat[:, 1 :: m + 1] = offdiag
+        flat[:, m :: m + 1] = offdiag
     nodes = np.linalg.eigvalsh(A)
     if mass is None:
         return nodes
-    del A  # the recurrence needs only the rows; free the dense matrices
+    del A, flat  # the recurrence needs only the rows; free the dense matrices
+    x = np.array(nodes.T, order="C")
+    d, off = diag.T, offdiag.T
     p_prev, p = 0.0, 1.0
-    christoffel = np.ones_like(nodes)
+    christoffel = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m - 1):
-            p_next = (nodes - diag[:, k : k + 1]) * p
+            p_next = (x - d[k]) * p
             if k:
-                p_next -= offdiag[:, k - 1 : k] * p_prev
-            p_next /= offdiag[:, k : k + 1]
+                p_next -= off[k - 1] * p_prev
+            p_next /= off[k]
             christoffel += p_next * p_next
             p_prev, p = p, p_next
-    return nodes, mass / christoffel
+    return x.T, (mass.T / christoffel).T
 
 
 def gauss_quadrature(m, tol=None):

@@ -18,6 +18,15 @@ loss.  A grid computes its Wheeler realizability gate once and keeps it,
 so the post-step check of one step is the gate of the next.  Flux
 accumulation uses numpy reductions in a fixed order, so runs are
 reproducible for identical configs.
+
+Per-cell data is stored order-major: ``GridState.cells`` is a (J, 2n+1)
+Fortran-ordered array, the transposed view of a contiguous (2n+1, J)
+buffer, so ``cells[:, k]`` is one contiguous row per moment order.  Every
+stage of the step (Wheeler gate, reconstruction, interface fluxes, flux
+difference, relaxation, post-step check) works on such rows and hands
+(J, .) transposed views to the next, so each per-order update is a
+contiguous length-J vector operation.  Inputs in C order give the same
+values, only through strided rows.
 """
 
 from __future__ import annotations
@@ -81,9 +90,10 @@ class GridState:
     boundary: str = "periodic"
 
     def __setattr__(self, name, value):
-        # a read-only copy of the cells keeps the memoized gate valid
+        # a read-only, order-major copy of the cells keeps the memoized gate
+        # valid; cells[:, k] is a contiguous length-J row
         if name == "cells":
-            value = np.array(np.atleast_2d(value), dtype=float)
+            value = np.array(np.atleast_2d(value), dtype=float, order="F")
             value.flags.writeable = False
             super().__setattr__("_gate_memo", None)
         super().__setattr__(name, value)
@@ -168,7 +178,7 @@ def _reconstruct_batch(a, b, gamma, variant):
     variant hands (a, b) to the spectral kernel.
     """
     if variant == "gauss":
-        diag = np.concatenate([a, _hyqmom_an(a, gamma)[:, None]], axis=1)
+        diag = np.concatenate([a.T, _hyqmom_an(a, gamma)[None, :]]).T
         off = np.sqrt(b[:, 1:])
         return _jacobi_batch(diag, off, b[:, :1])
     lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
@@ -178,35 +188,43 @@ def _reconstruct_batch(a, b, gamma, variant):
 def _interface_fluxes(nodes, weights, order_count, boundary):
     """Kinetic fluxes for all interfaces and moment orders.
 
-    Returns an array of shape (J+1, order_count); interface i sits between
-    cells i-1 and i with the boundary rule supplying the missing neighbor.
+    Returns an array of shape (J+1, order_count), the transposed view of an
+    order-major (order_count, J+1) table; interface i sits between cells
+    i-1 and i with the boundary rule supplying the missing neighbor.  Row k
+    of the table adds the split power sums sum w x^(k+1) over the positive
+    nodes of the left cell and over the other nodes of the right cell.  The
+    two running powers max(x, 0)^(k+1) and min(x, 0)^(k+1) are kept
+    order-major and updated in place, and each weighted sum goes through one
+    scratch buffer straight into its row of the table.
     """
-    J = nodes.shape[0]
-    pos = np.maximum(nodes, 0.0)
-    neg = np.minimum(nodes, 0.0)
-    fplus = np.empty((J, order_count))
-    fminus = np.empty((J, order_count))
-    pp = pos.copy()
-    nn = neg.copy()
+    X, W = nodes.T, weights.T
+    q, J = X.shape
+    pos = np.maximum(X, 0.0, out=np.empty((q, J)))
+    neg = np.minimum(X, 0.0, out=np.empty((q, J)))
+    scratch = np.empty((q, J))
+    minus = np.empty(J)
+    # neighbors of the two boundary interfaces
+    first, last = (J - 1, 0) if boundary == "periodic" else (0, J - 1)
+    table = np.empty((order_count, J + 1))
     for k in range(order_count):
-        pp = pp * pos if k else pp
-        nn = nn * neg if k else nn
-        fplus[:, k] = np.sum(weights * pp, axis=1)
-        fminus[:, k] = np.sum(weights * nn, axis=1)
-    if boundary == "periodic":
-        left = np.arange(-1, J) % J
-        right = np.arange(0, J + 1) % J
-    else:
-        left = np.clip(np.arange(-1, J), 0, J - 1)
-        right = np.clip(np.arange(0, J + 1), 0, J - 1)
-    return fplus[left] + fminus[right]
+        if k:
+            # each power is zero where its sign does not match, and stays so
+            pos *= X
+            neg *= X
+        np.sum(np.multiply(W, pos, out=scratch), axis=0, out=table[k, 1:])
+        table[k, 0] = table[k, first + 1]
+        np.sum(np.multiply(W, neg, out=scratch), axis=0, out=minus)
+        table[k, :J] += minus
+        table[k, J] += minus[last]
+    return table.T
 
 
 def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     """The grid one step on, from the gate's (a, b); the update's full-size
-    temporaries are freed on return, before the post-step check."""
+    temporaries are freed on return, before the post-step check.  Every
+    per-order update is a contiguous length-J row of the order-major cells."""
     nodes, weights = _reconstruct_batch(a, b, gamma, variant)
-    smax = np.max(np.abs(nodes), axis=1)
+    smax = np.max(np.abs(nodes.T), axis=0)
     with np.errstate(divide="ignore"):
         dt_cfl = cfl * np.min(np.where(smax > 0, grid.dx / smax, np.inf))
     if not np.isfinite(dt_cfl):
@@ -217,22 +235,30 @@ def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     if step_dt <= 0:
         raise ValueError("time step must be positive")
 
-    factors = 1.0 - step_dt * np.abs(nodes) / grid.dx[:, None]
-    if np.min(factors) < -1e-12:
+    # the smallest convex-update factor 1 - dt |x| / dx sits at each cell's
+    # largest |x|, and rounding is monotone, so it is read off smax
+    factor = 1.0 - np.max(step_dt * smax / grid.dx)
+    if factor < -1e-12:
         raise RuntimeError(
             "CFL violated: a convex-update factor went negative "
-            f"(min {float(np.min(factors))!r}); realizability is no longer guaranteed"
+            f"(min {float(factor)!r}); realizability is no longer guaranteed"
         )
 
     L = grid.cells.shape[1]
-    flux = _interface_fluxes(nodes, weights, L, grid.boundary)
-    mstar = grid.cells + (step_dt / grid.dx)[:, None] * (flux[:-1] - flux[1:])
+    flux = _interface_fluxes(nodes, weights, L, grid.boundary).T
+    cells = flux[:, :-1] - flux[:, 1:]
+    del flux
+    cells *= step_dt / grid.dx
+    cells += grid.cells.T
 
     rho, U, theta = _primitive_rows(grid.cells)
-    maxwellian = rho[:, None] * gaussian_moments(L - 1, U, theta)
+    maxwellian = gaussian_moments(L - 1, U, theta).T
     r = step_dt / grid.tau
-    cells = (mstar + r * maxwellian) / (1.0 + r)
-    return replace(grid, cells=cells, time=float(grid.time) + step_dt)
+    maxwellian *= rho
+    maxwellian *= r
+    cells += maxwellian
+    cells /= 1.0 + r
+    return replace(grid, cells=cells.T, time=float(grid.time) + step_dt)
 
 
 def _require_realizable(grid, what):
@@ -272,7 +298,7 @@ def total_moments(grid):
 def _flagged_cells(grid):
     _, _, b = grid._gate()
     theta = _primitive_rows(grid.cells)[2]
-    near = np.min(b[:, 1:], axis=1) < NEAR_BOUNDARY_FRACTION * theta
+    near = np.min(b.T[1:], axis=0) < NEAR_BOUNDARY_FRACTION * theta
     return [int(i) for i in np.flatnonzero(near)]
 
 
@@ -400,7 +426,7 @@ def build_initial_grid(cfg):
     x0, x1 = cfg["domain"]
     dx = (x1 - x0) / J
     centers = x0 + (np.arange(J) + 0.5) * dx
-    cells = np.empty((J, 2 * n + 1))
+    cells = np.empty((2 * n + 1, J)).T
     lower = x0
     for seg in cfg["initial"]:
         mask = (centers > lower) & (centers <= seg["x_until"] + 1e-15)

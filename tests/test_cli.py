@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyqmom.cli import _hyperbolicity_failures, main
+from hyqmom.cli import _hyperbolicity_failures, build_parser, main
 from hyqmom.closures import _spectral_from_recurrence
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
@@ -159,6 +159,26 @@ def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
 
 
 class TestVerifyHyperbolicity:
+    def test_n_below_one_refused(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["verify-hyperbolicity", "--n", "0", "--output-dir", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert "n must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "hyperbolicity_report.json").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_refused(self, samples, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["verify-hyperbolicity", "--n", "2", "--samples", samples,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "--samples must be >= 1" in err
+        assert not (tmp_path / "hyperbolicity_report.json").exists()
+
     def test_passes_modest_order(self, capsys):
         code, out, _ = run_cli(
             ["verify-hyperbolicity", "--n", "2", "--samples", "200", "--seed", "5"],
@@ -228,6 +248,19 @@ class TestVerifyStability:
         )
         assert code == 0
         assert "0 failure(s)" in out
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_refused(self, n, samples, capsys, tmp_path):
+        # certifying nothing must not pass
+        code, _, err = run_cli(
+            ["verify-stability", "--n", n, "--samples", samples,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "--samples must be >= 1" in err
+        assert not (tmp_path / "stability_report.json").exists()
 
     def test_n1_trivial(self, capsys):
         code, out, _ = run_cli(["verify-stability", "--n", "1"], capsys)
@@ -317,3 +350,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "usage: hyqmom" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-hyperbolicity", "--n", "2", "--samples", "20", "--seed", "3"],
+        ["verify-stability", "--n", "2", "--samples", "2", "--tol", "1e-6"],
+        ["close", "--hyqmom", "--moments", "1,0,1"],
+    ],
+)
+def test_manifest_arguments_are_the_parser_options(argv, capsys, tmp_path):
+    argv = argv + ["--output-dir", str(tmp_path)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    parsed = vars(build_parser().parse_args(argv))
+    options = {k: v for k, v in parsed.items() if k not in ("func", "command")}
+    assert manifest["arguments"] == json.loads(json.dumps(options))

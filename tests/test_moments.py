@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import hyqmom as hq
+from hyqmom.moments import _realizable_pivots_batch, _wheeler_batch
 from corpus import random_coefficients, random_odd_moments
 
 
@@ -54,6 +55,35 @@ class TestRealizability:
     def test_order_cap(self):
         with pytest.raises(ValueError, match="cap"):
             hq.is_strictly_realizable(np.ones(25))
+
+
+class TestBatchLayout:
+    """C- and F-ordered rows with the same values give identical results
+    with unchanged (J, .) shapes."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("length", [1, 2, 5, 6, 13])
+    def test_wheeler_batch(self, rng, dtype, length):
+        M = random_odd_moments(rng, 6, count=9)[:, :length].astype(dtype)
+        if dtype is complex:
+            M = M + 1e-20j * rng.standard_normal(M.shape)  # a derivative probe
+        n = (length - 1) // 2 if length % 2 else length // 2
+        n_b = n + 1 if length % 2 else n
+        outs = [_wheeler_batch(np.array(M, order=o)) for o in ("C", "F")]
+        for c, f, cols in zip(*outs, (n, n_b, n_b)):
+            assert c.shape == f.shape == (9, cols)
+            assert c.dtype == f.dtype == M.dtype
+            assert np.array_equal(c, f)
+
+    def test_realizable_pivots_batch(self, rng):
+        M = random_odd_moments(rng, 3, count=8)
+        M[2, 2] = -1.0  # not realizable
+        M[5, 4] = np.nan  # not finite
+        outs = [_realizable_pivots_batch(np.array(M, order=o)) for o in ("C", "F")]
+        assert list(outs[0][0]) == list(outs[1][0]) == [1, 1, 0, 1, 1, 0, 1, 1]
+        for c, f, cols in zip(outs[0][1:], outs[1][1:], (3, 4, 4)):
+            assert c.shape == f.shape == (8, cols)
+            assert np.array_equal(c, f, equal_nan=True)
 
 
 class TestGaussianMoments:

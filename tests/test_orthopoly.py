@@ -167,6 +167,22 @@ class TestChristoffelWeights:
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("case", CASES)
+    def test_layout_independent(self, rng, case):
+        # C- and F-ordered rows with the same values: identical nodes and
+        # weights, (J, m) shapes
+        for m in (1, 3, 6):
+            rows = [_recurrence_row(rng, m, case) for _ in range(7)]
+            a = np.array([r[0] for r in rows])
+            b = np.array([r[1] for r in rows])
+            args = (a, np.sqrt(b[:, 1:]), b[:, :1])
+            c, f = (_jacobi_batch(*(np.array(x, order=o) for x in args)) for o in ("C", "F"))
+            for x, y in zip(c, f):
+                assert x.shape == y.shape == (7, m)
+                assert np.array_equal(x, y)
+            plain = _jacobi_batch(*(np.asfortranarray(x) for x in args[:2]))
+            assert np.array_equal(plain, c[0])
+
+    @pytest.mark.parametrize("case", CASES)
     def test_gauss_rule_reproduces_moments(self, rng, case):
         # sum_i w_i x_i^k against the input M_k, summed at 60 digits and
         # scaled by sum_i |w_i x_i^k|

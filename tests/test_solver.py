@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestKineticFlux:
         _, a, b, _ = _realizable_pivots_batch(cells)
         nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
         flux = _interface_fluxes(nodes, weights, 5, boundary)
+        # the same rules C- and F-ordered give the same table
+        for order in ("C", "F"):
+            other = _interface_fluxes(
+                np.array(nodes, order=order), np.array(weights, order=order), 5, boundary
+            )
+            assert other.shape == flux.shape == (7, 5)
+            assert np.array_equal(other, flux)
         rules = [hq.Quadrature(nodes=x, weights=w) for x, w in zip(nodes, weights)]
         if boundary == "periodic":
             pairs = [(rules[i - 1], rules[i % 6]) for i in range(7)]
@@ -120,6 +128,20 @@ class TestKineticFlux:
             for k in range(5):
                 expect = kinetic_flux(left, right, k)
                 assert flux[i, k] == pytest.approx(expect, rel=1e-13, abs=1e-13)
+
+    def test_peak_memory(self, rng):
+        # one order-major table, the two running powers and one scratch
+        # buffer come to 5x the nodes at n = 2
+        cells = random_odd_moments(rng, 2, count=10_000)
+        _, a, b, _ = _realizable_pivots_batch(cells)
+        nodes, weights = _reconstruct_batch(a, b, 1.0, "gauss")
+        tracemalloc.start()
+        try:
+            _interface_fluxes(nodes, weights, 5, "periodic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * nodes.nbytes
 
     def test_full_upwind_from_left(self):
         left = hq.Quadrature(nodes=np.array([0.5, 2.0]), weights=np.array([1.0, 0.5]))
@@ -247,6 +269,36 @@ class TestGridState:
         assert grid.cells[0, 0] == 1.0
         with pytest.raises(ValueError):
             grid.cells[0, 0] = -1.0
+
+    def test_cells_are_order_major(self, rng):
+        cells = random_odd_moments(rng, 2, count=6)
+        for given in (np.ascontiguousarray(cells), np.asfortranarray(cells)):
+            grid = hq.GridState(cells=given, dx=np.full(6, 1 / 6), tau=1.0)
+            assert grid.cells.shape == (6, 5)
+            assert grid.cells.flags.f_contiguous
+            assert np.array_equal(grid.cells, cells)
+
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_step_layout_independent(self, rng, variant):
+        # a grid rebuilt from C- or F-ordered copies of the cells steps to
+        # the same cells, and so does the grid of a previous step
+        cells = random_odd_moments(rng, 2, count=9, a_range=(-1, 1), b_range=(0.5, 2))
+        grids = [
+            hq.GridState(cells=np.array(cells, order=o), dx=np.full(9, 1 / 9), tau=0.3)
+            for o in ("C", "F")
+        ]
+        first, second = (hq.step(g, SPEC1, variant, cfl=0.9) for g in grids)
+        assert first.cells.shape == second.cells.shape == (9, 5)
+        assert np.array_equal(first.cells, second.cells)
+        again = hq.step(first, SPEC1, variant, cfl=0.9)
+        rebuilt = hq.step(
+            hq.GridState(
+                cells=np.ascontiguousarray(first.cells), dx=first.dx, tau=0.3,
+                time=first.time,
+            ),
+            SPEC1, variant, cfl=0.9,
+        )
+        assert np.array_equal(again.cells, rebuilt.cells)
 
     def test_new_cells_drop_the_memoized_gate(self):
         m = hq.maxwellian_moments(1.0, 0.0, 1.0, 2)
