@@ -310,10 +310,9 @@ def _spectral_from_recurrence(a, b, gamma):
     """
     J, n = a.shape
     an = _hyqmom_an(a, gamma)
-    qoff = np.sqrt(b[:, 1:n])
-    qroots, wq = _jacobi_batch(a, qoff, b[:, :1])
+    qroots, wq = _jacobi_batch(a, np.sqrt(b[:, 1:n]), b[:, :1])
     rdiag = np.concatenate([a.T, an[None, :]]).T
-    roff = np.concatenate([qoff.T, np.sqrt((2 * n + gamma) / n * b.T[n:])]).T
+    roff = np.concatenate([np.sqrt(b.T[1:n]), np.sqrt((2 * n + gamma) / n * b.T[n:])]).T
     rroots, wr = _jacobi_batch(rdiag, roff, b[:, :1])
     lam = np.empty((2 * n + 1, J))
     om = np.empty((2 * n + 1, J))

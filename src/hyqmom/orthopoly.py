@@ -120,6 +120,7 @@ def _jacobi_batch(diag, offdiag, mass=None):
         return nodes
     del A, flat  # the recurrence needs only the rows; free the dense matrices
     x = np.array(nodes.T, order="C")
+    del nodes
     d, off = diag.T, offdiag.T
     p_prev, p = 0.0, 1.0
     christoffel = np.ones_like(x)

@@ -192,10 +192,10 @@ def _interface_fluxes(nodes, weights, order_count, boundary):
     order-major (order_count, J+1) table; interface i sits between cells
     i-1 and i with the boundary rule supplying the missing neighbor.  Row k
     of the table adds the split power sums sum w x^(k+1) over the positive
-    nodes of the left cell and over the other nodes of the right cell.  The
-    two running powers max(x, 0)^(k+1) and min(x, 0)^(k+1) are kept
-    order-major and updated in place, and each weighted sum goes through one
-    scratch buffer straight into its row of the table.
+    nodes of the left cell and over the nonpositive nodes of the right
+    cell.  The two running powers max(x, 0)^(k+1) and min(x, 0)^(k+1) are
+    kept order-major and updated in place, and each weighted sum goes
+    through one scratch buffer straight into its row of the table.
     """
     X, W = nodes.T, weights.T
     q, J = X.shape
