@@ -26,6 +26,7 @@ from .closures import (
 )
 from .moments import (
     DEFAULT_REALIZABILITY_TOL,
+    MAX_HALF_ORDER,
     NotRealizableError,
     _moments_from_recurrence_batch,
     _realizability,
@@ -218,7 +219,11 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
     return failures
 
 
-def _require_samples(args):
+def _require_order_and_samples(args):
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
+    if args.n > MAX_HALF_ORDER:
+        raise ValueError(f"n={args.n} exceeds the supported cap n={MAX_HALF_ORDER}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
 
@@ -226,9 +231,9 @@ def _require_samples(args):
 def _cmd_verify_hyperbolicity(args):
     tol = 1e-7 if args.tol is None else args.tol
     n, gamma = args.n, args.gamma
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_samples(args)
+    _require_order_and_samples(args)
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if gamma <= -2 * n:
         raise ValueError(f"gamma must exceed -2n = {-2 * n}")
     rng = np.random.default_rng(args.seed)
@@ -268,9 +273,7 @@ def _cmd_verify_hyperbolicity(args):
 
 def _cmd_verify_stability(args):
     n = args.n
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _require_samples(args)
+    _require_order_and_samples(args)
     if n == 1:
         report = {
             "n": n,

@@ -445,27 +445,16 @@ def build_initial_grid(cfg):
 
 
 def _snapshot_csv_lines(cfg, grid):
-    n = grid.n
-    header = (
-        ["x"]
-        + [f"M_{k}" for k in range(2 * n + 1)]
-        + ["rho", "U", "theta", "realizable_flag"]
-    )
+    moments = [f"M_{k}" for k in range(2 * grid.n + 1)]
+    header = ["x", *moments, "rho", "U", "theta", "realizable_flag"]
     x0, _ = cfg["domain"]
     centers = x0 + (np.cumsum(grid.dx) - 0.5 * grid.dx)
     ok, _, _ = grid._gate()
     rho, U, theta = _primitive_rows(grid.cells)
-    lines = [",".join(header)]
-    for j in range(grid.num_cells):
-        vals = (
-            [centers[j]]
-            + list(grid.cells[j])
-            + [rho[j], U[j], theta[j]]
-        )
-        lines.append(
-            ",".join(repr(float(v)) for v in vals) + f",{int(ok[j])}"
-        )
-    return lines
+    table = np.column_stack([centers, grid.cells, rho, U, theta]).tolist()
+    return [",".join(header)] + [
+        ",".join(map(repr, row)) + f",{int(flag)}" for row, flag in zip(table, ok.tolist())
+    ]
 
 
 def run(config, output_dir=None):

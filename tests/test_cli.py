@@ -159,13 +159,31 @@ def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
 
 
 class TestVerifyHyperbolicity:
-    def test_n_below_one_refused(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "n, message",
+        [("0", "n must be >= 1"), ("11", "exceeds the supported cap n=10")],
+        ids=["0", "11"],
+    )
+    def test_n_out_of_range_refused(self, n, message, capsys, tmp_path):
         code, _, err = run_cli(
-            ["verify-hyperbolicity", "--n", "0", "--output-dir", str(tmp_path)], capsys
+            ["verify-hyperbolicity", "--n", n, "--samples", "5",
+             "--output-dir", str(tmp_path)],
+            capsys,
         )
         assert code == 1
-        assert "n must be >= 1" in err
+        assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "hyperbolicity_report.json").exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_refused(self, gamma, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["verify-hyperbolicity", "--n", "2", "--gamma", gamma,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "gamma must be finite" in err
         assert not (tmp_path / "hyperbolicity_report.json").exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -249,18 +267,31 @@ class TestVerifyStability:
         assert code == 0
         assert "0 failure(s)" in out
 
-    @pytest.mark.parametrize("n", ["1", "2"])
+    @pytest.mark.parametrize("n", ["1", "2", "11"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_refused(self, n, samples, capsys, tmp_path):
-        # certifying nothing must not pass
+        # certifying nothing must not pass, nor certifying an order above the
+        # cap, which is refused before the sample count is read
         code, _, err = run_cli(
             ["verify-stability", "--n", n, "--samples", samples,
              "--output-dir", str(tmp_path)],
             capsys,
         )
         assert code == 1
-        assert "--samples must be >= 1" in err
+        expected = "exceeds the supported cap n=10" if n == "11" else "--samples must be >= 1"
+        assert expected in err
         assert not (tmp_path / "stability_report.json").exists()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_default_ranges_pass(self, n, capsys):
+        # the certificate is built at the standard state, so the lab-frame
+        # roundoff at large |U| / sqrt(theta) cannot fail it
+        for seed in range(5):
+            code, out, _ = run_cli(
+                ["verify-stability", "--n", str(n), "--seed", str(seed)], capsys
+            )
+            assert code == 0, (seed, out)
+            assert "100 certificates, 0 failure(s)" in out
 
     def test_n1_trivial(self, capsys):
         code, out, _ = run_cli(["verify-stability", "--n", "1"], capsys)

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
+from hyqmom.moments import _gaussian_u_derivatives
 from hyqmom.orthopoly import poly_eval
-from hyqmom.stability import _equilibrium_spectrum
+from hyqmom.stability import (
+    DEFAULT_TOLERANCES,
+    _coupling_residual,
+    _equilibrium_spectrum,
+    _tail_polynomials,
+)
 from corpus import random_state
-from reference import mp_tridiagonal_eigenvalues
+from reference import mp_mul, mp_tridiagonal_eigenvalues
 
 
 def mp_u_derivatives(order, U, theta, jmax):
@@ -46,6 +52,35 @@ def rho_delta_derivative_fd(state, k, h=1e-6):
         mm_[j] -= hp
         out[j] = (f(mp) - f(mm_)) / (2 * hp)
     return out
+
+
+def mp_standard_spectrum(n, mp):
+    """Eigenvalues of the exact standard-state Jacobi matrices (a_k = 0,
+    b_k = k, gamma = 1) and the symmetrizer weights solving the defining
+    Vandermonde system on them, both in ascending eigenvalue order."""
+
+    def eigenvalues(off):
+        return mp_tridiagonal_eigenvalues([mp.zero] * (len(off) + 1), off, mp)
+
+    inner = [mp.sqrt(k) for k in range(1, n)]
+    lam = eigenvalues(inner) + eigenvalues(inner + [mp.sqrt(2 * n + 1)])
+    p = [mp.mpf(math.prod(range(k - 1, 0, -2))) if k % 2 == 0 else mp.zero
+         for k in range(2 * n + 1)]
+    p[2 * n] += math.factorial(n - 1)
+    V = mp.matrix([[x**k for x in lam] for k in range(2 * n + 1)])
+    w = mp.lu_solve(V, mp.matrix(p))
+    order = sorted(range(len(lam)), key=lambda i: lam[i])
+    return [lam[i] for i in order], [w[i] for i in order]
+
+
+def lab_offblock(state, n):
+    """K off-block norm assembled in the lab frame at the state."""
+    lam, _ = _equilibrium_spectrum(n, state.U, state.theta)
+    L = np.array([poly_eval(F, lam) for F in hq.tail_polynomials(state, n).tails]).T
+    A0 = L.T @ (hq.symmetrizer_weights(n)[:, None] * L)
+    P = hq.source_jacobian(state, n).P_inv
+    K = P.T @ A0 @ P
+    return max(np.linalg.norm(K[:3, 3:]), np.linalg.norm(K[3:, :3])) / np.linalg.norm(K)
 
 
 class TestSourceJacobian:
@@ -221,21 +256,9 @@ class TestSymmetrizerWeights:
         # the defining Vandermonde system solved at 60 digits on eigenvalues
         # of the exact standard-state Jacobi matrices (a_k = 0, b_k = k)
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-
-        def eigenvalues(off):
-            return mp_tridiagonal_eigenvalues([mp.zero] * (len(off) + 1), off, mp)
-
         with mpmath.workdps(60):
             for n in range(1, 9):
-                inner = [mp.sqrt(k) for k in range(1, n)]
-                lam = eigenvalues(inner) + eigenvalues(inner + [mp.sqrt(2 * n + 1)])
-                p = [mp.mpf(math.prod(range(k - 1, 0, -2))) if k % 2 == 0 else mp.zero
-                     for k in range(2 * n + 1)]
-                p[2 * n] += math.factorial(n - 1)
-                V = mp.matrix([[x**k for x in lam] for k in range(2 * n + 1)])
-                exact = dict(zip(lam, mp.lu_solve(V, mp.matrix(p))))
-                expected = [float(exact[x]) for x in sorted(lam)]
+                expected = [float(x) for x in mp_standard_spectrum(n, mpmath.mp)[1]]
                 assert np.allclose(hq.symmetrizer_weights(n), expected, rtol=1e-13, atol=0)
 
     def test_two_rule_split(self):
@@ -299,6 +322,84 @@ class TestCertify:
         assert set(data["conditions"]) == {"I", "II", "III"}
         assert len(data["D"]) == 5
 
+    def test_standard_certificate_reused(self, rng, count_calls):
+        # once an order is certified, a certificate at any state only reads
+        # the standard residuals: no spectrum, tails, A_0 or eigensolve
+        from hyqmom import stability
+
+        hq.certify(hq.EquilibriumState(1.0, 0.0, 1.0), 4)
+        counts = [
+            count_calls(stability, name)
+            for name in ("source_jacobian", "_equilibrium_spectrum", "_tail_polynomials",
+                         "_companion", "_coupling_residual")
+        ]
+        certs = [hq.certify(random_state(rng), 4) for _ in range(5)]
+        assert [c[0] for c in counts] == [0] * 5
+        for cert in certs[1:]:
+            assert cert.residuals == certs[0].residuals
+            assert cert.D is hq.symmetrizer_weights(4)
+        certs[0].residuals["coupling_residual"] = 1.0
+        assert hq.certify(certs[1].state, 4).residuals == certs[1].residuals
+        assert hq.certify(certs[1].state, 4).state is certs[1].state
+
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_gamma_not_one_fails_coupling(self, gamma):
+        # negative control: the weights certify the affine-invariant gamma = 1
+        # closure only; with the spectrum and characteristic polynomial of
+        # gamma = 0 or 2 at the standard state the coupling sums stay large
+        for n in range(2, 7):
+            lam, c = _equilibrium_spectrum(n, 0.0, 1.0, gamma)
+            h = _tail_polynomials(_gaussian_u_derivatives(2 * n, 0.0, 1.0, 2), c).h
+            assert _coupling_residual(lam, h, hq.symmetrizer_weights(n)) > 1e-2
+
+    def test_lab_frame_cross_check(self, rng):
+        # the lab-frame assembly from raw moments agrees with the standard
+        # certificate where |U| / sqrt(theta) <= 2; its roundoff grows like
+        # (1 + |U| / sqrt(theta))^(2n) and passes the 1e-8 coupling
+        # tolerance there only up to n = 6
+        for n in range(2, 7):
+            for _ in range(10):
+                theta = float(rng.uniform(0.1, 10.0))
+                U = float(rng.uniform(-2.0, 2.0)) * math.sqrt(theta)
+                st = hq.EquilibriumState(float(rng.uniform(0.1, 10.0)), U, theta)
+                assert hq.coupling_residuals(st, n) < DEFAULT_TOLERANCES["coupling"]
+                assert lab_offblock(st, n) < DEFAULT_TOLERANCES["K_offblock"]
+
+    def test_standard_state_high_precision_reference(self):
+        # the exact standard state (a_k = 0, b_k = k, gamma = 1) at 60 digits,
+        # n = 2..10: the double characteristic coefficients behind every
+        # certificate match Q_n R_{n+1} within 1e-13 of the magnitude of
+        # their terms, and the exact coupling sums vanish, so the double
+        # coupling residual is roundoff
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        worst_c, worst_sum = 0.0, mp.zero
+        with mpmath.workdps(60):
+            for n in range(2, 11):
+                N = 2 * n
+                qm, q = [0], [1]  # Q_{k+1} = X Q_k - k Q_{k-1}
+                for k in range(n):
+                    qm, q = q, [x - k * y for x, y in zip([0] + q, qm + [0, 0])]
+                r = [x - (2 * n + 1) * y for x, y in zip([0] + q, qm + [0, 0])]
+                exact = mp_mul(q, r)
+                scale = mp_mul([abs(x) for x in q], [abs(x) for x in r])
+                c = _equilibrium_spectrum(n, 0.0, 1.0)[1]
+                for got, e, sc in zip(c, exact, scale):
+                    worst_c = max(worst_c, abs(got - e) / sc if sc else abs(got))
+                lam, w = mp_standard_spectrum(n, mp)
+                d = mp_u_derivatives(N, mp.zero, mp.one, 2)
+                for j in range(3):
+                    h = [mp.fsum(exact[k + 1 + m] * d[j][k] for k in range(j, N - m + 1))
+                         for m in range(N - j + 1)]
+                    hv = [wi * mp.polyval(h[::-1], x) for wi, x in zip(w, lam)]
+                    for beta in range(N - 2):
+                        terms = [t * x**beta for t, x in zip(hv, lam)]
+                        worst_sum = max(worst_sum, abs(mp.fsum(terms)) / mp.fsum(map(abs, terms)))
+        print(f"\nstandard certificate vs 60 digits: c {worst_c:.1e}, "
+              f"coupling sums {float(worst_sum):.1e}")
+        assert worst_c <= 1e-13
+        assert worst_sum < 1e-40
+
 
 class TestCouplingIdentities:
     def test_coupling_sums_vanish(self, rng):
@@ -322,7 +423,7 @@ class TestCouplingIdentities:
                 for beta in range(2 * n - 2):
                     terms = w * hv * lam**beta
                     worst = max(worst, abs(np.sum(terms)) / (np.sum(np.abs(terms)) + 1e-300))
-            assert hq.coupling_residuals(st, n, weights=w) == worst
+            assert hq.coupling_residuals(st, n) == worst
 
     def test_reduced_set_at_standard_state(self):
         # the j=0 sums up to beta = 2n-1 vanish with the chosen weights,
