@@ -8,9 +8,12 @@ Christoffel numbers b_0 / sum_k p_k(x)^2 over the orthonormal polynomials
 at each node (Gautschi, Orthogonal Polynomials, 2004), equal to b_0 times
 the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
-(stacked ``numpy.linalg.eigvalsh``, no eigenvectors); single-matrix calls
-are its J = 1 case.  Polynomial deflation and companion matrices are never
-used.
+and computes no eigenvectors; single-matrix calls are its J = 1 case.  It
+picks the solver from the order m: a closed form on length-J rows for
+m <= 3 (Smith's trigonometric roots with one Newton step at m = 3), and
+stacked ``numpy.linalg.eigvalsh`` for m >= 4 and for m = 3 lanes with two
+nearly equal eigenvalues.  Polynomial deflation and companion matrices are
+never used.
 """
 
 from __future__ import annotations
@@ -84,44 +87,153 @@ def jacobi_roots(diag, offdiag_b):
     weights ``offdiag_b`` (the b_k, of which square roots are taken).
 
     These are the eigenvalues of the symmetric tridiagonal Jacobi matrix;
-    sorted ascending and guaranteed distinct for positive b.
+    sorted ascending and guaranteed distinct for positive b.  Non-finite
+    entries are refused (a NaN would pass the positivity check).
     """
     diag = np.asarray(diag, dtype=float)
     offdiag_b = np.asarray(offdiag_b, dtype=float)
     if diag.ndim != 1 or len(offdiag_b) != len(diag) - 1:
         raise ValueError("need len(offdiag_b) == len(diag) - 1")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag_b))):
+        raise ValueError("recursion coefficients must be finite")
     if np.any(offdiag_b <= 0):
         raise ValueError("off-diagonal weights must be positive (cannot symmetrize)")
     return _jacobi_batch(diag[None, :], np.sqrt(offdiag_b)[None, :])[0]
 
 
-def _jacobi_batch(diag, offdiag, mass=None):
-    """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
-    already-square-rooted couplings beta_1..beta_{m-1}.  Given ``mass``
-    (shape (J, 1)) it also returns the Gauss weights as Christoffel numbers
-    mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
-    polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
-    with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
-    Golub-Welsch weights, without computing eigenvectors.  The matrices are
-    filled through strided views of their diagonals and the recurrence runs
-    order-major, on contiguous length-J rows of the transposed nodes; nodes
-    and weights then come back as (J, m) transposed views.  A zero coupling
-    (a decoupled matrix) leaves the eigenvalues exact and the weights
-    undefined (0 or nan)."""
+def _small_jacobi_eigenvalues(d, off):
+    """Ascending eigenvalues, as an (m, J) array, of the Jacobi matrices of
+    order m <= 3 with order-major diagonal rows d (m, J) and coupling rows
+    off (m-1, J), in closed form on length-J rows.  m = 2 is h +- hypot of
+    the half difference and the coupling.  m = 3 is Smith's trigonometric
+    form (CACM 4(4), 1961) on T - qI with q = trace/3: p^2 = ||T - qI||_F^2/6,
+    r = det(T - qI)/(2p^3) clipped to [-1, 1], phi = arccos(r)/3, outer roots
+    q + 2p cos(phi) and q + 2p cos(phi + 2pi/3), middle root from the trace;
+    then one Newton step on the characteristic polynomial, evaluated by the
+    three-term recurrence, where its derivative is nonzero.  The trigonometric
+    pair is off by about eps p^2 / gap; one Newton step repaired that at a
+    gap of 1e-5 p but not at 1e-6 p (60-digit reference), so lanes whose
+    closest pair is within 1e-4 p are solved again by
+    ``_dense_eigenvalues``."""
+    m, J = d.shape
+    x = np.empty((m, J))
+    if m == 1:
+        x[0] = d[0]
+        return x
+    if m == 2:
+        np.add(d[0], d[1], out=x[1])
+        x[1] *= 0.5
+        r = np.subtract(d[0], d[1])
+        r *= 0.5
+        np.hypot(r, off[0], out=r)
+        np.subtract(x[1], r, out=x[0])
+        x[1] += r
+        return x
+    q, r, p, t, s1, s2 = np.empty((6, J))
+    np.add(d[0], d[1], out=q)
+    q += d[2]
+    q /= 3.0
+    for k in range(3):
+        np.subtract(d[k], q, out=x[k])
+    np.multiply(off[0], off[0], out=s1)
+    np.multiply(off[1], off[1], out=s2)
+    np.multiply(x[1], x[2], out=r)  # det(T - qI), then r
+    r -= s2
+    r *= x[0]
+    np.multiply(s1, x[2], out=t)
+    r -= t
+    np.add(s1, s2, out=p)  # 6 p^2, then p
+    p *= 2.0
+    for k in range(3):
+        np.multiply(x[k], x[k], out=t)
+        p += t
+    p /= 6.0
+    np.sqrt(p, out=p)
+    # p = 0 only for T = qI, where det = 0 as well and the floor gives r = 0
+    np.maximum(p, np.finfo(float).tiny, out=t)
+    for _ in range(3):
+        r /= t
+    r *= 0.5
+    np.clip(r, -1.0, 1.0, out=r)
+    phi = np.arccos(r, out=r)
+    phi /= 3.0
+    for k, shift in ((2, 0.0), (0, 2.0 * np.pi / 3.0)):
+        phi += shift
+        np.cos(phi, out=x[k])
+        x[k] *= p
+        x[k] *= 2.0
+    np.add(x[0], x[2], out=x[1])
+    np.negative(x[1], out=x[1])
+    # the closest pair of each lane, against 1e-4 p
+    np.subtract(x[1], x[0], out=r)
+    np.subtract(x[2], x[1], out=t)
+    np.minimum(r, t, out=r)
+    p *= 1e-4
+    close = np.flatnonzero(r <= p)
+    x += q
+    p1, dp, p3 = q, r, p
+    for xk in x:
+        # P1 = x - d0, P2 = (x - d1) P1 - b1, P3 = (x - d2) P2 - b2 P1
+        np.subtract(xk, d[0], out=p1)
+        np.subtract(xk, d[1], out=t)
+        np.add(p1, t, out=dp)  # P2'
+        t *= p1
+        t -= s1  # P2
+        np.subtract(xk, d[2], out=p3)
+        dp *= p3
+        dp += t
+        dp -= s2  # P3'
+        p3 *= t
+        p1 *= s2
+        p3 -= p1  # P3
+        dp[dp == 0] = np.inf  # no step where the derivative vanishes
+        p3 /= dp
+        xk -= p3
+    if close.size:
+        x[:, close] = _dense_eigenvalues(d[:, close].T, off[:, close].T).T
+    return x
+
+
+def _dense_eigenvalues(diag, offdiag):
+    """``numpy.linalg.eigvalsh`` of the dense (J, m, m) Jacobi matrices,
+    filled through strided views of their diagonals; (J, m) ascending."""
     J, m = diag.shape
     A = np.zeros((J, m, m))
     flat = A.reshape(J, m * m)
     flat[:, :: m + 1] = diag
-    if m > 1:
-        flat[:, 1 :: m + 1] = offdiag
-        flat[:, m :: m + 1] = offdiag
-    nodes = np.linalg.eigvalsh(A)
-    if mass is None:
-        return nodes
-    del A, flat  # the recurrence needs only the rows; free the dense matrices
-    x = np.array(nodes.T, order="C")
-    del nodes
+    flat[:, 1 :: m + 1] = offdiag
+    flat[:, m :: m + 1] = offdiag
+    return np.linalg.eigvalsh(A)
+
+
+def _jacobi_batch(diag, offdiag, mass=None):
+    """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
+    already-square-rooted couplings beta_1..beta_{m-1}.  Orders m <= 3 are
+    solved in closed form (``_small_jacobi_eigenvalues``), larger ones by
+    ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices filled through
+    strided views of their diagonals.  Given ``mass`` (shape (J, 1)) it
+    also returns the Gauss weights as Christoffel numbers
+    mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
+    polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
+    with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
+    Golub-Welsch weights, without computing eigenvectors.  The closed form
+    and the recurrence run order-major, on contiguous length-J rows of the
+    transposed inputs; nodes and weights come back as (J, m) transposed
+    views.  With a zero coupling (a decoupled matrix) the eigenvalues are
+    those of the diagonal blocks, exactly from LAPACK and within about
+    eps ||T||_F in closed form, and the weights are undefined (0 or nan)."""
+    J, m = diag.shape
     d, off = diag.T, offdiag.T
+    if m <= 3:
+        x = _small_jacobi_eigenvalues(d, off)
+        if mass is None:
+            return x.T
+    else:
+        nodes = _dense_eigenvalues(diag, offdiag)
+        if mass is None:
+            return nodes
+        x = np.array(nodes.T, order="C")
+        del nodes
     p_prev, p = 0.0, 1.0
     christoffel = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
+from hyqmom.closures import _spectral_from_recurrence
 from hyqmom.moments import _moments_from_recurrence_batch
 from hyqmom.orthopoly import _jacobi_batch, _monic_pair_batch
-from corpus import random_even_moments, random_odd_moments
-from reference import mp_golub_welsch, vandermonde_weights
+from corpus import random_coefficients, random_even_moments, random_odd_moments
+from reference import mp_golub_welsch, mp_tridiagonal_eigenvalues, vandermonde_weights
 
 
 def monic(a, b, deg):
@@ -61,6 +62,17 @@ class TestJacobiRoots:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             hq.jacobi_roots([0, 0], [-1.0])
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_refused(self, m, bad):
+        # a NaN coupling passes the positivity check, and a NaN diagonal
+        # entry can come back as finite roots
+        for where in ("diag", "offdiag"):
+            diag, offdiag = np.zeros(m), np.ones(m - 1)
+            (diag if where == "diag" else offdiag)[-1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                hq.jacobi_roots(diag, offdiag)
 
     def test_matches_polynomial_roots(self, rng):
         # refined roots of the built polynomial agree with the eigenvalues
@@ -127,16 +139,114 @@ class TestGaussQuadrature:
 
 def _recurrence_row(rng, m, case):
     """Recurrence rows a (m,) and b (m,) of a Gaussian-like measure: a_k
-    near U, b_k near k theta, mass b_0 in [0.5, 2].  ``near boundary``
-    scales one coupling b_k (k >= 1) by 1e-10."""
+    near U (0, or 5 and 15 for the cases of those names), b_k near
+    k theta, mass b_0 in [0.5, 2].  ``near boundary`` scales one coupling
+    b_k (k >= 1) by 1e-10, ``nearer boundary`` by 1e-14."""
     theta = rng.uniform(0.5, 2.0)
-    U = 5.0 if case == "U=5" else 0.0
+    U = {"U=5": 5.0, "U=15": 15.0}.get(case, 0.0)
     a = U + rng.uniform(-0.3, 0.3, m) * np.sqrt(theta)
     b = np.arange(m) * theta * rng.uniform(0.5, 1.5, m)
     b[0] = rng.uniform(0.5, 2.0)
-    if case == "near boundary" and m > 1:
-        b[rng.integers(1, m)] *= 1e-10
+    scale = {"near boundary": 1e-10, "nearer boundary": 1e-14}.get(case)
+    if scale and m > 1:
+        b[rng.integers(1, m)] *= scale
     return a, b
+
+
+def _small_order_rows(rng, m, case):
+    """Recurrence rows (a, b) of order m for the closed-form eigenvalues.
+    A ``near-degenerate pair`` sets a_1 = a_0 + sqrt(s) u and b_1 = s.  At
+    m = 3 that splits off the first row rather than closing two
+    eigenvalues, so a ``close pair`` puts a_2 at an eigenvalue of the
+    leading 2x2 block plus sqrt(s) u, with b_2 = s.  s runs from 1e-8 down
+    to 1e-30, u is uniform in [-1, 1]."""
+    if not case.endswith("pair"):
+        for _ in range(20):
+            yield _recurrence_row(rng, m, case)
+        return
+    if m < (3 if case == "close pair" else 2):
+        return
+    for s in 10.0 ** -np.arange(8, 31, 2):
+        for _ in range(4):
+            a, b = _recurrence_row(rng, m, "U=0")
+            u = rng.uniform(-1.0, 1.0)
+            if case == "close pair":
+                half = np.hypot((a[0] - a[1]) / 2, np.sqrt(b[1]))
+                a[2] = (a[0] + a[1]) / 2 + rng.choice([-half, half]) + np.sqrt(s) * u
+                b[2] = s
+            else:
+                a[1] = a[0] + np.sqrt(s) * u
+                b[1] = s
+            yield a, b
+
+
+class TestSmallOrderEigenvalues:
+    """Jacobi orders m <= 3 are solved in closed form, larger ones by
+    LAPACK's eigvalsh; the choice follows m, and lanes with a close pair
+    at m = 3 go back to LAPACK."""
+
+    CASES = ("U=0", "U=15", "near boundary", "nearer boundary", "near-degenerate pair", "close pair")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_high_precision_reference(self, rng, case):
+        # nodes strictly ascending and within (m+1) eps ||T||_F of the
+        # eigenvalues of the same double matrices at 60 digits, the radius
+        # of the verify-hyperbolicity enclosures
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        eps = np.finfo(float).eps
+        worst = 0.0
+        with mpmath.workdps(60):
+            for m in (1, 2, 3):
+                for a, b in _small_order_rows(rng, m, case):
+                    off = np.sqrt(b[1:])
+                    x = _jacobi_batch(a[None, :], off[None, :])[0]
+                    assert np.all(np.diff(x) > 0)
+                    exact = mp_tridiagonal_eigenvalues(
+                        [mp.mpf(v) for v in a], [mp.mpf(v) for v in off], mp
+                    )
+                    radius = (m + 1) * eps * np.sqrt(np.sum(a**2) + 2 * np.sum(off**2))
+                    for v, e in zip(x, sorted(exact)):
+                        worst = max(worst, float(abs(mp.mpf(v) - e)) / radius)
+        print(f"\n{case}: worst node error {worst:.2f} x (m+1) eps ||T||_F")
+        assert worst <= 1.0
+
+    def test_no_lapack_call_up_to_order_three(self, rng, count_calls):
+        calls = count_calls(np.linalg, "eigvalsh")
+        for m in (1, 2, 3):
+            hq.jacobi_roots(rng.uniform(-1, 1, m), rng.uniform(0.5, 2, m - 1))
+        a, b = random_coefficients(rng, 2, count=50)
+        _spectral_from_recurrence(a, b, 1.0)  # orders 2 and 3
+        cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), (40, 1))
+        cells[20:] = hq.maxwellian_moments(0.125, 0.3, 0.8, 4)
+        grid = hq.GridState(cells=cells, dx=np.full(40, 1 / 40), tau=1.0)
+        hq.step(grid, hq.hyqmom_closure(1.0), "gauss")  # order 3
+        assert calls[0] == 0
+
+    def test_one_lapack_call_per_batch_from_order_four(self, rng, count_calls):
+        calls = count_calls(np.linalg, "eigvalsh")
+        for count, m in enumerate((4, 6, 7), start=1):
+            a, b = _recurrence_row(rng, m, "U=0")
+            _jacobi_batch(np.tile(a, (9, 1)), np.tile(np.sqrt(b[1:]), (9, 1)), np.ones((9, 1)))
+            assert calls[0] == count
+
+    def test_close_pairs_go_to_lapack(self, rng, count_calls):
+        # only the close-pair lanes are solved again, in one call, and they
+        # match LAPACK on those matrices alone
+        rows = [next(_small_order_rows(rng, 3, "U=0")) for _ in range(6)]
+        close = list(_small_order_rows(rng, 3, "close pair"))[-3:]
+        lanes = [1, 4, 6]
+        for lane, row in zip(lanes, close):
+            rows.insert(lane, row)
+        diag = np.array([a for a, _ in rows])
+        off = np.sqrt(np.array([b[1:] for _, b in rows]))
+        calls = count_calls(np.linalg, "eigvalsh")
+        x = _jacobi_batch(diag, off)
+        assert calls[0] == 1
+        dense = np.zeros((len(lanes), 3, 3))
+        for i, lane in enumerate(lanes):
+            dense[i] = np.diag(diag[lane]) + np.diag(off[lane], 1) + np.diag(off[lane], -1)
+        assert np.array_equal(x[lanes], np.linalg.eigvalsh(dense))
 
 
 class TestChristoffelWeights:
@@ -170,7 +280,7 @@ class TestChristoffelWeights:
     def test_layout_independent(self, rng, case):
         # C- and F-ordered rows with the same values: identical nodes and
         # weights, (J, m) shapes
-        for m in (1, 3, 6):
+        for m in (1, 2, 3, 4, 6):
             rows = [_recurrence_row(rng, m, case) for _ in range(7)]
             a = np.array([r[0] for r in rows])
             b = np.array([r[1] for r in rows])
