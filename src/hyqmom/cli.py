@@ -193,13 +193,13 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
     a nonpositive weight.  Each computed eigenvalue of a symmetric
     tridiagonal T of order m is enclosed with the radius (m+1) eps ||T||_F,
     with ||T||_F taken from the draw's own (a, b) for T_Q (order n) and
-    T_R (order n+1).  For m >= 4 that is LAPACK's backward-error bound; for
-    the closed-form orders m <= 3 it is a measured bound, checked against
-    60-digit eigenvalues in the tests (worst error 0.2 of the radius,
-    near-degenerate pairs included).  Interlaced eigenvalues alternate
-    between the two, so disjoint adjacent enclosures prove 2n+1 distinct
-    eigenvalues; a small gap alone fails nothing, as the theorem gives no
-    lower bound on it.
+    T_R (order n+1).  For m >= 5 that is LAPACK's backward-error bound; for
+    the closed-form orders m <= 4 it is a measured bound, checked against
+    60-digit eigenvalues in the tests (worst error 0.36 of the radius,
+    close and near-degenerate pairs included).  Interlaced eigenvalues
+    alternate between the two, so disjoint adjacent enclosures prove 2n+1
+    distinct eigenvalues; a small gap alone fails nothing, as the theorem
+    gives no lower bound on it.
     """
     n = a.shape[1]
     eps = np.finfo(float).eps
@@ -223,19 +223,43 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
     return failures
 
 
-def _require_order_and_samples(args):
+# sampling ranges of the verify commands, and whether their low end must be
+# positive (couplings, densities and temperatures)
+_SAMPLING_RANGES = {
+    "a_range": False,
+    "b_range": True,
+    "rho_range": True,
+    "u_range": False,
+    "theta_range": True,
+}
+
+
+def _require_sampling(args):
+    """Refuse an order outside 1..MAX_HALF_ORDER, no samples, or a sampling
+    range that is not finite with low <= high (low > 0 where required)."""
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.n > MAX_HALF_ORDER:
         raise ValueError(f"n={args.n} exceeds the supported cap n={MAX_HALF_ORDER}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    for name, positive in _SAMPLING_RANGES.items():
+        if not hasattr(args, name):
+            continue
+        low, high = getattr(args, name)
+        flag = "--" + name.replace("_", "-")
+        if not (np.isfinite(low) and np.isfinite(high) and low <= high):
+            raise ValueError(
+                f"{flag} must be finite with low <= high, got {low!r} {high!r}"
+            )
+        if positive and not low > 0:
+            raise ValueError(f"{flag} must have a positive low end, got {low!r}")
 
 
 def _cmd_verify_hyperbolicity(args):
     tol = 1e-7 if args.tol is None else args.tol
     n, gamma = args.n, args.gamma
-    _require_order_and_samples(args)
+    _require_sampling(args)
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if gamma <= -2 * n:
@@ -277,7 +301,7 @@ def _cmd_verify_hyperbolicity(args):
 
 def _cmd_verify_stability(args):
     n = args.n
-    _require_order_and_samples(args)
+    _require_sampling(args)
     if n == 1:
         report = {
             "n": n,

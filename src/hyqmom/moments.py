@@ -17,10 +17,11 @@ and every realizability check reports a cancellation-loss estimate.
 The batched kernels take (J, L) moment rows, J cells of L moments, and run
 order-major: the Wheeler recursion works on contiguous length-J rows of
 M.T, one per order, and returns its (J, .) coefficient and pivot arrays as
-transposed views of order-major buffers, and ``gaussian_moments`` builds one
-row per order before returning the moment axis last.  A Fortran-ordered
-input, such as the solver's cells, is read row by row without a copy; a
-C-ordered one gives the same values.
+transposed views of order-major buffers.  ``gaussian_moments`` builds one
+row per order before returning the moment axis last, and the moment build
+from recurrence rows fills one (L, J) block per polynomial degree.  A
+Fortran-ordered input, such as the solver's cells, is read row by row
+without a copy; a C-ordered one gives the same values.
 """
 
 from __future__ import annotations
@@ -358,24 +359,33 @@ def _moments_from_recurrence_batch(a, b, length):
     """Forward sweep of the mixed moments sigma(k, l) = <Q_k X^l>.
 
     Runs diagonal by diagonal on sigma(k, k+d) so every entry only needs
-    already-computed values; sigma(k, k) is the pivot product b_0..b_k.
+    already-computed values; sigma(k, k) is the pivot product b_0..b_k and
+    sigma(k+1, k) = 0.  The table is order-major, one (length, J) block of
+    contiguous length-J rows per k, read from order-major copies of a and
+    b; the moments come back as the (J, length) transposed view of the
+    k = 0 block, which holds no reference to the others.
     """
     J = a.shape[0]
     Lm = length - 1
     R = Lm // 2
-    T = np.zeros((J, R + 2, length))
-    cp = np.cumprod(b[:, : R + 1], axis=1)
-    for k in range(R + 1):
-        T[:, k, k] = cp[:, k]
+    a = np.ascontiguousarray(a.T)
+    b = np.ascontiguousarray(b.T)
+    T = [np.empty((length, J)), *np.empty((R + 1, length, J))]
+    for k, pivot in enumerate(np.cumprod(b[: R + 1], axis=0)):
+        T[k][k] = pivot
+        T[k + 1][k] = 0.0
+    tmp = np.empty(J)
     for d in range(1, Lm + 1):
         for k in range(R + 1):
             if d > Lm - 2 * k:
                 continue
-            t = T[:, k + 1, k + d - 1] + a[:, k] * T[:, k, k + d - 1]
+            t = T[k][k + d]
+            np.multiply(a[k], T[k][k + d - 1], out=t)
+            t += T[k + 1][k + d - 1]
             if k >= 1:
-                t = t + b[:, k] * T[:, k - 1, k + d - 1]
-            T[:, k, k + d] = t
-    return T[:, 0, :]
+                np.multiply(b[k], T[k - 1][k + d - 1], out=tmp)
+                t += tmp
+    return T[0].T
 
 
 def recurrence_to_moments(rc, length):
@@ -384,8 +394,12 @@ def recurrence_to_moments(rc, length):
     Needs a_0..a_{ceil((length-1)/2)-1} and b_0..b_{(length-1)//2}, all
     b_k > 0.  This is the generator of random strictly realizable vectors:
     any admissible (a, b) yields a realizable output by construction.
+    Non-finite coefficients are refused (a NaN would pass the positivity
+    check).
     """
     a, b = _coeff_arrays(rc)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("recurrence coefficients must be finite")
     if length < 1:
         raise ValueError("length must be >= 1")
     _half_order(length)

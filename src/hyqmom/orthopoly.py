@@ -10,10 +10,11 @@ the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
 and computes no eigenvectors; single-matrix calls are its J = 1 case.  It
 picks the solver from the order m: a closed form on length-J rows for
-m <= 3 (Smith's trigonometric roots with one Newton step at m = 3), and
-stacked ``numpy.linalg.eigvalsh`` for m >= 4 and for m = 3 lanes with two
-nearly equal eigenvalues.  Polynomial deflation and companion matrices are
-never used.
+m <= 4 (Smith's trigonometric roots with one Newton step at m = 3, the
+depressed quartic split by its largest resolvent root with two Newton
+steps at m = 4), and stacked ``numpy.linalg.eigvalsh`` for m >= 5 and for
+m = 3 and 4 lanes with two nearly equal eigenvalues.  Polynomial deflation
+and companion matrices are never used.
 """
 
 from __future__ import annotations
@@ -103,18 +104,17 @@ def jacobi_roots(diag, offdiag_b):
 
 def _small_jacobi_eigenvalues(d, off):
     """Ascending eigenvalues, as an (m, J) array, of the Jacobi matrices of
-    order m <= 3 with order-major diagonal rows d (m, J) and coupling rows
+    order m <= 4 with order-major diagonal rows d (m, J) and coupling rows
     off (m-1, J), in closed form on length-J rows.  m = 2 is h +- hypot of
-    the half difference and the coupling.  m = 3 is Smith's trigonometric
-    form (CACM 4(4), 1961) on T - qI with q = trace/3: p^2 = ||T - qI||_F^2/6,
-    r = det(T - qI)/(2p^3) clipped to [-1, 1], phi = arccos(r)/3, outer roots
-    q + 2p cos(phi) and q + 2p cos(phi + 2pi/3), middle root from the trace;
-    then one Newton step on the characteristic polynomial, evaluated by the
-    three-term recurrence, where its derivative is nonzero.  The trigonometric
-    pair is off by about eps p^2 / gap; one Newton step repaired that at a
-    gap of 1e-5 p but not at 1e-6 p (60-digit reference), so lanes whose
-    closest pair is within 1e-4 p are solved again by
-    ``_dense_eigenvalues``."""
+    the half difference and the coupling.  m = 3 and 4 work on T - qI with
+    q = trace/m: Smith's trigonometric cubic at m = 3
+    (``_trigonometric_cubic_roots``), the depressed quartic at m = 4
+    (``_quartic_roots``).  Then m - 2 Newton steps on the characteristic
+    polynomial (``_newton_step``).  Both forms are off by about
+    eps ||T||^2 / gap on a close pair; at m = 3 one Newton step repaired
+    that at a gap of 1e-5 of the spread but not at 1e-6 (60-digit
+    reference), so lanes whose closest pair lies within 1e-4 of the spread
+    are solved again by ``_dense_eigenvalues``."""
     m, J = d.shape
     x = np.empty((m, J))
     if m == 1:
@@ -129,23 +129,44 @@ def _small_jacobi_eigenvalues(d, off):
         np.subtract(x[1], r, out=x[0])
         x[1] += r
         return x
-    q, r, p, t, s1, s2 = np.empty((6, J))
+    s = np.square(off)
+    rows = np.empty((4 if m == 3 else 7, J))
+    q = rows[0]
     np.add(d[0], d[1], out=q)
-    q += d[2]
-    q /= 3.0
-    for k in range(3):
+    for k in range(2, m):
+        q += d[k]
+    q /= float(m)
+    for k in range(m):
         np.subtract(d[k], q, out=x[k])
-    np.multiply(off[0], off[0], out=s1)
-    np.multiply(off[1], off[1], out=s2)
-    np.multiply(x[1], x[2], out=r)  # det(T - qI), then r
-    r -= s2
-    r *= x[0]
-    np.multiply(s1, x[2], out=t)
+    roots = _trigonometric_cubic_roots if m == 3 else _quartic_roots
+    close = roots(x, s, rows[1:])
+    x += q
+    for xk in x:
+        for _ in range(m - 2):
+            _newton_step(xk, d, s, rows)
+    if close.size:
+        x[:, close] = _dense_eigenvalues(d[:, close].T, off[:, close].T).T
+    return x
+
+
+def _trigonometric_cubic_roots(e, s, rows):
+    """Smith's trigonometric form (CACM 4(4), 1961): overwrites the
+    trace-free diagonal rows e (3, J) of T - qI, whose squared couplings are
+    s (2, J), with its ascending eigenvalues.  p^2 = ||T - qI||_F^2 / 6,
+    r = det(T - qI) / (2 p^3) clipped to [-1, 1], phi = arccos(r) / 3; the
+    outer roots are 2p cos(phi) and 2p cos(phi + 2 pi/3), the middle one
+    follows from the trace.  Returns the lanes whose closest pair lies
+    within 1e-4 p."""
+    r, p, t = rows
+    np.multiply(e[1], e[2], out=r)  # det(T - qI), then r
+    r -= s[1]
+    r *= e[0]
+    np.multiply(s[0], e[2], out=t)
     r -= t
-    np.add(s1, s2, out=p)  # 6 p^2, then p
+    np.add(s[0], s[1], out=p)  # 6 p^2, then p
     p *= 2.0
     for k in range(3):
-        np.multiply(x[k], x[k], out=t)
+        np.multiply(e[k], e[k], out=t)
         p += t
     p /= 6.0
     np.sqrt(p, out=p)
@@ -159,39 +180,163 @@ def _small_jacobi_eigenvalues(d, off):
     phi /= 3.0
     for k, shift in ((2, 0.0), (0, 2.0 * np.pi / 3.0)):
         phi += shift
-        np.cos(phi, out=x[k])
-        x[k] *= p
-        x[k] *= 2.0
-    np.add(x[0], x[2], out=x[1])
-    np.negative(x[1], out=x[1])
-    # the closest pair of each lane, against 1e-4 p
-    np.subtract(x[1], x[0], out=r)
-    np.subtract(x[2], x[1], out=t)
+        np.cos(phi, out=e[k])
+        e[k] *= p
+        e[k] *= 2.0
+    np.add(e[0], e[2], out=e[1])
+    np.negative(e[1], out=e[1])
+    np.subtract(e[1], e[0], out=r)
+    np.subtract(e[2], e[1], out=t)
     np.minimum(r, t, out=r)
     p *= 1e-4
-    close = np.flatnonzero(r <= p)
-    x += q
-    p1, dp, p3 = q, r, p
-    for xk in x:
-        # P1 = x - d0, P2 = (x - d1) P1 - b1, P3 = (x - d2) P2 - b2 P1
-        np.subtract(xk, d[0], out=p1)
-        np.subtract(xk, d[1], out=t)
-        np.add(p1, t, out=dp)  # P2'
-        t *= p1
-        t -= s1  # P2
-        np.subtract(xk, d[2], out=p3)
-        dp *= p3
-        dp += t
-        dp -= s2  # P3'
-        p3 *= t
-        p1 *= s2
-        p3 -= p1  # P3
-        dp[dp == 0] = np.inf  # no step where the derivative vanishes
-        p3 /= dp
-        xk -= p3
-    if close.size:
-        x[:, close] = _dense_eigenvalues(d[:, close].T, off[:, close].T).T
-    return x
+    return np.flatnonzero(r <= p)
+
+
+def _quartic_roots(e, s, rows):
+    """Overwrites the trace-free diagonal rows e (4, J) of T - qI, whose
+    squared couplings are s (3, J), with its ascending eigenvalues, the
+    roots of the depressed quartic y^4 + p y^2 + c1 y + c0.  p is
+    -||T - qI||_F^2 / 2; c1 and c0 come from the three-term recurrence.
+    With the eigenvalues y_0 <= y_1 <= y_2 <= y_3, the resolvent cubic
+    z^3 + 2p z^2 + (p^2 - 4 c0) z - c1^2 has the roots (y_0 + y_j)^2; only
+    its largest, z1 = (y_0 + y_1)^2 = (y_2 + y_3)^2,
+    is taken (trigonometric form, clipped at 0).  With s1 = sqrt(z1) and
+    h = c1 / s1 the quartic splits into (y^2 + s1 y + u)(y^2 - s1 y + v),
+    whose discriminants are g + 2h and g - 2h with g = -z1 - 2p, so the
+    roots come out ascending.  z1 lies (middle gap) x (span) away from the
+    other two resolvent roots, so it is as accurate as the closest pair
+    allows.  The textbook roots (+-sqrt(z1) +- sqrt(z2) +- sqrt(z3)) / 2
+    are avoided: on a spectrum symmetric about q, z3 = 0 and a close pair
+    makes z2 tiny as well, their square roots amplify the error of the
+    cubic, and the closest-pair test missed lanes wrong by up to 1e9
+    enclosure radii (a_k = U, b_1 = b_3, b_2 small).  Returns the lanes
+    whose closest pair lies within 1e-4 of the spread
+    sqrt(-p) = ||T - qI||_F / sqrt(2)."""
+    tiny = np.finfo(float).tiny
+    p, c1, c0, u, v, w = rows
+    np.add(s[0], s[1], out=p)
+    p += s[2]
+    for k in range(4):
+        np.multiply(e[k], e[k], out=w)
+        w *= 0.5
+        p += w
+    np.negative(p, out=p)
+    # P2 = y^2 + u1 y + u0, P3 = y^3 + v2 y^2 + v1 y + v0 and
+    # P4 = (y - e3) P3 - s2 P2, at their y^1 and y^0 coefficients
+    np.add(e[0], e[1], out=c1)
+    np.negative(c1, out=c1)  # u1
+    np.multiply(e[0], e[1], out=c0)
+    c0 -= s[0]  # u0
+    np.multiply(e[2], c1, out=u)
+    np.subtract(c0, u, out=u)
+    u -= s[1]  # v1
+    np.multiply(s[1], e[0], out=v)
+    np.multiply(e[2], c0, out=w)
+    v -= w  # v0
+    c1 *= s[2]
+    np.multiply(e[3], u, out=w)
+    c1 += w
+    np.subtract(v, c1, out=c1)  # c1 = v0 - e3 v1 - s2 u1
+    c0 *= s[2]
+    np.multiply(e[3], v, out=w)
+    c0 += w
+    np.negative(c0, out=c0)  # c0 = -e3 v0 - s2 u0
+    # the resolvent roots are -2p/3 + 2R cos(phi + 2 pi k/3), the largest
+    # at k = 0, with R^2 = p^2/9 + 4 c0/3, cos(3 phi) = -Q / (2 R^3) and
+    # Q = -2p^3/27 + 8 p c0/3 - c1^2
+    np.multiply(p, p, out=u)
+    u /= 9.0
+    np.multiply(c0, 4.0 / 3.0, out=w)
+    u += w
+    np.maximum(u, 0.0, out=u)
+    np.sqrt(u, out=u)  # R
+    np.multiply(p, p, out=v)
+    v *= p
+    v *= -2.0 / 27.0
+    np.multiply(p, c0, out=w)
+    w *= 8.0 / 3.0
+    v += w
+    np.multiply(c1, c1, out=w)
+    v -= w  # Q
+    # R = 0 only for a triple resolvent root, where Q = 0 as well
+    np.maximum(u, tiny, out=c0)
+    for _ in range(3):
+        v /= c0
+    v *= -0.5
+    np.clip(v, -1.0, 1.0, out=v)
+    np.arccos(v, out=v)
+    v /= 3.0
+    np.cos(v, out=v)
+    v *= u
+    v *= 2.0
+    np.multiply(p, 2.0 / 3.0, out=w)
+    v -= w  # z1
+    np.maximum(v, 0.0, out=v)
+    np.sqrt(v, out=v)  # s1
+    np.maximum(v, tiny, out=u)
+    c1 /= u  # h
+    c1 *= 2.0
+    np.multiply(v, v, out=c0)
+    c0 += p
+    c0 += p
+    np.negative(c0, out=c0)  # g
+    np.add(c0, c1, out=u)
+    np.subtract(c0, c1, out=w)
+    for disc in (u, w):
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)  # gaps of the lower and upper pair
+    np.add(v, u, out=e[0])
+    e[0] *= -0.5
+    np.subtract(u, v, out=e[1])
+    e[1] *= 0.5
+    np.subtract(v, w, out=e[2])
+    e[2] *= 0.5
+    np.add(v, w, out=e[3])
+    e[3] *= 0.5
+    np.add(u, w, out=c0)
+    c0 *= -0.5
+    c0 += v  # middle gap
+    np.minimum(c0, u, out=c0)
+    np.minimum(c0, w, out=c0)
+    np.negative(p, out=p)
+    np.sqrt(p, out=p)
+    p *= 1e-4
+    return np.flatnonzero(c0 <= p)
+
+
+def _newton_step(x, d, s, rows):
+    """One Newton step, in place on the row x, on the characteristic
+    polynomial P_m of the order m = 3 or 4 Jacobi matrices, evaluated with
+    its derivative by the three-term recurrence
+    P_{k+1} = (x - d_k) P_k - s_k P_{k-1}; no step where the derivative is
+    0.  Uses four rows of ``rows`` at m = 3 and five at m = 4."""
+    m = d.shape[0]
+    p1, dp, p, t = rows[:4]
+    dp2 = rows[4] if m == 4 else dp
+    np.subtract(x, d[0], out=p1)  # P1
+    np.subtract(x, d[1], out=t)
+    np.add(p1, t, out=dp2)  # P2'
+    t *= p1
+    t -= s[0]  # P2
+    np.subtract(x, d[2], out=p)
+    np.multiply(dp2, p, out=dp)
+    dp += t
+    dp -= s[1]  # P3'
+    p *= t
+    p1 *= s[1]
+    p -= p1  # P3
+    if m == 4:
+        np.subtract(x, d[3], out=p1)
+        dp *= p1
+        dp += p
+        dp2 *= s[2]
+        dp -= dp2  # P4'
+        p *= p1
+        t *= s[2]
+        p -= t  # P4
+    dp[dp == 0] = np.inf
+    p /= dp
+    x -= p
 
 
 def _dense_eigenvalues(diag, offdiag):
@@ -208,7 +353,7 @@ def _dense_eigenvalues(diag, offdiag):
 
 def _jacobi_batch(diag, offdiag, mass=None):
     """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
-    already-square-rooted couplings beta_1..beta_{m-1}.  Orders m <= 3 are
+    already-square-rooted couplings beta_1..beta_{m-1}.  Orders m <= 4 are
     solved in closed form (``_small_jacobi_eigenvalues``), larger ones by
     ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices filled through
     strided views of their diagonals.  Given ``mass`` (shape (J, 1)) it
@@ -224,7 +369,7 @@ def _jacobi_batch(diag, offdiag, mass=None):
     eps ||T||_F in closed form, and the weights are undefined (0 or nan)."""
     J, m = diag.shape
     d, off = diag.T, offdiag.T
-    if m <= 3:
+    if m <= 4:
         x = _small_jacobi_eigenvalues(d, off)
         if mass is None:
             return x.T
@@ -234,15 +379,20 @@ def _jacobi_batch(diag, offdiag, mass=None):
             return nodes
         x = np.array(nodes.T, order="C")
         del nodes
-    p_prev, p = 0.0, 1.0
+    p_prev, p = None, 1.0
     christoffel = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m - 1):
-            p_next = (x - d[k]) * p
-            if k:
-                p_next -= off[k - 1] * p_prev
+            p_next = x - d[k]
+            p_next *= p
+            if k == 1:
+                p_next -= off[0]  # beta_1 p_0, with p_0 = 1
+            elif k:
+                p_prev *= off[k - 1]
+                p_next -= p_prev
             p_next /= off[k]
-            christoffel += p_next * p_next
+            # from k = 2 on p_prev is spent and takes the square
+            christoffel += np.multiply(p_next, p_next, out=p_prev if k >= 2 else None)
             p_prev, p = p, p_next
     return x.T, (mass.T / christoffel).T
 

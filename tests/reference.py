@@ -59,6 +59,27 @@ def mp_recurrence(m):
     return a, b
 
 
+def mp_moments_from_recurrence(a, b, length):
+    """M_0..M_{length-1} of the measure with monic recurrence rows (a, b):
+    b_0 times the (0, 0) entry of A^l, with A tridiagonal with diagonal
+    a_k, ones above it and b_1, b_2, ... below it (a sum over Motzkin
+    paths).  Paths of length below 2k + 1 never move along level k, so
+    a_k may be missing there."""
+    size = (length - 1) // 2 + 1
+    a = list(a[:size]) + [0] * (size - len(a[:size]))
+    w = [1] + [0] * (size - 1)  # row 0 of A^l
+    out = []
+    for _ in range(length):
+        out.append(b[0] * w[0])
+        w = [
+            w[j] * a[j]
+            + (w[j - 1] if j else 0)
+            + (w[j + 1] * b[j + 1] if j + 1 < size else 0)
+            for j in range(size)
+        ]
+    return out
+
+
 def mp_mul(p, q):
     """Product of two low-to-high coefficient lists."""
     out = [0] * (len(p) + len(q) - 1)

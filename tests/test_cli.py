@@ -259,6 +259,34 @@ class TestVerifyHyperbolicity:
         assert _hyperbolicity_failures(a, b, 1.0, lam, om) == []
 
 
+class TestSamplingRanges:
+    @pytest.mark.parametrize(
+        "command, flag, low, high, message",
+        [
+            ("verify-hyperbolicity", "--a-range", "0", "nan", "must be finite with low <= high"),
+            ("verify-hyperbolicity", "--a-range", "1", "-1", "must be finite with low <= high"),
+            ("verify-hyperbolicity", "--b-range", "-1", "1", "must have a positive low end"),
+            ("verify-hyperbolicity", "--b-range", "0", "0", "must have a positive low end"),
+            ("verify-stability", "--u-range", "0", "inf", "must be finite with low <= high"),
+            ("verify-stability", "--rho-range", "0", "1", "must have a positive low end"),
+            ("verify-stability", "--theta-range", "nan", "1", "must be finite with low <= high"),
+            ("verify-stability", "--theta-range", "2", "1", "must be finite with low <= high"),
+        ],
+    )
+    def test_bad_range_refused(self, command, flag, low, high, message, capsys, tmp_path):
+        # refused before any draw: numpy's sampler raises OverflowError on
+        # a non-finite range, and b <= 0 draws unrealizable moments
+        code, _, err = run_cli(
+            [command, "--n", "2", "--samples", "5", flag, low, high,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert f"{flag} {message}" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestVerifyStability:
     def test_batch_passes(self, capsys):
         code, out, _ = run_cli(

@@ -5,8 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 import hyqmom as hq
-from hyqmom.moments import _realizable_pivots_batch, _wheeler_batch
+from hyqmom.moments import (
+    _moments_from_recurrence_batch,
+    _realizable_pivots_batch,
+    _wheeler_batch,
+)
 from corpus import random_coefficients, random_odd_moments
+from reference import mp_moments_from_recurrence
 
 
 class TestRealizability:
@@ -84,6 +89,29 @@ class TestBatchLayout:
         for c, f, cols in zip(outs[0][1:], outs[1][1:], (3, 4, 4)):
             assert c.shape == f.shape == (8, cols)
             assert np.array_equal(c, f, equal_nan=True)
+
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 8, 9, 21])
+    def test_moments_from_recurrence_batch(self, rng, length):
+        # bitwise equal for both layouts, and within 1e-14 of a 60-digit
+        # build, relative to the same build on |a| (no cancellation)
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        n = length // 2
+        a, b = random_coefficients(rng, max(n, 1), count=9)
+        outs = [
+            _moments_from_recurrence_batch(np.array(a, order=o), np.array(b, order=o), length)
+            for o in ("C", "F")
+        ]
+        assert outs[0].shape == outs[1].shape == (9, length)
+        assert np.array_equal(*outs)
+        with mpmath.workdps(60):
+            for j in range(9):
+                aj, bj = [mp.mpf(x) for x in a[j]], [mp.mpf(x) for x in b[j]]
+                exact = mp_moments_from_recurrence(aj, bj, length)
+                scale = mp_moments_from_recurrence([abs(x) for x in aj], bj, length)
+                for got, e, s in zip(outs[0][j], exact, scale):
+                    assert abs(mp.mpf(got) - e) <= 1e-14 * s
 
 
 class TestGaussianMoments:
@@ -293,6 +321,16 @@ class TestRecurrenceToMoments:
     def test_nonpositive_b_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             hq.recurrence_to_moments(([0.0, 0.0], [1.0, -1.0, 2.0]), 5)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([np.nan], [1.0, 1.0]), ([0.0], [1.0, np.nan]), ([np.inf], [1.0, 1.0])],
+        ids=["nan a", "nan b", "inf a"],
+    )
+    def test_non_finite_refused(self, a, b):
+        # a NaN coupling passes the positivity check
+        with pytest.raises(ValueError, match="finite"):
+            hq.recurrence_to_moments((a, b), 3)
 
 
 class TestEquilibriumState:

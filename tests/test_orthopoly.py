@@ -155,25 +155,45 @@ def _recurrence_row(rng, m, case):
 
 def _small_order_rows(rng, m, case):
     """Recurrence rows (a, b) of order m for the closed-form eigenvalues.
-    A ``near-degenerate pair`` sets a_1 = a_0 + sqrt(s) u and b_1 = s.  At
-    m = 3 that splits off the first row rather than closing two
-    eigenvalues, so a ``close pair`` puts a_2 at an eigenvalue of the
-    leading 2x2 block plus sqrt(s) u, with b_2 = s.  s runs from 1e-8 down
-    to 1e-30, u is uniform in [-1, 1]."""
-    if not case.endswith("pair"):
+    A ``Maxwellian`` row has a_k = U with |U| <= 15 and b_k = k theta, so
+    its nodes lie symmetric about U.  A ``near-degenerate pair`` sets
+    a_1 = a_0 + sqrt(s) u and b_1 = s.  From m = 3 on that splits off the
+    first row rather than closing two eigenvalues, so a ``close pair`` puts
+    a_{m-1} at an eigenvalue of the leading block plus sqrt(s) u, with
+    b_{m-1} = s.  ``symmetric close pairs`` (m = 4) sets a_k = U,
+    b_1 = b_3 = t and b_2 = s t: two pairs U -+ sqrt(t) split by about
+    sqrt(s t), on a spectrum symmetric about U.  s runs from 1e-8 down to
+    1e-30, for the symmetric pairs from 1 down to 1e-24 (a split of 1e-12,
+    which double precision still resolves at |U| = 15); u is uniform in
+    [-1, 1]."""
+    if case == "Maxwellian":
+        for _ in range(20):
+            U, theta = rng.uniform(-15.0, 15.0), rng.uniform(0.1, 10.0)
+            b = np.arange(m) * theta
+            b[0] = rng.uniform(0.5, 2.0)
+            yield np.full(m, U), b
+        return
+    if "pair" not in case:
         for _ in range(20):
             yield _recurrence_row(rng, m, case)
         return
-    if m < (3 if case == "close pair" else 2):
+    first = {"near-degenerate pair": 2, "close pair": 3, "symmetric close pairs": 4}[case]
+    if m < first or (case == "symmetric close pairs" and m != 4):
         return
-    for s in 10.0 ** -np.arange(8, 31, 2):
+    exponents = np.arange(0, 25) if case == "symmetric close pairs" else np.arange(8, 31, 2)
+    for s in 10.0**-exponents:
         for _ in range(4):
             a, b = _recurrence_row(rng, m, "U=0")
             u = rng.uniform(-1.0, 1.0)
-            if case == "close pair":
-                half = np.hypot((a[0] - a[1]) / 2, np.sqrt(b[1]))
-                a[2] = (a[0] + a[1]) / 2 + rng.choice([-half, half]) + np.sqrt(s) * u
-                b[2] = s
+            if case == "symmetric close pairs":
+                a[:] = rng.uniform(-15.0, 15.0)
+                b[1] = b[3] = rng.uniform(0.5, 2.0)
+                b[2] = s * b[1]
+            elif case == "close pair":
+                off = np.sqrt(b[1 : m - 1])
+                lead = np.diag(a[:-1]) + np.diag(off, 1) + np.diag(off, -1)
+                a[-1] = rng.choice(np.linalg.eigvalsh(lead)) + np.sqrt(s) * u
+                b[-1] = s
             else:
                 a[1] = a[0] + np.sqrt(s) * u
                 b[1] = s
@@ -181,11 +201,14 @@ def _small_order_rows(rng, m, case):
 
 
 class TestSmallOrderEigenvalues:
-    """Jacobi orders m <= 3 are solved in closed form, larger ones by
+    """Jacobi orders m <= 4 are solved in closed form, larger ones by
     LAPACK's eigvalsh; the choice follows m, and lanes with a close pair
-    at m = 3 go back to LAPACK."""
+    at m = 3 and 4 go back to LAPACK."""
 
-    CASES = ("U=0", "U=15", "near boundary", "nearer boundary", "near-degenerate pair", "close pair")
+    CASES = (
+        "U=0", "U=15", "Maxwellian", "near boundary", "nearer boundary",
+        "near-degenerate pair", "close pair", "symmetric close pairs",
+    )
 
     @pytest.mark.parametrize("case", CASES)
     def test_high_precision_reference(self, rng, case):
@@ -197,7 +220,7 @@ class TestSmallOrderEigenvalues:
         eps = np.finfo(float).eps
         worst = 0.0
         with mpmath.workdps(60):
-            for m in (1, 2, 3):
+            for m in (1, 2, 3, 4):
                 for a, b in _small_order_rows(rng, m, case):
                     off = np.sqrt(b[1:])
                     x = _jacobi_batch(a[None, :], off[None, :])[0]
@@ -211,42 +234,48 @@ class TestSmallOrderEigenvalues:
         print(f"\n{case}: worst node error {worst:.2f} x (m+1) eps ||T||_F")
         assert worst <= 1.0
 
-    def test_no_lapack_call_up_to_order_three(self, rng, count_calls):
+    def test_no_lapack_call_up_to_order_four(self, rng, count_calls):
         calls = count_calls(np.linalg, "eigvalsh")
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             hq.jacobi_roots(rng.uniform(-1, 1, m), rng.uniform(0.5, 2, m - 1))
         a, b = random_coefficients(rng, 2, count=50)
         _spectral_from_recurrence(a, b, 1.0)  # orders 2 and 3
-        cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), (40, 1))
-        cells[20:] = hq.maxwellian_moments(0.125, 0.3, 0.8, 4)
-        grid = hq.GridState(cells=cells, dx=np.full(40, 1 / 40), tau=1.0)
-        hq.step(grid, hq.hyqmom_closure(1.0), "gauss")  # order 3
+        a, b = random_coefficients(rng, 3, count=50)
+        for gamma in (1.0, 0.0, -2.0):
+            _spectral_from_recurrence(a, b, gamma)  # orders 3 and 4
+        for n in (2, 3):  # orders 3 and 4
+            cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 2 * n), (40, 1))
+            cells[20:] = hq.maxwellian_moments(0.125, 0.3, 0.8, 2 * n)
+            grid = hq.GridState(cells=cells, dx=np.full(40, 1 / 40), tau=1.0)
+            hq.step(grid, hq.hyqmom_closure(1.0), "gauss")
         assert calls[0] == 0
 
-    def test_one_lapack_call_per_batch_from_order_four(self, rng, count_calls):
+    def test_one_lapack_call_per_batch_from_order_five(self, rng, count_calls):
         calls = count_calls(np.linalg, "eigvalsh")
-        for count, m in enumerate((4, 6, 7), start=1):
+        for count, m in enumerate((5, 6, 7), start=1):
             a, b = _recurrence_row(rng, m, "U=0")
             _jacobi_batch(np.tile(a, (9, 1)), np.tile(np.sqrt(b[1:]), (9, 1)), np.ones((9, 1)))
             assert calls[0] == count
 
     def test_close_pairs_go_to_lapack(self, rng, count_calls):
-        # only the close-pair lanes are solved again, in one call, and they
-        # match LAPACK on those matrices alone
-        rows = [next(_small_order_rows(rng, 3, "U=0")) for _ in range(6)]
-        close = list(_small_order_rows(rng, 3, "close pair"))[-3:]
+        # only the close-pair lanes are solved again, in one call per batch,
+        # and they match LAPACK on those matrices alone
         lanes = [1, 4, 6]
-        for lane, row in zip(lanes, close):
-            rows.insert(lane, row)
-        diag = np.array([a for a, _ in rows])
-        off = np.sqrt(np.array([b[1:] for _, b in rows]))
+        batches = []
+        for m, case in [(3, "close pair"), (4, "close pair"), (4, "symmetric close pairs")]:
+            rows = [next(_small_order_rows(rng, m, "U=0")) for _ in range(6)]
+            close = list(_small_order_rows(rng, m, case))[-3:]
+            for lane, row in zip(lanes, close):
+                rows.insert(lane, row)
+            diag = np.array([a for a, _ in rows])
+            off = np.sqrt(np.array([b[1:] for _, b in rows]))
+            dense = [np.diag(diag[i]) + np.diag(off[i], 1) + np.diag(off[i], -1) for i in lanes]
+            batches.append((diag, off, np.linalg.eigvalsh(np.array(dense))))
         calls = count_calls(np.linalg, "eigvalsh")
-        x = _jacobi_batch(diag, off)
-        assert calls[0] == 1
-        dense = np.zeros((len(lanes), 3, 3))
-        for i, lane in enumerate(lanes):
-            dense[i] = np.diag(diag[lane]) + np.diag(off[lane], 1) + np.diag(off[lane], -1)
-        assert np.array_equal(x[lanes], np.linalg.eigvalsh(dense))
+        for count, (diag, off, expected) in enumerate(batches, start=1):
+            x = _jacobi_batch(diag, off)
+            assert calls[0] == count
+            assert np.array_equal(x[lanes], expected)
 
 
 class TestChristoffelWeights:
@@ -280,7 +309,7 @@ class TestChristoffelWeights:
     def test_layout_independent(self, rng, case):
         # C- and F-ordered rows with the same values: identical nodes and
         # weights, (J, m) shapes
-        for m in (1, 2, 3, 4, 6):
+        for m in (1, 2, 3, 4, 5, 6):
             rows = [_recurrence_row(rng, m, case) for _ in range(7)]
             a = np.array([r[0] for r in rows])
             b = np.array([r[1] for r in rows])
