@@ -279,8 +279,8 @@ def _recurrence_rows(m, spec):
 
 def _companion(c):
     """Companion matrix of the monic c (low-to-high): the shift on the
-    superdiagonal and -c_0..-c_N in the last row."""
-    A = np.eye(len(c) - 1, k=1)
+    superdiagonal and -c_0..-c_N in the last row; dtype follows c."""
+    A = np.eye(len(c) - 1, k=1, dtype=c.dtype)
     A[-1, :] = -c[:-1]
     return A
 

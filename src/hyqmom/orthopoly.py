@@ -67,12 +67,13 @@ def poly_mul(p, q):
 def _monic_pair_batch(a, b, deg):
     """Batched monic (Q_deg, Q_{deg-1}) coefficient rows (low-to-high) from
     the recursion Q_{k+1} = (X - a_k) Q_k - b_k Q_{k-1}, which reads
-    a_0..a_{deg-1} and b_1..b_{deg-1}; dtype follows a."""
+    a_0..a_{deg-1} and b_1..b_{deg-1}; dtype follows a and b, so object
+    rows of Python integers give exact integer coefficients."""
     J = a.shape[0]
     dtype = np.result_type(a.dtype, b.dtype)
     qm = np.zeros((J, deg + 1), dtype=dtype)
     q = np.zeros((J, deg + 1), dtype=dtype)
-    q[:, 0] = 1.0
+    q[:, 0] = 1
     for k in range(deg):
         qn = np.zeros_like(q)
         qn[:, 1 : k + 2] = q[:, : k + 1]

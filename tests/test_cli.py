@@ -259,6 +259,47 @@ class TestVerifyHyperbolicity:
         assert _hyperbolicity_failures(a, b, 1.0, lam, om) == []
 
 
+class TestRoundTripPrecision:
+    @pytest.mark.parametrize("high", ["1e60", "1e200"])
+    def test_unresolved_ranges_refused(self, high, capsys, tmp_path):
+        # every drawn (a, b) with b > 0 is realizable, so a row the gate
+        # refuses after the (a, b) -> moments round trip (overflow here) is
+        # a precision limit of the ranges, not an unrealizable input; no
+        # RuntimeWarning escapes (pytest turns them into errors)
+        code, _, err = run_cli(
+            ["verify-hyperbolicity", "--n", "3", "--samples", "5", "--a-range", "0", high,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "sample 0 lost realizability in the (a, b) -> moments round trip" in err
+        assert f"--a-range 0.0 {float(high)!r} --b-range 0.1 10.0" in err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", str(CONFIGS / "riemann_n2.json"), "--tol", "5"],
+        ["simulate", str(CONFIGS / "riemann_n2.json"), "--format", "json"],
+        ["simulate", str(CONFIGS / "riemann_n2.json"), "--seed", "1"],
+        ["verify-stability", "--n", "2", "--tol", "1e-6"],
+        ["verify-stability", "--n", "2", "--format", "csv"],
+        ["verify-hyperbolicity", "--n", "2", "--format", "csv"],
+        ["close", "--qmom", "--moments", "1,0,1,0", "--seed", "1"],
+        ["spectrum", "--moments", "1,0,1,0,3", "--seed", "1"],
+    ],
+    ids=["simulate-tol", "simulate-format", "simulate-seed", "stability-tol",
+         "stability-csv", "hyperbolicity-csv", "close-seed", "spectrum-seed"],
+)
+def test_options_a_command_does_not_read_are_refused(argv, capsys, tmp_path):
+    # each subcommand takes only the common options it reads
+    code, _, err = run_cli(argv + ["--output-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err or "invalid choice" in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestSamplingRanges:
     @pytest.mark.parametrize(
         "command, flag, low, high, message",
@@ -310,16 +351,23 @@ class TestVerifyStability:
         assert expected in err
         assert not (tmp_path / "stability_report.json").exists()
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_default_ranges_pass(self, n, capsys):
-        # the certificate is built at the standard state, so the lab-frame
-        # roundoff at large |U| / sqrt(theta) cannot fail it
+        # the certificate is built at the standard state in exact arithmetic,
+        # so the lab-frame roundoff at large |U| / sqrt(theta) cannot fail it,
+        # and every condition residual is exactly 0
         for seed in range(5):
             code, out, _ = run_cli(
-                ["verify-stability", "--n", str(n), "--seed", str(seed)], capsys
+                ["verify-stability", "--n", str(n), "--seed", str(seed), "--format", "json"],
+                capsys,
             )
-            assert code == 0, (seed, out)
-            assert "100 certificates, 0 failure(s)" in out
+            report = json.loads(out)
+            assert code == 0 and report["passed"], seed
+            assert len(report["certificates"]) == 100
+            for cert in report["certificates"]:
+                residuals = dict(cert["residuals"])
+                assert residuals.pop("spd_min_pivot") > 0
+                assert set(residuals.values()) == {0.0}
 
     def test_n1_trivial(self, capsys):
         code, out, _ = run_cli(["verify-stability", "--n", "1"], capsys)
@@ -390,15 +438,19 @@ class TestEntryPoint:
         assert "M_4" in proc.stdout
 
     def test_import_does_not_load_scipy(self, package_env):
-        # no code path in the package needs scipy; only the tests use it
+        # no code path in the package needs scipy; only the tests use it.
+        # The certificate's exact arithmetic is in Python integers, so
+        # fractions and decimal stay out of the cold start as well
+        modules = ("scipy", "fractions", "decimal")
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, hyqmom; print('scipy' in sys.modules)"],
+            [sys.executable, "-c",
+             f"import sys, hyqmom; print([m for m in {modules} if m in sys.modules])"],
             capture_output=True,
             text=True,
             env=package_env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_usage_error_exit_1(self, package_env):
         proc = subprocess.run(
@@ -415,7 +467,7 @@ class TestEntryPoint:
     "argv",
     [
         ["verify-hyperbolicity", "--n", "2", "--samples", "20", "--seed", "3"],
-        ["verify-stability", "--n", "2", "--samples", "2", "--tol", "1e-6"],
+        ["verify-stability", "--n", "2", "--samples", "2"],
         ["close", "--hyqmom", "--moments", "1,0,1"],
     ],
 )

@@ -5,14 +5,8 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.moments import _gaussian_u_derivatives
 from hyqmom.orthopoly import poly_eval
-from hyqmom.stability import (
-    DEFAULT_TOLERANCES,
-    _coupling_residual,
-    _equilibrium_spectrum,
-    _tail_polynomials,
-)
+from hyqmom.stability import _equilibrium_spectrum, _leading_minors, _standard_certificate
 from corpus import random_state
 from reference import mp_mul, mp_tridiagonal_eigenvalues
 
@@ -73,11 +67,17 @@ def mp_standard_spectrum(n, mp):
     return [lam[i] for i in order], [w[i] for i in order]
 
 
-def lab_offblock(state, n):
-    """K off-block norm assembled in the lab frame at the state."""
+def lab_symmetrizer(state, n):
+    """A_0 = L^T D L in double precision, L_ik = F_k(lam_i), assembled in
+    the lab frame at the state from the weights D = symmetrizer_weights(n)."""
     lam, _ = _equilibrium_spectrum(n, state.U, state.theta)
     L = np.array([poly_eval(F, lam) for F in hq.tail_polynomials(state, n).tails]).T
-    A0 = L.T @ (hq.symmetrizer_weights(n)[:, None] * L)
+    return L.T @ (hq.symmetrizer_weights(n)[:, None] * L)
+
+
+def lab_offblock(state, n):
+    """K off-block norm assembled in the lab frame at the state."""
+    A0 = lab_symmetrizer(state, n)
     P = hq.source_jacobian(state, n).P_inv
     K = P.T @ A0 @ P
     return max(np.linalg.norm(K[:3, 3:]), np.linalg.norm(K[3:, :3])) / np.linalg.norm(K)
@@ -283,19 +283,61 @@ class TestSymmetrizerWeights:
             )
 
 
+EXACT_KEYS = ("conditionI_residual", "commutator_residual", "K_offblock_norm", "coupling_residual")
+
+
 class TestCertify:
     def test_standard_state_n2(self):
         cert = hq.certify(hq.EquilibriumState(1, 0, 1), 2)
         assert cert.passed
-        for key in (
-            "conditionI_residual",
-            "symmetrizer_asymmetry",
-            "commutator_residual",
-            "K_offblock_norm",
-            "coupling_residual",
-        ):
-            assert cert.residuals[key] < 1e-8
-        assert cert.residuals["spd_min_eigenvalue"] > 0
+        assert set(cert.residuals) == set(EXACT_KEYS) | {"spd_min_pivot"}
+        for key in EXACT_KEYS:
+            assert cert.residuals[key] == 0
+        # c = (X^2 - 1)(X^3 - 6X) and ell = (1, 0, 1, 0, 4, ...): A_0[2, 2] is
+        # ell_4 - 14 ell_2 + 49 = 39, and the last pivot 108 / 1566 of the
+        # leading minors is the smallest relative to its diagonal entry 1
+        A0 = _standard_certificate(2)[0]
+        assert (A0 == np.array([[18, 0, -21, 0, 3], [0, 15, 0, -3, 0], [-21, 0, 39, 0, -6],
+                                [0, -3, 0, 1, 0], [3, 0, -6, 0, 1]])).all()
+        assert _leading_minors(A0) == [18, 270, 3915, 1566, 108]
+        assert cert.residuals["spd_min_pivot"] == 2 / 29
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exact_zeros_and_positive_minors(self, n):
+        # every condition is an exact integer identity at the standard state,
+        # and A_0 is an integer matrix with positive leading minors
+        A0, residuals, conditions = _standard_certificate(n)
+        for key in EXACT_KEYS:
+            assert type(residuals[key]) is int and residuals[key] == 0
+        assert conditions == {"I": True, "II": True, "III": True}
+        assert all(type(x) is int for x in A0.flat)
+        assert (A0 == A0.T).all()
+        minors = _leading_minors(A0)
+        assert len(minors) == 2 * n + 1 and all(m > 0 for m in minors)
+        assert 0 < residuals["spd_min_pivot"] < 1
+
+    def test_leading_minors_match_determinants(self, rng):
+        # Bareiss minors against float determinants of small integer
+        # matrices; an indefinite matrix stops at its first minor <= 0
+        for _ in range(20):
+            B = rng.integers(-5, 6, (5, 5))
+            A = (B @ B.T + np.eye(5, dtype=int)).astype(object)
+            minors = _leading_minors(A)
+            exact = [np.linalg.det(A[:k, :k].astype(float)) for k in range(1, 6)]
+            assert np.allclose(minors, exact, rtol=1e-9)
+        A = np.array([[2, 3, 0], [3, 4, 1], [0, 1, 5]], dtype=object)
+        assert _leading_minors(A) == [2, -1]
+
+    def test_exact_symmetrizer_matches_float(self):
+        # the exact A_0 = F Hankel(ell) F^T against the double L^T D L built
+        # from the reported weights D, n = 2..10: this ties D to the
+        # certificate; the worst measured difference is 8.6e-16 (n = 10) of
+        # the largest entry
+        standard = hq.EquilibriumState(1.0, 0.0, 1.0)
+        for n in range(2, 11):
+            exact = _standard_certificate(n)[0].astype(float)
+            diff = np.max(np.abs(lab_symmetrizer(standard, n) - exact))
+            assert diff <= 2e-15 * np.max(np.abs(exact)), n
 
     def test_random_states(self, rng):
         for n in (2, 3):
@@ -307,8 +349,8 @@ class TestCertify:
         # characteristic coefficients are density-free at equilibrium
         c1 = hq.certify(hq.EquilibriumState(1.0, 0.7, 1.3), 2)
         c2 = hq.certify(hq.EquilibriumState(7.0, 0.7, 1.3), 2)
-        assert c1.residuals["K_offblock_norm"] < 1e-12
-        assert c2.residuals["K_offblock_norm"] < 1e-12
+        assert c1.residuals["K_offblock_norm"] == 0
+        assert c2.residuals["K_offblock_norm"] == 0
         assert np.allclose(c1.D, c2.D)
 
     def test_small_order_raises(self):
@@ -324,17 +366,17 @@ class TestCertify:
 
     def test_standard_certificate_reused(self, rng, count_calls):
         # once an order is certified, a certificate at any state only reads
-        # the standard residuals: no spectrum, tails, A_0 or eigensolve
+        # the standard residuals: no spectrum, tails, A_0 or elimination
         from hyqmom import stability
 
         hq.certify(hq.EquilibriumState(1.0, 0.0, 1.0), 4)
         counts = [
             count_calls(stability, name)
-            for name in ("source_jacobian", "_equilibrium_spectrum", "_tail_polynomials",
-                         "_companion", "_coupling_residual")
+            for name in ("_source_blocks", "_equilibrium_spectrum", "_tail_polynomials",
+                         "_companion", "_leading_minors", "_monic_pair_batch")
         ]
         certs = [hq.certify(random_state(rng), 4) for _ in range(5)]
-        assert [c[0] for c in counts] == [0] * 5
+        assert [c[0] for c in counts] == [0] * 6
         for cert in certs[1:]:
             assert cert.residuals == certs[0].residuals
             assert cert.D is hq.symmetrizer_weights(4)
@@ -345,25 +387,30 @@ class TestCertify:
     @pytest.mark.parametrize("gamma", [0.0, 2.0])
     def test_gamma_not_one_fails_coupling(self, gamma):
         # negative control: the weights certify the affine-invariant gamma = 1
-        # closure only; with the spectrum and characteristic polynomial of
-        # gamma = 0 or 2 at the standard state the coupling sums stay large
-        for n in range(2, 7):
-            lam, c = _equilibrium_spectrum(n, 0.0, 1.0, gamma)
-            h = _tail_polynomials(_gaussian_u_derivatives(2 * n, 0.0, 1.0, 2), c).h
-            assert _coupling_residual(lam, h, hq.symmetrizer_weights(n)) > 1e-2
+        # closure only; with the characteristic polynomial of gamma = 0 or 2
+        # at the standard state the exact K off-block and coupling sums are
+        # nonzero integers, and (III) fails
+        offblock = {0.0: (1, 1080, 2741400), 2.0: (1, 1260, 3105000)}[gamma]
+        for n, expected in zip((2, 4, 6), offblock):
+            _, residuals, conditions = _standard_certificate(n, int(gamma))
+            assert residuals["K_offblock_norm"] == expected
+            assert residuals["coupling_residual"] > 0
+            assert residuals["commutator_residual"] == 0
+            assert not conditions["III"]
 
     def test_lab_frame_cross_check(self, rng):
         # the lab-frame assembly from raw moments agrees with the standard
         # certificate where |U| / sqrt(theta) <= 2; its roundoff grows like
         # (1 + |U| / sqrt(theta))^(2n) and passes the 1e-8 coupling
-        # tolerance there only up to n = 6
+        # tolerance (of the float certificate this replaced) there only up
+        # to n = 6
         for n in range(2, 7):
             for _ in range(10):
                 theta = float(rng.uniform(0.1, 10.0))
                 U = float(rng.uniform(-2.0, 2.0)) * math.sqrt(theta)
                 st = hq.EquilibriumState(float(rng.uniform(0.1, 10.0)), U, theta)
-                assert hq.coupling_residuals(st, n) < DEFAULT_TOLERANCES["coupling"]
-                assert lab_offblock(st, n) < DEFAULT_TOLERANCES["K_offblock"]
+                assert hq.coupling_residuals(st, n) < 1e-8
+                assert lab_offblock(st, n) < 1e-8
 
     def test_standard_state_high_precision_reference(self):
         # the exact standard state (a_k = 0, b_k = k, gamma = 1) at 60 digits,
