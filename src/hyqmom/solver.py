@@ -21,12 +21,21 @@ reproducible for identical configs.
 
 Per-cell data is stored order-major: ``GridState.cells`` is a (J, 2n+1)
 Fortran-ordered array, the transposed view of a contiguous (2n+1, J)
-buffer, so ``cells[:, k]`` is one contiguous row per moment order.  Every
-stage of the step (Wheeler gate, reconstruction, interface fluxes, flux
-difference, relaxation, post-step check) works on such rows and hands
-(J, .) transposed views to the next, so each per-order update is a
-contiguous length-J vector operation.  Inputs in C order give the same
-values, only through strided rows.
+buffer, so ``cells[:, k]`` is one contiguous row per moment order.
+
+A step runs over contiguous blocks of cells (``_blocks``), each holding
+about ``BLOCK_VALUES`` moment values, so that one block's rows and the
+temporaries built from them stay in cache.  The first pass gates,
+reconstructs, takes each cell's CFL speed and writes its split power sums,
+the two halves of its interface fluxes; the global dt follows from all
+speeds.  The second pass adds the halves into the block's interface
+fluxes (one ghost interface per side, the boundary rule only at the
+global ends), differences them, adds the old cells, relaxes, and gates
+the new cells into the new grid's memo.  Within a block every per-order
+update is a contiguous row operation, and every cell sees the same
+operations in the same order as in one block over the whole grid, so the
+results are bitwise those of an unblocked step.  Inputs in C order give
+the same values, only through strided rows.
 """
 
 from __future__ import annotations
@@ -62,6 +71,11 @@ BOUNDARIES = ("periodic", "zero-gradient")
 # temperature is flagged as near the realizability boundary; the run
 # continues without regularization.
 NEAR_BOUNDARY_FRACTION = 1e-10
+
+# Moment values per block of the step: 8192 cells at n = 2.  The fastest of
+# a block-length sweep of the whole step at J = 1e5 (ROADMAP, "Where the
+# time goes").
+BLOCK_VALUES = 40960
 
 
 class RealizabilityLossError(RuntimeError):
@@ -122,11 +136,40 @@ class GridState:
         return self.cells.shape[0]
 
     def _gate(self):
-        """(ok, a, b) of _realizable_pivots_batch on the cells, memoized."""
+        """(ok, a, b) of _realizable_pivots_batch on the cells, swept one
+        block at a time and memoized."""
         if self._gate_memo is None:
-            ok, a, b, _ = _realizable_pivots_batch(self.cells)
-            self._gate_memo = (ok, a, b)
+            gate = _empty_gate(*self.cells.shape)
+            for blk in _blocks(*self.cells.shape):
+                _gate_block(self.cells[blk], gate, blk)
+            self._gate_memo = gate
         return self._gate_memo
+
+
+def _blocks(J, L):
+    """Slices cutting J cells of L moments into ceil(J / size) contiguous
+    blocks of nearly equal length, size = BLOCK_VALUES // L cells; J <= size
+    gives one block.  Equal lengths keep a short remainder out: numpy sums a
+    one-column array of 8 or more rows in another order than a wider one."""
+    count = -(-J // max(BLOCK_VALUES // L, 1))
+    bounds = [J * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _empty_gate(J, L):
+    """Gate arrays (ok, a, b) for J cells of L moments, laid out as
+    _realizable_pivots_batch returns them: a (J, n) and b (J, n+1) are
+    transposed views of order-major buffers."""
+    n = L // 2
+    return np.empty(J, dtype=bool), np.empty((n, J)).T, np.empty((n + 1, J)).T
+
+
+def _gate_block(cells, gate, blk):
+    """_realizable_pivots_batch on one block of cells, into the rows blk of
+    the gate arrays."""
+    ok, a, b, _ = _realizable_pivots_batch(cells)
+    for whole, part in zip(gate, (ok, a, b)):
+        whole[blk] = part
 
 
 @dataclass
@@ -185,46 +228,56 @@ def _reconstruct_batch(a, b, gamma, variant):
     return lam, om
 
 
-def _interface_fluxes(nodes, weights, order_count, boundary):
-    """Kinetic fluxes for all interfaces and moment orders.
+def _interface_fluxes(nodes, weights, right, left):
+    """Split power sums of a block of cells, the two halves of its
+    interface fluxes.
 
-    Returns an array of shape (J+1, order_count), the transposed view of an
-    order-major (order_count, J+1) table; interface i sits between cells
-    i-1 and i with the boundary rule supplying the missing neighbor.  Row k
-    of the table adds the split power sums sum w x^(k+1) over the positive
-    nodes of the left cell and over the nonpositive nodes of the right
-    cell.  The two running powers max(x, 0)^(k+1) and min(x, 0)^(k+1) are
-    kept order-major and updated in place, and each weighted sum goes
-    through one scratch buffer straight into its row of the table.
+    ``right`` and ``left`` are (K, B) for B cells and K moment orders.  Row
+    k of ``right`` gets sum w x^(k+1) over each cell's positive nodes, which
+    the cell sends through its right interface, and row k of ``left`` the
+    same sum over its nonpositive nodes, sent through its left interface;
+    the flux of an interface is the right half of the cell before it plus
+    the left half of the cell after it.  The two running powers
+    max(x, 0)^(k+1) and min(x, 0)^(k+1) are kept order-major and updated in
+    place, and each weighted sum goes through one scratch buffer straight
+    into its row.
     """
     X, W = nodes.T, weights.T
-    q, J = X.shape
-    pos = np.maximum(X, 0.0, out=np.empty((q, J)))
-    neg = np.minimum(X, 0.0, out=np.empty((q, J)))
-    scratch = np.empty((q, J))
-    minus = np.empty(J)
-    # neighbors of the two boundary interfaces
-    first, last = (J - 1, 0) if boundary == "periodic" else (0, J - 1)
-    table = np.empty((order_count, J + 1))
-    for k in range(order_count):
+    pos = np.maximum(X, 0.0, out=np.empty(X.shape))
+    neg = np.minimum(X, 0.0, out=np.empty(X.shape))
+    scratch = np.empty(X.shape)
+    for k in range(right.shape[0]):
         if k:
             # each power is zero where its sign does not match, and stays so
             pos *= X
             neg *= X
-        np.sum(np.multiply(W, pos, out=scratch), axis=0, out=table[k, 1:])
-        table[k, 0] = table[k, first + 1]
-        np.sum(np.multiply(W, neg, out=scratch), axis=0, out=minus)
-        table[k, :J] += minus
-        table[k, J] += minus[last]
-    return table.T
+        np.sum(np.multiply(W, pos, out=scratch), axis=0, out=right[k])
+        np.sum(np.multiply(W, neg, out=scratch), axis=0, out=left[k])
 
 
-def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
-    """The grid one step on, from the gate's (a, b); the update's full-size
-    temporaries are freed on return, before the post-step check.  Every
-    per-order update is a contiguous length-J row of the order-major cells."""
-    nodes, weights = _reconstruct_batch(a, b, gamma, variant)
-    smax = np.max(np.abs(nodes.T), axis=0)
+def _flux_halves(grid, a, b, gamma, variant, blocks):
+    """First pass of a step: per block the reconstruction, the CFL speed
+    max|node| of each cell and its split power sums.  Returns the speeds
+    (J,) and the halves ``right`` and ``left`` (L, J+1) of the interface
+    fluxes, both indexed by interface: column i of ``right`` comes from
+    cell i-1 and column i of ``left`` from cell i, with the boundary rule
+    filling the two columns that have no such cell."""
+    J, L = grid.cells.shape
+    smax = np.empty(J)
+    right, left = np.empty((L, J + 1)), np.empty((L, J + 1))
+    for blk in blocks:
+        nodes, weights = _reconstruct_batch(a[blk], b[blk], gamma, variant)
+        np.max(np.abs(nodes.T), axis=0, out=smax[blk])
+        _interface_fluxes(nodes, weights, right[:, blk.start + 1 : blk.stop + 1], left[:, blk])
+    first, last = (J - 1, 0) if grid.boundary == "periodic" else (0, J - 1)
+    right[:, 0] = right[:, first + 1]
+    left[:, J] = left[:, last]
+    return smax, right, left
+
+
+def _time_step(grid, smax, cfl, dt, dt_max):
+    """dt from the CFL speeds, or the explicit dt, capped by dt_max, after
+    checking that every convex-update factor stays nonnegative."""
     with np.errstate(divide="ignore"):
         dt_cfl = cfl * np.min(np.where(smax > 0, grid.dx / smax, np.inf))
     if not np.isfinite(dt_cfl):
@@ -243,22 +296,41 @@ def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
             "CFL violated: a convex-update factor went negative "
             f"(min {float(factor)!r}); realizability is no longer guaranteed"
         )
+    return step_dt
 
-    L = grid.cells.shape[1]
-    flux = _interface_fluxes(nodes, weights, L, grid.boundary).T
-    cells = flux[:, :-1] - flux[:, 1:]
-    del flux
-    cells *= step_dt / grid.dx
-    cells += grid.cells.T
 
-    rho, U, theta = _primitive_rows(grid.cells)
-    maxwellian = gaussian_moments(L - 1, U, theta).T
+def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
+    """The grid one step on, from the gate's (a, b), in two passes over the
+    blocks of cells around the global dt.  The second pass gates the new
+    cells block by block, and the result is the new grid's memoized gate."""
+    J, L = grid.cells.shape
+    blocks = _blocks(J, L)
+    smax, right, left = _flux_halves(grid, a, b, gamma, variant, blocks)
+    step_dt = _time_step(grid, smax, cfl, dt, dt_max)
+
+    new = np.empty((L, J))
+    gate = _empty_gate(J, L)
+    ratio = step_dt / grid.dx
     r = step_dt / grid.tau
-    maxwellian *= rho
-    maxwellian *= r
-    cells += maxwellian
-    cells /= 1.0 + r
-    return replace(grid, cells=cells.T, time=float(grid.time) + step_dt)
+    for blk in blocks:
+        faces = slice(blk.start, blk.stop + 1)
+        flux = np.add(right[:, faces], left[:, faces])
+        cells = np.subtract(flux[:, :-1], flux[:, 1:], out=new[:, blk])
+        cells *= ratio[blk]
+        cells += grid.cells[blk].T
+
+        rho, U, theta = _primitive_rows(grid.cells[blk])
+        maxwellian = gaussian_moments(L - 1, U, theta).T
+        maxwellian *= rho
+        maxwellian *= r
+        cells += maxwellian
+        cells /= 1.0 + r
+        _gate_block(cells.T, gate, blk)
+    # the flux halves go before the new grid copies its cells
+    del right, left
+    stepped = replace(grid, cells=new.T, time=float(grid.time) + step_dt)
+    stepped._gate_memo = gate
+    return stepped
 
 
 def _require_realizable(grid, what):
@@ -277,8 +349,8 @@ def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
     dt defaults to cfl * min(dx / max|node|), capped by dt_max; an explicit
     dt must still respect the per-cell CFL bound (asserted through the
     convex-update factors).  The step gates on the input grid's memoized
-    realizability check and runs that check once on the output grid, where
-    it stays memoized as the next step's gate.
+    realizability check; the output grid's check runs block by block inside
+    the update and stays memoized as the next step's gate.
     """
     _check_flux(spec, variant, grid.n)
     if not 0 < cfl <= 1:

@@ -327,6 +327,35 @@ class TestSamplingRanges:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, flag, low, plain",
+        [
+            ("verify-stability", "--u-range", "-1e1", "-10"),
+            ("verify-hyperbolicity", "--a-range", "-25E-1", "-2.5"),
+            ("verify-hyperbolicity", "--a-range", "-.5e+0", "-0.5"),
+        ],
+    )
+    def test_negative_low_end_in_exponent_form(self, command, flag, low, plain, capsys):
+        # argparse alone reads -1e1 as an option and refuses the range
+        reports = []
+        for value in (low, plain):
+            code, out, err = run_cli(
+                [command, "--n", "2", "--samples", "5", flag, value, "5", "--format", "json"],
+                capsys,
+            )
+            assert code == 0, err
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])[flag[2:].replace("-", "_")][0] == float(plain)
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["-x", "1"], ["--u-range", "-e1", "5"]])
+    def test_unknown_option_still_refused(self, extra, capsys):
+        code, _, err = run_cli(
+            ["verify-stability", "--n", "2", "--u-range", "-1e1", "5", *extra], capsys
+        )
+        assert code == 1
+        assert "usage: hyqmom" in err and "error:" in err
+
 
 class TestVerifyStability:
     def test_batch_passes(self, capsys):

@@ -8,7 +8,13 @@ import pytest
 
 import hyqmom as hq
 from hyqmom.moments import _realizable_pivots_batch
-from hyqmom.solver import _interface_fluxes, _reconstruct_batch, build_initial_grid
+from hyqmom.solver import (
+    _blocks,
+    _flux_halves,
+    _interface_fluxes,
+    _reconstruct_batch,
+    build_initial_grid,
+)
 from corpus import random_odd_moments
 from reference import kinetic_flux
 
@@ -105,43 +111,52 @@ class TestReconstructNodes:
 class TestKineticFlux:
     @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
-    def test_interface_fluxes_match_scalar(self, rng, variant, boundary):
-        # every interface of the batched flux, boundary ones included,
-        # against the single-interface reference
+    def test_interface_fluxes_match_scalar(self, rng, variant, boundary, monkeypatch):
+        # every interface of the halves added, boundary ones and the two
+        # between blocks of two cells included, against the single-interface
+        # reference
+        monkeypatch.setattr(hq.solver, "BLOCK_VALUES", 2 * 5)
         cells = random_odd_moments(rng, 2, count=6)
-        _, a, b, _ = _realizable_pivots_batch(cells)
+        grid = hq.GridState(cells=cells, dx=np.full(6, 1 / 6), tau=1.0, boundary=boundary)
+        _, a, b = grid._gate()
+        blocks = _blocks(6, 5)
+        assert len(blocks) == 3
+        _, right, left = _flux_halves(grid, a, b, 1.0, variant, blocks)
+        flux = (right + left).T
+        assert flux.shape == (7, 5)
+        # the same rules C- and F-ordered give the same halves
         nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
-        flux = _interface_fluxes(nodes, weights, 5, boundary)
-        # the same rules C- and F-ordered give the same table
+        halves = []
         for order in ("C", "F"):
-            other = _interface_fluxes(
-                np.array(nodes, order=order), np.array(weights, order=order), 5, boundary
-            )
-            assert other.shape == flux.shape == (7, 5)
-            assert np.array_equal(other, flux)
+            out = np.empty((2, 5, 6))
+            _interface_fluxes(np.array(nodes, order=order), np.array(weights, order=order), *out)
+            halves.append(out)
+        assert np.array_equal(halves[0], halves[1])
+        assert np.array_equal(halves[0], [right[:, 1:], left[:, :6]])
         rules = [hq.Quadrature(nodes=x, weights=w) for x, w in zip(nodes, weights)]
         if boundary == "periodic":
             pairs = [(rules[i - 1], rules[i % 6]) for i in range(7)]
         else:
             pairs = [(rules[max(i - 1, 0)], rules[min(i, 5)]) for i in range(7)]
-        for i, (left, right) in enumerate(pairs):
+        for i, (left_rule, right_rule) in enumerate(pairs):
             for k in range(5):
-                expect = kinetic_flux(left, right, k)
+                expect = kinetic_flux(left_rule, right_rule, k)
                 assert flux[i, k] == pytest.approx(expect, rel=1e-13, abs=1e-13)
 
     def test_peak_memory(self, rng):
-        # one order-major table, the two running powers and one scratch
-        # buffer come to 5x the nodes at n = 2
+        # the two running powers and one scratch buffer, each the size of
+        # the nodes, are all a block's split sums allocate
         cells = random_odd_moments(rng, 2, count=10_000)
         _, a, b, _ = _realizable_pivots_batch(cells)
         nodes, weights = _reconstruct_batch(a, b, 1.0, "gauss")
+        right, left = np.empty((2, 5, 10_000))
         tracemalloc.start()
         try:
-            _interface_fluxes(nodes, weights, 5, "periodic")
+            _interface_fluxes(nodes, weights, right, left)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * nodes.nbytes
+        assert peak <= 3 * nodes.nbytes + 4096
 
     def test_full_upwind_from_left(self):
         left = hq.Quadrature(nodes=np.array([0.5, 2.0]), weights=np.array([1.0, 0.5]))
@@ -298,6 +313,121 @@ class TestGridState:
         with pytest.raises(hq.RealizabilityLossError) as exc:
             hq.step(grid, SPEC1, "gauss")
         assert exc.value.cell == 1
+
+
+class TestBlocks:
+    """The step runs in blocks of BLOCK_VALUES // (2n+1) cells; its results
+    must not depend on where the blocks end."""
+
+    @staticmethod
+    def riemann(n, variant, boundary, cells=50):
+        left = {"rho": 1.0, "U": 0.3, "theta": 1.0, "x_until": 0.4,
+                "da": [0.05] * n, "db": [0.0] + [0.1] * n}
+        right = {"rho": 0.2, "U": -0.4, "theta": 0.6, "db": [0.0, -0.05]}
+        return {
+            "n": n, "gamma": 1.0, "flux_variant": variant, "cfl": 0.9, "tau": 0.05,
+            "domain": [0.0, 1.0], "cells": cells, "t_final": 0.03,
+            "snapshot_every": 0.01, "boundary": boundary, "initial": [left, right],
+        }
+
+    @pytest.mark.parametrize("block_cells", [1, 7])
+    @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_length_does_not_change_results(
+        self, n, variant, boundary, block_cells, monkeypatch
+    ):
+        cfg = self.riemann(n, variant, boundary)
+        grid = build_initial_grid(hq.validate_config(cfg))
+        one_block = hq.step(grid, SPEC1, variant)
+        whole = hq.run(cfg)
+        monkeypatch.setattr(hq.solver, "BLOCK_VALUES", block_cells * (2 * n + 1))
+        assert len(_blocks(50, 2 * n + 1)) == -(-50 // block_cells)
+        grid = build_initial_grid(hq.validate_config(cfg))
+        blocked = hq.step(grid, SPEC1, variant)
+        assert blocked.time == one_block.time
+        assert np.array_equal(blocked.cells, one_block.cells)
+        for mine, theirs in zip(blocked._gate(), one_block._gate()):
+            assert np.array_equal(mine, theirs)
+        result = hq.run(cfg)
+        assert result.manifest["steps"] == whole.manifest["steps"] >= 3
+        assert [s.time for s in result.snapshots] == [s.time for s in whole.snapshots]
+        for mine, theirs in zip(result.snapshots, whole.snapshots):
+            assert np.array_equal(mine.cells, theirs.cells)
+            assert mine.flagged_cells == theirs.flagged_cells
+
+    def test_blocks_cover_the_cells_in_near_equal_lengths(self, monkeypatch):
+        monkeypatch.setattr(hq.solver, "BLOCK_VALUES", 7 * 5)
+        for J in (1, 7, 8, 15, 50, 701):
+            lengths = [blk.stop - blk.start for blk in _blocks(J, 5)]
+            assert sum(lengths) == J and len(lengths) == -(-J // 7)
+            assert max(lengths) <= 7 and max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("block_cells", [7, None])
+    def test_loss_names_the_first_bad_cell_in_a_later_block(self, block_cells, monkeypatch):
+        if block_cells:
+            monkeypatch.setattr(hq.solver, "BLOCK_VALUES", block_cells * 3)
+        cells = np.tile([1.0, 0.0, 1.0], (50, 1))
+        cells[[37, 45]] = [1.0, 0.0, -1.0]
+        grid = hq.GridState(cells=cells, dx=np.full(50, 0.02), tau=1.0)
+        with pytest.raises(hq.RealizabilityLossError) as exc:
+            hq.step(grid, SPEC1, "gauss")
+        assert exc.value.cell == 37
+
+    @pytest.mark.parametrize("block_cells", [7, None])
+    def test_loss_after_the_step_names_the_first_bad_cell(self, block_cells, monkeypatch):
+        # a relaxation target with M_2 < 0 at cells 37 and 45 and a stiff
+        # relaxation leave those stepped cells unrealizable; the gate the
+        # step builds block by block must name cell 37
+        if block_cells:
+            monkeypatch.setattr(hq.solver, "BLOCK_VALUES", block_cells * 5)
+        cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), (50, 1))
+        cells[[37, 45]] = hq.maxwellian_moments(1.0, 0.7, 1.0, 4)
+        grid = hq.GridState(cells=cells, dx=np.full(50, 0.02), tau=1e-9)
+        target = hq.solver.gaussian_moments
+
+        def broken(order, U, theta):
+            out = np.array(target(order, U, theta))
+            out[U == 0.7, 2] = -1.0
+            return out
+
+        monkeypatch.setattr(hq.solver, "gaussian_moments", broken)
+        with pytest.raises(hq.RealizabilityLossError, match="lost strict") as exc:
+            hq.step(grid, SPEC1, "gauss")
+        assert exc.value.cell == 37
+
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_no_sweep_sees_more_than_one_block(self, variant, monkeypatch):
+        # every Wheeler sweep and eigensolve of an n = 2 step runs on one
+        # block, and the new grid's gate is the one the step built
+        size = hq.solver.BLOCK_VALUES // 5
+        cells = 2 * size + 10
+        cfg = dict(self.riemann(2, variant, "periodic", cells=cells), snapshot_every=None)
+        grid = build_initial_grid(hq.validate_config(cfg))
+        rows = {"wheeler": [], "jacobi": []}
+
+        def spy(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                rows[key].append(args[0].shape[0])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(hq.moments, "_wheeler_batch", "wheeler")
+        spy(hq.closures, "_wheeler_batch", "wheeler")
+        spy(hq.solver, "_jacobi_batch", "jacobi")
+        spy(hq.closures, "_jacobi_batch", "jacobi")
+        new = hq.step(grid, SPEC1, variant)
+        blocks = len(_blocks(cells, 5))
+        assert blocks == 3
+        # the input grid's gate, then the new cells' gate
+        assert len(rows["wheeler"]) == 2 * blocks
+        assert len(rows["jacobi"]) == blocks * (1 if variant == "gauss" else 2)
+        assert max(rows["wheeler"] + rows["jacobi"]) <= size
+        new._gate()
+        assert len(rows["wheeler"]) == 2 * blocks
 
 
 class TestConfigValidation:
