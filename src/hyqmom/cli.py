@@ -116,10 +116,10 @@ def _check_realizable(m, tol):
     floor, so a looser override is refused up front."""
     if tol is None:
         tol = DEFAULT_REALIZABILITY_TOL
-    elif not tol >= DEFAULT_REALIZABILITY_TOL:
+    elif not (np.isfinite(tol) and tol >= DEFAULT_REALIZABILITY_TOL):
         raise ValueError(
-            f"--tol {tol!r} is below the realizability floor "
-            f"{DEFAULT_REALIZABILITY_TOL!r}; close and spectrum can only tighten it"
+            f"--tol must be a finite number at or above the realizability floor "
+            f"{DEFAULT_REALIZABILITY_TOL!r}, got {tol!r}; close and spectrum can only tighten it"
         )
     check, a, b = _realizability(m, tol)
     if not check:
@@ -264,6 +264,8 @@ def _require_sampling(args):
 
 def _cmd_verify_hyperbolicity(args):
     tol = 1e-7 if args.tol is None else args.tol
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
     n, gamma = args.n, args.gamma
     _require_sampling(args)
     if not np.isfinite(gamma):

@@ -27,15 +27,19 @@ A step runs over contiguous blocks of cells (``_blocks``), each holding
 about ``BLOCK_VALUES`` moment values, so that one block's rows and the
 temporaries built from them stay in cache.  The first pass gates,
 reconstructs, takes each cell's CFL speed and writes its split power sums,
-the two halves of its interface fluxes; the global dt follows from all
-speeds.  The second pass adds the halves into the block's interface
-fluxes (one ghost interface per side, the boundary rule only at the
-global ends), differences them, adds the old cells, relaxes, and gates
-the new cells into the new grid's memo.  Within a block every per-order
-update is a contiguous row operation, and every cell sees the same
-operations in the same order as in one block over the whole grid, so the
-results are bitwise those of an unblocked step.  Inputs in C order give
-the same values, only through strided rows.
+the two halves of its interface fluxes, into block-local rows; it adds
+them into the block's interface fluxes and ends in flux differences,
+written straight into the (2n+1, J) buffer of the new cells.  Only the
+last face and the last right half carry over to the next block, and the
+boundary rule settles the first and last cells after the loop, so no
+table spans the grid's interfaces.  The global dt follows from all
+speeds.  The second pass scales the differences, adds the old cells,
+relaxes, and gates the new cells into the new grid's memo; the new grid
+takes the buffer read-only without a copy.  Within a block every
+per-order update is a contiguous row operation, and every cell sees the
+same operations in the same order as in one block over the whole grid,
+so the results are bitwise those of an unblocked step.  Inputs in C order
+give the same values, only through strided rows.
 """
 
 from __future__ import annotations
@@ -93,6 +97,17 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+class _Owned:
+    """An order-major (L, J) float buffer that a GridState takes as its
+    cells without a copy, made read-only.  Only for buffers that nothing
+    else holds: the new cells of a step and of the initial build."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
 @dataclass
 class GridState:
     """Per-cell moment vectors with geometry and relaxation time."""
@@ -104,10 +119,14 @@ class GridState:
     boundary: str = "periodic"
 
     def __setattr__(self, name, value):
-        # a read-only, order-major copy of the cells keeps the memoized gate
-        # valid; cells[:, k] is a contiguous length-J row
+        # read-only, order-major cells keep the memoized gate valid: a copy
+        # of what a caller hands in, an _Owned buffer as it is; cells[:, k]
+        # is a contiguous length-J row
         if name == "cells":
-            value = np.array(np.atleast_2d(value), dtype=float, order="F")
+            if isinstance(value, _Owned):
+                value = value.rows.T
+            else:
+                value = np.array(np.atleast_2d(value), dtype=float, order="F")
             value.flags.writeable = False
             super().__setattr__("_gate_memo", None)
         super().__setattr__(name, value)
@@ -255,24 +274,52 @@ def _interface_fluxes(nodes, weights, right, left):
         np.sum(np.multiply(W, neg, out=scratch), axis=0, out=left[k])
 
 
-def _flux_halves(grid, a, b, gamma, variant, blocks):
+def _flux_differences(grid, a, b, gamma, variant, blocks):
     """First pass of a step: per block the reconstruction, the CFL speed
-    max|node| of each cell and its split power sums.  Returns the speeds
-    (J,) and the halves ``right`` and ``left`` (L, J+1) of the interface
-    fluxes, both indexed by interface: column i of ``right`` comes from
-    cell i-1 and column i of ``left`` from cell i, with the boundary rule
-    filling the two columns that have no such cell."""
+    max|node| of each cell and its split power sums, ending in flux
+    differences.  Returns the speeds (J,) and an (L, J) buffer whose column
+    j is flux_j - flux_(j+1), where the flux of face i is the right half of
+    cell i-1 plus the left half of cell i.
+
+    Each block adds its halves into its cells' left faces in place, and
+    only the last face and the last right half carry over to the next
+    block.  The first and last cells are settled after the loop by the
+    boundary rule (cell 0 keeps its left half and its right face until
+    then): periodic ends share the face right(J-1) + left(0); zero-gradient
+    ends take right(0) + left(0) and right(J-1) + left(J-1)."""
     J, L = grid.cells.shape
+    periodic = grid.boundary == "periodic"
     smax = np.empty(J)
-    right, left = np.empty((L, J + 1)), np.empty((L, J + 1))
+    diff = np.empty((L, J))
     for blk in blocks:
         nodes, weights = _reconstruct_batch(a[blk], b[blk], gamma, variant)
         np.max(np.abs(nodes.T), axis=0, out=smax[blk])
-        _interface_fluxes(nodes, weights, right[:, blk.start + 1 : blk.stop + 1], left[:, blk])
-    first, last = (J - 1, 0) if grid.boundary == "periodic" else (0, J - 1)
-    right[:, 0] = right[:, first + 1]
-    left[:, J] = left[:, last]
-    return smax, right, left
+        right, left = np.empty((2, L, blk.stop - blk.start))
+        _interface_fluxes(nodes, weights, right, left)
+        # the two end faces, from the halves before they are added up
+        if blk.start == 0:
+            first_left = left[:, 0].copy()
+            face0 = np.add(right[:, 0], first_left)
+        if blk.stop == J:
+            faceJ = np.add(right[:, -1], first_left if periodic else left[:, -1])
+        if blk.start:
+            # face blk.start closes the previous block's last cell
+            np.add(last_right, left[:, 0], out=left[:, 0])
+            np.subtract(last_face, left[:, 0], out=diff[:, blk.start - 1])
+        # left[:, i] becomes the left face of cell blk.start + i, except for
+        # cell 0, whose column is written after the loop
+        np.add(right[:, :-1], left[:, 1:], out=left[:, 1:])
+        np.subtract(left[:, :-1], left[:, 1:], out=diff[:, blk.start : blk.stop - 1])
+        if blk.start <= 1 < blk.stop:
+            second_face = left[:, 1 - blk.start].copy()
+        last_face, last_right = left[:, -1].copy(), right[:, -1].copy()
+    if periodic:
+        face0 = faceJ
+    # a single cell's right face is face J
+    np.subtract(face0, second_face if J > 1 else faceJ, out=diff[:, 0])
+    if J > 1:
+        np.subtract(last_face, faceJ, out=diff[:, J - 1])
+    return smax, diff
 
 
 def _time_step(grid, smax, cfl, dt, dt_max):
@@ -301,22 +348,22 @@ def _time_step(grid, smax, cfl, dt, dt_max):
 
 def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     """The grid one step on, from the gate's (a, b), in two passes over the
-    blocks of cells around the global dt.  The second pass gates the new
-    cells block by block, and the result is the new grid's memoized gate."""
+    blocks of cells around the global dt.  The second pass updates the flux
+    differences in place into the new cells and gates them block by block;
+    the new grid takes that buffer without a copy, and the gate as its
+    memo."""
     J, L = grid.cells.shape
     blocks = _blocks(J, L)
-    smax, right, left = _flux_halves(grid, a, b, gamma, variant, blocks)
+    smax, new = _flux_differences(grid, a, b, gamma, variant, blocks)
     step_dt = _time_step(grid, smax, cfl, dt, dt_max)
+    # the speeds go before the new grid's gate is allocated
+    del smax
 
-    new = np.empty((L, J))
     gate = _empty_gate(J, L)
-    ratio = step_dt / grid.dx
     r = step_dt / grid.tau
     for blk in blocks:
-        faces = slice(blk.start, blk.stop + 1)
-        flux = np.add(right[:, faces], left[:, faces])
-        cells = np.subtract(flux[:, :-1], flux[:, 1:], out=new[:, blk])
-        cells *= ratio[blk]
+        cells = new[:, blk]
+        cells *= step_dt / grid.dx[blk]
         cells += grid.cells[blk].T
 
         rho, U, theta = _primitive_rows(grid.cells[blk])
@@ -326,9 +373,7 @@ def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
         cells += maxwellian
         cells /= 1.0 + r
         _gate_block(cells.T, gate, blk)
-    # the flux halves go before the new grid copies its cells
-    del right, left
-    stepped = replace(grid, cells=new.T, time=float(grid.time) + step_dt)
+    stepped = replace(grid, cells=_Owned(new), time=float(grid.time) + step_dt)
     stepped._gate_memo = gate
     return stepped
 
@@ -498,17 +543,20 @@ def build_initial_grid(cfg):
     x0, x1 = cfg["domain"]
     dx = (x1 - x0) / J
     centers = x0 + (np.arange(J) + 0.5) * dx
-    cells = np.empty((2 * n + 1, J)).T
+    rows = np.empty((2 * n + 1, J))
     lower = x0
     for seg in cfg["initial"]:
-        mask = (centers > lower) & (centers <= seg["x_until"] + 1e-15)
-        if np.any(mask):
+        # the cells with lower < centre <= x_until + 1e-15, one slice of the
+        # ascending centres
+        start = np.searchsorted(centers, lower, side="right")
+        stop = np.searchsorted(centers, seg["x_until"] + 1e-15, side="right")
+        if start < stop:
             a, b = _segment_coefficients(seg, n)
             row = _moments_from_recurrence_batch(a, b, 2 * n + 1)[0]
-            cells[mask] = row
+            rows[:, start:stop] = row[:, None]
         lower = seg["x_until"]
     return GridState(
-        cells=cells,
+        cells=_Owned(rows),
         dx=np.full(J, dx),
         tau=cfg["tau"],
         time=0.0,

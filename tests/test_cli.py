@@ -79,6 +79,17 @@ class TestClose:
         assert code == 1
         assert "1e-12" in err and "floor" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["close", "spectrum"])
+    def test_non_finite_tol_refused_exit_1(self, capsys, command, tol):
+        args = [command, "--moments", "1,0,1,0,3", "--tol", tol]
+        if command == "close":
+            args.insert(1, "--hyqmom")
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "--tol must be a finite number at or above the realizability floor" in err
+
     def test_gate_agrees_with_library_near_boundary(self, capsys):
         # last pivot 1.44e-12 x M_0, just above the floor: the gate and
         # close_hyqmom share one realizability predicate, so both accept
@@ -196,6 +207,29 @@ class TestVerifyHyperbolicity:
         assert code == 1
         assert "--samples must be >= 1" in err
         assert not (tmp_path / "hyperbolicity_report.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300"])
+    def test_bad_tol_refused(self, tol, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["verify-hyperbolicity", "--n", "2", "--samples", "5", "--tol", tol,
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--tol must be a finite number >= 0" in err
+        assert not (tmp_path / "hyperbolicity_report.json").exists()
+
+    def test_zero_tol_counts_no_gap(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            ["verify-hyperbolicity", "--n", "2", "--samples", "5", "--tol", "0",
+             "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        report = json.loads((tmp_path / "hyperbolicity_report.json").read_text())
+        assert code == 0
+        assert report["separation_tol"] == 0.0
+        assert report["near_degenerate"] == 0
 
     def test_passes_modest_order(self, capsys):
         code, out, _ = run_cli(
