@@ -9,10 +9,13 @@ PCG64 generator and the seed is recorded in every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import marshal
 import re
 import sys
 import time as _time
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +52,11 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only -<digits> and -<digits>.<digits> for negative
-        # numbers and reads -1e1 as an option; exponent forms are values too
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # numbers and reads -1e1 or -inf as an option; exponent forms and
+        # float()'s spellings of -inf and -nan, in any case, are values too
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -83,8 +89,72 @@ def _parse_moments(text):
     return np.array(vals)
 
 
+_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _dump(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set json always runs its pure-Python encoder, a chain
+    of generators per nesting level; _encode joins strings instead.  What
+    _encode refuses goes to json.dumps, which encodes it or raises as
+    before: a value whose type is not exactly str, int, float, bool, None,
+    list, tuple or dict (numpy scalars and subclasses included), a key
+    that is not a str, and nesting too deep or cyclic.
+    """
+    try:
+        return _encode(obj, "\n", {})
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _encode(obj, newline, memo):
+    """JSON text of ``obj`` at the indentation that ``newline`` ends with.
+
+    ``memo`` maps a container's marshal bytes and depth to its text, so
+    equal containers at one depth, such as the fields that the certificates
+    of a stability report share, are encoded once.  On the exact types
+    taken here, marshal's format 2 writes each value with its type and
+    each float as its eight bytes, with no back-references, so equal bytes
+    mean equal text.  A container that marshal refuses holds a value that
+    _encode refuses too.
+    """
+    cls = type(obj)
+    if cls is float:
+        text = float.__repr__(obj)
+        return _FLOAT_SPELLING.get(text, text)
+    if cls is str:
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is not list and cls is not tuple and cls is not dict:
+        raise TypeError(f"{cls.__name__} is not a plain JSON type")
+    key = (marshal.dumps(obj, 2), len(newline))
+    if key in memo:
+        return memo[key]
+    inner = newline + "  "
+    if cls is dict:
+        parts = []
+        for name, value in sorted(obj.items()):
+            if type(name) is not str:
+                raise TypeError(f"key {name!r} is not a str")
+            parts.append(encode_basestring_ascii(name) + ": " + _encode(value, inner, memo))
+        brackets = "{}"
+    else:
+        parts = [_encode(value, inner, memo) for value in obj]
+        brackets = "[]"
+    if parts:
+        text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+    else:
+        text = brackets
+    memo[key] = text
+    return text
 
 
 def _write_report(args, name, payload, extra_manifest=None):
@@ -258,6 +328,9 @@ def _require_sampling(args):
             raise ValueError(
                 f"{flag} must be finite with low <= high, got {low!r} {high!r}"
             )
+        if not np.isfinite(high - low):
+            # numpy's sampler draws low + (high - low) u and refuses this
+            raise ValueError(f"{flag} is wider than the largest double: {low!r} {high!r}")
         if positive and not low > 0:
             raise ValueError(f"{flag} must have a positive low end, got {low!r}")
 
@@ -333,14 +406,12 @@ def _cmd_verify_stability(args):
         print(report["note"])
         _write_report(args, "stability_report.json", report)
         return EXIT_OK
-    rng = np.random.default_rng(args.seed)
+    # one call draws what scalar draws of rho, U, theta, state after state, gave
+    low, high = zip(args.rho_range, args.u_range, args.theta_range)
+    draws = np.random.default_rng(args.seed).uniform(low, high, (args.samples, 3))
     certificates = []
-    for _ in range(args.samples):
-        state = EquilibriumState(
-            rho=float(rng.uniform(*args.rho_range)),
-            U=float(rng.uniform(*args.u_range)),
-            theta=float(rng.uniform(*args.theta_range)),
-        )
+    for rho, U, theta in draws.tolist():
+        state = EquilibriumState(rho=rho, U=U, theta=theta)
         certificates.append(certify(state, n).as_dict())
     failed = [c for c in certificates if not c["passed"]]
     report = {
@@ -433,10 +504,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built once per process: argparse keeps nothing
+    between parse_args calls, and building one costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     args._started = _time.time()

@@ -81,6 +81,12 @@ NEAR_BOUNDARY_FRACTION = 1e-10
 # time goes").
 BLOCK_VALUES = 40960
 
+# Cells per chunk of a snapshot CSV, whose columns are formatted a chunk at
+# a time: a float's repr takes about three times the float's memory.  At
+# n = 6, J = 400 the traced peak is 275 KB with 64 cells, 611 KB with one
+# chunk and 396 KB formatting row by row, at one chunk's speed.
+CSV_ROWS = 64
+
 
 class RealizabilityLossError(RuntimeError):
     """A cell left the strictly realizable cone during a run."""
@@ -564,17 +570,31 @@ def build_initial_grid(cfg):
     )
 
 
-def _snapshot_csv_lines(cfg, grid):
+def _snapshot_csv_head(cfg, grid):
+    """Header line and x column of a run's snapshot CSVs, which the run's
+    grids share: the cell widths do not change."""
     moments = [f"M_{k}" for k in range(2 * grid.n + 1)]
-    header = ["x", *moments, "rho", "U", "theta", "realizable_flag"]
+    header = ",".join(["x", *moments, "rho", "U", "theta", "realizable_flag"])
     x0, _ = cfg["domain"]
     centers = x0 + (np.cumsum(grid.dx) - 0.5 * grid.dx)
+    return header, list(map(repr, centers.tolist()))
+
+
+def _snapshot_csv_lines(grid, header, x_text):
+    """Lines of the snapshot CSV of ``grid``, formatted column by column
+    over CSV_ROWS cells at a time."""
     ok, _, _ = grid._gate()
-    rho, U, theta = _primitive_rows(grid.cells)
-    table = np.column_stack([centers, grid.cells, rho, U, theta]).tolist()
-    return [",".join(header)] + [
-        ",".join(map(repr, row)) + f",{int(flag)}" for row, flag in zip(table, ok.tolist())
-    ]
+    _, U, theta = _primitive_rows(grid.cells)
+    rows = [*grid.cells.T, U, theta]
+    flags = ["1" if flag else "0" for flag in ok.tolist()]
+    lines = [header]
+    for start in range(0, len(flags), CSV_ROWS):
+        cut = slice(start, start + CSV_ROWS)
+        *moments, U_text, theta_text = (list(map(repr, row[cut].tolist())) for row in rows)
+        rho_text = moments[0]  # rho is M_0 itself
+        columns = (x_text[cut], *moments, rho_text, U_text, theta_text, flags[cut])
+        lines += map(",".join, zip(*columns))
+    return lines
 
 
 def run(config, output_dir=None):
@@ -598,6 +618,7 @@ def run(config, output_dir=None):
     out = None if output_dir is None else Path(output_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        head = _snapshot_csv_head(cfg, grid)
     snapshots, files = [], []
 
     def take_snapshot(grid):
@@ -605,7 +626,7 @@ def run(config, output_dir=None):
         snapshots.append(Snapshot(grid.time, grid.cells, _flagged_cells(grid)))
         if out is not None:
             path = out / f"snapshot_{len(files):04d}.csv"
-            path.write_text("\n".join(_snapshot_csv_lines(cfg, grid)) + "\n")
+            path.write_text("\n".join(_snapshot_csv_lines(grid, *head)) + "\n")
             files.append(str(path))
 
     take_snapshot(grid)

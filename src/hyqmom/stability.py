@@ -92,7 +92,7 @@ class StabilityCertificate:
         return {
             "n": self.n,
             "state": self.state.as_dict(),
-            "D": [float(w) for w in self.D],
+            "D": np.asarray(self.D, dtype=float).tolist(),
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "conditions": dict(self.conditions),
             "passed": bool(self.passed),

@@ -1,4 +1,8 @@
+import collections
+import enum
 import json
+import json.encoder
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyqmom.cli import _hyperbolicity_failures, build_parser, main
+from hyqmom import cli
+from hyqmom.cli import _dump, _hyperbolicity_failures, build_parser, main
 from hyqmom.closures import _spectral_from_recurrence
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
@@ -346,6 +351,10 @@ class TestSamplingRanges:
             ("verify-stability", "--rho-range", "0", "1", "must have a positive low end"),
             ("verify-stability", "--theta-range", "nan", "1", "must be finite with low <= high"),
             ("verify-stability", "--theta-range", "2", "1", "must be finite with low <= high"),
+            ("verify-stability", "--u-range", "-1e308", "1e308",
+             "is wider than the largest double"),
+            ("verify-hyperbolicity", "--a-range", "-1e308", "1e308",
+             "is wider than the largest double"),
         ],
     )
     def test_bad_range_refused(self, command, flag, low, high, message, capsys, tmp_path):
@@ -382,13 +391,76 @@ class TestSamplingRanges:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])[flag[2:].replace("-", "_")][0] == float(plain)
 
-    @pytest.mark.parametrize("extra", [["--bogus"], ["-x", "1"], ["--u-range", "-e1", "5"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [["--bogus"], ["-x", "1"], ["--u-range", "-e1", "5"], ["--u-range", "-infx", "5"]],
+    )
     def test_unknown_option_still_refused(self, extra, capsys):
         code, _, err = run_cli(
             ["verify-stability", "--n", "2", "--u-range", "-1e1", "5", *extra], capsys
         )
         assert code == 1
         assert "usage: hyqmom" in err and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-hyperbolicity", "--tol", "-inf"], "--tol must be a finite number >= 0"),
+            (["verify-hyperbolicity", "--tol", "-NaN"], "--tol must be a finite number >= 0"),
+            (["close", "--hyqmom", "--tol", "-Infinity"], "--tol must be a finite number at"),
+            (["spectrum", "--tol", "-inf"], "--tol must be a finite number at"),
+            (["verify-hyperbolicity", "--gamma", "-iNfInItY"], "gamma must be finite"),
+            (["close", "--hyqmom", "--gamma", "-inf"], "gamma must be finite"),
+            (["spectrum", "--gamma", "-NAN"], "gamma must be finite"),
+            (["verify-hyperbolicity", "--a-range", "-inf", "5"], "--a-range must be finite"),
+            (["verify-hyperbolicity", "--b-range", "-nan", "5"], "--b-range must be finite"),
+            (["verify-stability", "--rho-range", "-INF", "5"], "--rho-range must be finite"),
+            (["verify-stability", "--u-range", "-Infinity", "5"], "--u-range must be finite"),
+            (["verify-stability", "--theta-range", "-nan", "5"], "--theta-range must be finite"),
+        ],
+    )
+    def test_negative_infinity_and_nan_reach_the_option_check(self, argv, message, capsys):
+        # float() reads -inf, -infinity and -nan in any case; argparse alone
+        # reads them as options and says the flag lacks its argument
+        if argv[0] in ("close", "spectrum"):
+            argv = argv + ["--moments", "1,0,1,0,3"]
+        else:
+            argv = argv + ["--n", "2", "--samples", "5"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert message in err
+        assert "expected" not in err and "usage:" not in err
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            [],
+            ["--u-range", "-1.5", "1.5", "--theta-range", "0.5", "10"],
+            ["--rho-range", "2", "2", "--u-range", "0", "0", "--theta-range", "3", "3"],
+            ["--rho-range", "1e-300", "1e300", "--u-range", "-1e-300", "1e-300",
+             "--theta-range", "5e-324", "1e-320"],
+            ["--rho-range", "1e300", "1.7e308", "--u-range", "-8e307", "8e307",
+             "--theta-range", "0.1", "0.1000000000000001"],
+        ],
+    )
+    def test_states_are_the_per_state_scalar_draws(self, ranges, capsys):
+        # the states are drawn in one call; they must be the scalar draws
+        # rho, U, theta of one state after another, bit for bit
+        code, out, err = run_cli(
+            ["verify-stability", "--n", "2", "--samples", "9", "--seed", "13",
+             "--format", "json", *ranges],
+            capsys,
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        rng = np.random.default_rng(13)
+        keys = ("rho", "U", "theta")
+        expected = [
+            [float(rng.uniform(*report[f"{key.lower()}_range"])).hex() for key in keys]
+            for _ in range(9)
+        ]
+        states = [cert["state"] for cert in report["certificates"]]
+        assert [[state[key].hex() for key in keys] for state in states] == expected
 
 
 class TestVerifyStability:
@@ -542,3 +614,163 @@ def test_manifest_arguments_are_the_parser_options(argv, capsys, tmp_path):
     parsed = vars(build_parser().parse_args(argv))
     options = {k: v for k, v in parsed.items() if k not in ("func", "command")}
     assert manifest["arguments"] == json.loads(json.dumps(options))
+
+
+class TestReportEncoding:
+    """cli._dump writes what json.dumps(obj, indent=2, sort_keys=True)
+    writes, without json's pure-Python encoder."""
+
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        text = st.text(st.characters(exclude_categories=()), max_size=6)
+        scalars = st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.integers(min_value=-(2**200), max_value=2**200),
+            st.floats(),
+            st.floats().map(np.float64),
+            st.sampled_from(
+                [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e16, 5e-324, 2**64]
+            ),
+            text,
+        )
+
+        def containers(children):
+            return st.one_of(
+                st.lists(children, max_size=4),
+                st.lists(children, max_size=4).map(tuple),
+                st.dictionaries(text, children, max_size=4),
+                # one object met again at the same depth and one level deeper
+                st.builds(lambda x, k: [x] * k + [[x]], children, st.integers(1, 3)),
+            )
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(st.recursive(scalars, containers, max_leaves=24))
+        @hypothesis.example([[0.0], [-0.0], [1], [1.0], [True], (1,)])
+        @hypothesis.example({"k": [], "j": {}, "\u00e9\n": ["\x00", "\ud800"]})
+        def check(obj):
+            assert _dump(obj) == self.reference(obj)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {2: "b", 1: [1]},
+            {"a": {3: None, 2.5: 1}},
+            {"a": {True: 1, False: [2]}},
+            [[np.float64(0.1)], [0.1], [np.float64(0.1)]],
+            {np.str_("k"): [np.str_("\u00e9")], "j": [np.str_("\u00e9")]},
+            [[enum.IntEnum("E", "A")(1)], [1]],
+            collections.OrderedDict([("b", 1), ("a", [2])]),
+        ],
+    )
+    def test_keys_and_subclasses_that_json_takes(self, obj):
+        assert _dump(obj) == self.reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [np.float32(1.0)],
+            {"a": np.int64(1)},
+            {"a": {1, 2}},
+            [b"bytes"],
+            {"a": [np.bool_(True)]},
+            {(1, 2): "tuple key"},
+            {1: "a", "b": 2},
+            [1j],
+            # marshal writes a float64 and any buffer of the same bytes alike
+            [[np.float64(1.0)], [np.array([1.0])]],
+            [[np.str_("a")], [b"a\x00\x00\x00"]],
+        ],
+    )
+    def test_refused_values_raise_type_error(self, obj):
+        with pytest.raises(TypeError) as mine:
+            _dump(obj)
+        with pytest.raises(TypeError) as theirs:
+            self.reference(obj)
+        assert str(mine.value) == str(theirs.value)
+
+    def test_cycle_raises_as_json_does(self):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _dump({"a": cycle})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-stability", "--n", "3", "--samples", "6"],
+            ["verify-hyperbolicity", "--n", "2", "--samples", "300"],
+        ],
+    )
+    def test_verify_commands_skip_the_python_encoder(self, argv, capsys, count_calls, tmp_path):
+        # json builds its pure-Python encoder with _make_iterencode whenever
+        # indent is set; the reference call shows that the counter is live
+        calls = count_calls(json.encoder, "_make_iterencode")
+        code, out, _ = run_cli(argv + ["--format", "json", "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert calls[0] == 0
+        expected = self.reference(json.loads(out)) + "\n"
+        assert calls[0] == 1
+        name = argv[0].replace("verify-", "") + "_report.json"
+        assert out == (tmp_path / name).read_text() == expected
+
+
+class TestSharedParser:
+    """main parses with one parser per process; a call must see nothing of
+    the calls before it."""
+
+    @staticmethod
+    def sequence(out):
+        return [
+            ["verify-stability", "--n", "3", "--samples", "4", "--seed", "9",
+             "--format", "json", "--output-dir", str(out)],
+            ["verify-stability", "--n", "3", "--samples", "4"],
+            ["verify-hyperbolicity", "--n", "2", "--samples", "30", "--bogus"],
+            ["verify-hyperbolicity", "--n", "2", "--samples", "30", "--output-dir", str(out)],
+            ["verify-hyperbolicity", "--n", "2", "--samples", "30", "--format", "json"],
+            ["close", "--hyqmom", "--gamma", "0.5", "--moments", "1,0,1,0,3", "--format", "json",
+             "--output-dir", str(out)],
+            ["close", "--qmom", "--moments", "1,0,1,0"],
+            ["close", "--moments", "1,0,1,0,3"],
+            ["spectrum", "--moments", "1,0,1,0,3", "--format", "csv"],
+            ["verify-stability", "--n", "2", "--samples", "3", "--u-range", "-inf", "1"],
+            ["verify-stability", "--n", "2", "--samples", "3", "--format", "json"],
+        ]
+
+    @classmethod
+    def run_sequence(cls, out, capsys):
+        results = []
+        for argv in cls.sequence(out):
+            code = main(argv)
+            captured = capsys.readouterr()
+            files = {}
+            if out.exists():
+                for path in sorted(out.iterdir()):
+                    lines = path.read_text().splitlines()
+                    files[path.name] = [line for line in lines if "wall_clock_s" not in line]
+                shutil.rmtree(out)
+            results.append((code, captured.out, captured.err, files))
+        return results
+
+    def test_repeated_calls_match_fresh_parsers(self, capsys, monkeypatch, tmp_path, count_calls):
+        cli._parser.cache_clear()
+        builds = count_calls(cli, "build_parser")
+        shared = self.run_sequence(tmp_path / "out", capsys)
+        assert builds[0] == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_sequence(tmp_path / "out", capsys)
+        assert builds[0] == 1 + len(fresh)
+        assert [r[0] for r in shared] == [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0]
+        assert shared == fresh
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._parser() is cli._parser()

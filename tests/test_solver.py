@@ -651,6 +651,27 @@ class TestRun:
         assert row[-1] == 1.0  # realizable flag
         assert row[1:6] == list(hq.maxwellian_moments(1.0, 0.0, 1.0, 4))
 
+    @pytest.mark.parametrize("rows", [7, hq.solver.CSV_ROWS])
+    @pytest.mark.parametrize("config", ["riemann_n2.json", "relaxation_homogeneous.json"])
+    def test_snapshot_csv_rows_are_the_row_reprs(self, config, rows, tmp_path, monkeypatch):
+        # the CSV is formatted column by column in chunks of cells; each line
+        # must read as the reprs of one cell's x, M_0..M_2n, rho, U and
+        # theta, then its flag
+        monkeypatch.setattr(hq.solver, "CSV_ROWS", rows)
+        path = Path(__file__).parents[1] / "demos" / "configs" / config
+        cfg = hq.validate_config(json.loads(path.read_text()))
+        result = hq.run(cfg, output_dir=tmp_path)
+        dx = result.grid.dx
+        x = cfg["domain"][0] + (np.cumsum(dx) - 0.5 * dx)
+        for k, snap in enumerate(result.snapshots):
+            M = snap.cells
+            rho = M[:, 0]
+            U = M[:, 1] / rho
+            theta = M[:, 2] / rho - U**2
+            table = np.column_stack([x, M, rho, U, theta]).tolist()
+            lines = (tmp_path / f"snapshot_{k:04d}.csv").read_text().splitlines()
+            assert lines[1:] == [",".join(map(repr, row)) + ",1" for row in table]
+
     def test_first_order_convergence(self):
         # smooth manufactured profile, pure transport; self-convergence of
         # the density between successive refinements halves the error
