@@ -157,13 +157,25 @@ def _encode(obj, newline, memo):
     return text
 
 
-def _write_report(args, name, payload, extra_manifest=None):
+def _print_json(args, payload):
+    """Print the report under --format json and return its text, for
+    _write_report to reuse; None under the other formats."""
+    if args.format != "json":
+        return None
+    text = _dump(payload)
+    print(text)
+    return text
+
+
+def _write_report(args, name, payload, text=None):
+    """Write the report and a manifest under --output-dir; ``text`` is the
+    report's JSON if it was already encoded for stdout."""
     if args.output_dir is None:
         return []
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / name
-    report_path.write_text(_dump(payload) + "\n")
+    report_path.write_text((_dump(payload) if text is None else text) + "\n")
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -213,16 +225,15 @@ def _cmd_close(args):
         "condition_estimate": check.condition_estimate,
         "realizable": True,
     }
-    if args.format == "json":
-        print(_dump(detail))
-    elif args.format == "csv":
+    text = _print_json(args, detail)
+    if args.format == "csv":
         print(",".join(repr(float(x)) for x in list(m) + [closed]))
-    else:
+    elif text is None:
         print(f"M_{len(m)} = {closed!r}")
         print(f"a = {[float(x) for x in a]}")
         print(f"b = {[float(x) for x in b]}")
         print(f"pivots = {[float(x) for x in check.pivots]} (all above threshold)")
-    _write_report(args, "close.json", detail)
+    _write_report(args, "close.json", detail, text)
     return EXIT_OK
 
 
@@ -244,19 +255,18 @@ def _cmd_spectrum(args):
         payload["interlacing"] = check_interlacing(
             sd.eigenvalues[1::2], sd.eigenvalues[0::2]
         )
-    if args.format == "json":
-        print(_dump(payload))
-    elif args.format == "csv":
+    text = _print_json(args, payload)
+    if args.format == "csv":
         print("lambda,omega")
         for lam, om in zip(sd.eigenvalues, sd.weights):
             print(f"{float(lam)!r},{float(om)!r}")
-    else:
+    elif text is None:
         print(f"{'i':>3} {'lambda':>24} {'omega':>24}")
         for i, (lam, om) in enumerate(zip(sd.eigenvalues, sd.weights)):
             print(f"{i:>3} {float(lam)!r:>24} {float(om)!r:>24}")
         if args.check_interlacing:
             print(f"interlacing: {'OK' if payload['interlacing'] else 'FAILED'}")
-    _write_report(args, "spectrum.json", payload)
+    _write_report(args, "spectrum.json", payload, text)
     return EXIT_OK
 
 
@@ -377,16 +387,15 @@ def _cmd_verify_hyperbolicity(args):
         "failures": failures,
         "passed": not failures,
     }
-    if args.format == "json":
-        print(_dump(report))
-    else:
+    text = _print_json(args, report)
+    if text is None:
         print(
             f"n={n} gamma={gamma}: {args.samples} samples, "
             f"min separation {report['min_separation']!r}, "
             f"{report['near_degenerate']} near-degenerate (separation <= {tol!r}), "
             f"{len(failures)} failure(s)"
         )
-    _write_report(args, "hyperbolicity_report.json", report)
+    _write_report(args, "hyperbolicity_report.json", report, text)
     return EXIT_OK if not failures else EXIT_CERTIFICATION
 
 
@@ -426,13 +435,12 @@ def _cmd_verify_stability(args):
         "failures": len(failed),
         "passed": not failed,
     }
-    if args.format == "json":
-        print(_dump(report))
-    else:
+    text = _print_json(args, report)
+    if text is None:
         print(
             f"n={n}: {args.samples} certificates, {len(failed)} failure(s)"
         )
-    _write_report(args, "stability_report.json", report)
+    _write_report(args, "stability_report.json", report, text)
     return EXIT_OK if not failed else EXIT_CERTIFICATION
 
 

@@ -90,7 +90,7 @@ class EquilibriumState:
     theta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rho) and np.isfinite(self.U) and np.isfinite(self.theta)):
+        if not (math.isfinite(self.rho) and math.isfinite(self.U) and math.isfinite(self.theta)):
             raise ValueError("equilibrium state entries must be finite")
         if self.rho <= 0:
             raise ValueError(f"density must be positive, got {self.rho}")

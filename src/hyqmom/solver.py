@@ -27,15 +27,15 @@ A step runs over contiguous blocks of cells (``_blocks``), each holding
 about ``BLOCK_VALUES`` moment values, so that one block's rows and the
 temporaries built from them stay in cache.  The first pass gates,
 reconstructs, takes each cell's CFL speed and writes its split power sums,
-the two halves of its interface fluxes, into block-local rows; it adds
-them into the block's interface fluxes and ends in flux differences,
-written straight into the (2n+1, J) buffer of the new cells.  Only the
-last face and the last right half carry over to the next block, and the
-boundary rule settles the first and last cells after the loop, so no
-table spans the grid's interfaces.  The global dt follows from all
-speeds.  The second pass scales the differences, adds the old cells,
-relaxes, and gates the new cells into the new grid's memo; the new grid
-takes the buffer read-only without a copy.  Within a block every
+the two halves of its interface fluxes, into block-local rows.  Each block
+reconstructs one ghost cell beyond either end, a neighbour's rows or, at
+the grid's ends, rows taken by the boundary rule, so its faces and flux
+differences come from its own rows: nothing carries over from one block to
+the next, and no table spans the grid's interfaces.  The differences go
+straight into the (2n+1, J) buffer of the new cells.  The global dt
+follows from all speeds.  The second pass scales the differences, adds the
+old cells, relaxes, and gates the new cells into the new grid's memo; the
+new grid takes the buffer read-only without a copy.  Within a block every
 per-order update is a contiguous row operation, and every cell sees the
 same operations in the same order as in one block over the whole grid,
 so the results are bitwise those of an unblocked step.  Inputs in C order
@@ -174,8 +174,8 @@ class GridState:
 def _blocks(J, L):
     """Slices cutting J cells of L moments into ceil(J / size) contiguous
     blocks of nearly equal length, size = BLOCK_VALUES // L cells; J <= size
-    gives one block.  Equal lengths keep a short remainder out: numpy sums a
-    one-column array of 8 or more rows in another order than a wider one."""
+    gives one block.  Equal lengths keep a short remainder out, which would
+    pay every kernel's per-call overhead for a few cells."""
     count = -(-J // max(BLOCK_VALUES // L, 1))
     bounds = [J * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -287,44 +287,27 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
     j is flux_j - flux_(j+1), where the flux of face i is the right half of
     cell i-1 plus the left half of cell i.
 
-    Each block adds its halves into its cells' left faces in place, and
-    only the last face and the last right half carry over to the next
-    block.  The first and last cells are settled after the loop by the
-    boundary rule (cell 0 keeps its left half and its right face until
-    then): periodic ends share the face right(J-1) + left(0); zero-gradient
-    ends take right(0) + left(0) and right(J-1) + left(J-1)."""
+    Each block reconstructs its B cells plus one neighbour on either side,
+    so its B+1 faces and B differences come from its own rows.  Interior
+    blocks slice the gate's rows; the two end blocks take them with the
+    boundary rule as the take mode, ``wrap`` for periodic ends and ``clip``
+    for zero-gradient ones, order-major like the gate's."""
     J, L = grid.cells.shape
-    periodic = grid.boundary == "periodic"
-    smax = np.empty(J)
-    diff = np.empty((L, J))
+    mode = "wrap" if grid.boundary == "periodic" else "clip"
+    smax, diff = np.empty(J), np.empty((L, J))
     for blk in blocks:
-        nodes, weights = _reconstruct_batch(a[blk], b[blk], gamma, variant)
-        np.max(np.abs(nodes.T), axis=0, out=smax[blk])
-        right, left = np.empty((2, L, blk.stop - blk.start))
+        lo, hi = blk.start - 1, blk.stop + 1
+        if 0 <= lo and hi <= J:
+            rows = a[lo:hi], b[lo:hi]
+        else:
+            rows = [np.take(x.T, np.arange(lo, hi), axis=1, mode=mode).T for x in (a, b)]
+        nodes, weights = _reconstruct_batch(*rows, gamma, variant)
+        np.max(np.abs(nodes.T[:, 1:-1]), axis=0, out=smax[blk])
+        right, left = np.empty((2, L, hi - lo))
         _interface_fluxes(nodes, weights, right, left)
-        # the two end faces, from the halves before they are added up
-        if blk.start == 0:
-            first_left = left[:, 0].copy()
-            face0 = np.add(right[:, 0], first_left)
-        if blk.stop == J:
-            faceJ = np.add(right[:, -1], first_left if periodic else left[:, -1])
-        if blk.start:
-            # face blk.start closes the previous block's last cell
-            np.add(last_right, left[:, 0], out=left[:, 0])
-            np.subtract(last_face, left[:, 0], out=diff[:, blk.start - 1])
-        # left[:, i] becomes the left face of cell blk.start + i, except for
-        # cell 0, whose column is written after the loop
-        np.add(right[:, :-1], left[:, 1:], out=left[:, 1:])
-        np.subtract(left[:, :-1], left[:, 1:], out=diff[:, blk.start : blk.stop - 1])
-        if blk.start <= 1 < blk.stop:
-            second_face = left[:, 1 - blk.start].copy()
-        last_face, last_right = left[:, -1].copy(), right[:, -1].copy()
-    if periodic:
-        face0 = faceJ
-    # a single cell's right face is face J
-    np.subtract(face0, second_face if J > 1 else faceJ, out=diff[:, 0])
-    if J > 1:
-        np.subtract(last_face, faceJ, out=diff[:, J - 1])
+        # column i of faces is face blk.start + i, the left face of cell i
+        faces = np.add(right[:, :-1], left[:, 1:], out=left[:, 1:])
+        np.subtract(faces[:, :-1], faces[:, 1:], out=diff[:, blk])
     return smax, diff
 
 
@@ -552,10 +535,10 @@ def build_initial_grid(cfg):
     rows = np.empty((2 * n + 1, J))
     lower = x0
     for seg in cfg["initial"]:
-        # the cells with lower < centre <= x_until + 1e-15, one slice of the
+        # the cells with lower < centre <= x_until, one slice of the
         # ascending centres
         start = np.searchsorted(centers, lower, side="right")
-        stop = np.searchsorted(centers, seg["x_until"] + 1e-15, side="right")
+        stop = np.searchsorted(centers, seg["x_until"], side="right")
         if start < stop:
             a, b = _segment_coefficients(seg, n)
             row = _moments_from_recurrence_batch(a, b, 2 * n + 1)[0]
@@ -608,11 +591,8 @@ def run(config, output_dir=None):
     """
     started = _time.time()
     if isinstance(config, (str, Path)):
-        with open(config) as fh:
-            raw = json.load(fh)
-        cfg = validate_config(raw)
-    else:
-        cfg = validate_config(config)
+        config = json.loads(Path(config).read_text())
+    cfg = validate_config(config)
     spec = ClosureSpec("hyqmom", gamma=cfg["gamma"])
     grid = build_initial_grid(cfg)
     out = None if output_dir is None else Path(output_dir)

@@ -722,6 +722,29 @@ class TestReportEncoding:
         name = argv[0].replace("verify-", "") + "_report.json"
         assert out == (tmp_path / name).read_text() == expected
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["close", "--hyqmom", "--moments", "1,0,1,0,3"], "close.json"),
+            (["spectrum", "--moments", "1,0,1,0,3"], "spectrum.json"),
+            (["verify-hyperbolicity", "--n", "2", "--samples", "30"], "hyperbolicity_report.json"),
+            (["verify-stability", "--n", "3", "--samples", "4"], "stability_report.json"),
+        ],
+    )
+    def test_each_report_is_encoded_once(self, argv, name, fmt, capsys, count_calls, tmp_path):
+        # stdout and the report file share one encoding; the manifest is
+        # the other one
+        calls = count_calls(cli, "_dump")
+        code, out, _ = run_cli(argv + ["--format", fmt, "--output-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert calls[0] == 2
+        if fmt == "json":
+            assert out == (tmp_path / name).read_text()
+        calls[0] = 0
+        run_cli(argv + ["--format", fmt], capsys)
+        assert calls[0] == (fmt == "json")
+
 
 class TestSharedParser:
     """main parses with one parser per process; a call must see nothing of

@@ -346,6 +346,17 @@ class TestEquilibriumState:
         with pytest.raises(ValueError):
             hq.EquilibriumState(rho=1.0, U=0.0, theta=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["rho", "U", "theta"])
+    def test_non_finite_entries_refused(self, name, value):
+        entries = dict(rho=2.0, U=-1.0, theta=3.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            hq.EquilibriumState(**dict(entries, **{name: value}))
+        with pytest.raises(ValueError, match="must be finite"):
+            hq.EquilibriumState(**dict(entries, **{name: np.float64(value)}))
+        state = hq.EquilibriumState(**{k: np.float64(v) for k, v in entries.items()})
+        assert state.moments(2).tolist() == [2.0, -2.0, 8.0]
+
     def test_moment_vector(self):
         st = hq.EquilibriumState(rho=2.0, U=0.0, theta=1.0)
         assert np.allclose(st.moments(4), [2, 0, 2, 0, 6])

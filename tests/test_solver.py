@@ -149,8 +149,10 @@ class TestKineticFlux:
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_one_cell_blocks_at_the_global_ends(self, rng, J, variant, boundary, monkeypatch):
-        # the first and last cells are settled from the carried columns
-        # after the loop; one-cell blocks put a block edge next to both
+        # one-cell blocks put a block edge next to both global ends: the end
+        # blocks take their ghost cells by the boundary rule, the others
+        # slice them from the gate's rows, and a single cell is its own
+        # ghost on both sides
         cells = random_odd_moments(rng, 2, count=J, a_range=(-1, 1), b_range=(0.5, 2))
         grid = hq.GridState(cells=cells, dx=np.full(J, 1 / J), tau=0.3, boundary=boundary)
         _, a, b = grid._gate()
@@ -368,7 +370,7 @@ class TestBlocks:
     @pytest.mark.parametrize("block_cells", [1, 7])
     @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_block_length_does_not_change_results(
         self, n, variant, boundary, block_cells, monkeypatch
     ):
@@ -426,8 +428,9 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         first, second = peaks
-        # measured: 8.1 (gauss) and 10.1 (eigen) blocks over the kept
-        # arrays in the first pass, 8.2 in the second, after the speeds
+        # measured: 9.5 (gauss) and 11.1 (eigen) blocks over the kept
+        # arrays in the first pass, whose end blocks copy their gate rows
+        # with the ghost cells, and 8.2 in the second, after the speeds
         # are freed
         assert first <= speeds + new_cells + 12 * block
         assert second <= new_cells + gate + 12 * block
@@ -475,7 +478,8 @@ class TestBlocks:
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
     def test_no_sweep_sees_more_than_one_block(self, variant, monkeypatch):
         # every Wheeler sweep and eigensolve of an n = 2 step runs on one
-        # block, and the new grid's gate is the one the step built
+        # block, the eigensolve with its two ghost cells, and the new grid's
+        # gate is the one the step built
         size = hq.solver.BLOCK_VALUES // 5
         cells = 2 * size + 10
         cfg = dict(self.riemann(2, variant, "periodic", cells=cells), snapshot_every=None)
@@ -504,6 +508,34 @@ class TestBlocks:
         assert max(rows["wheeler"] + rows["jacobi"]) <= size
         new._gate()
         assert len(rows["wheeler"]) == 2 * blocks
+
+    @pytest.mark.parametrize("block_cells", [7, None])
+    @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_reconstruction_rows_are_order_major(
+        self, variant, boundary, block_cells, monkeypatch
+    ):
+        # interior blocks slice the gate's rows and the end blocks take their
+        # ghost rows by the boundary rule; either way every block gets its
+        # cells and one ghost each side as contiguous rows, one per order
+        if block_cells:
+            monkeypatch.setattr(hq.solver, "BLOCK_VALUES", block_cells * 5)
+        grid = build_initial_grid(hq.validate_config(self.riemann(2, variant, boundary)))
+        calls = []
+        reconstruct = hq.solver._reconstruct_batch
+
+        def spy(a, b, *args):
+            calls.append((a, b))
+            return reconstruct(a, b, *args)
+
+        monkeypatch.setattr(hq.solver, "_reconstruct_batch", spy)
+        hq.step(grid, SPEC1, variant)
+        lengths = [blk.stop - blk.start + 2 for blk in _blocks(50, 5)]
+        assert len(lengths) == (8 if block_cells else 1)
+        assert [len(a) for a, _ in calls] == lengths
+        for rows in calls:
+            for x in rows:
+                assert x.strides[0] == x.itemsize
 
 
 class TestConfigValidation:
@@ -589,8 +621,7 @@ class TestConfigValidation:
     def test_segment_edge_on_a_cell_centre(self, edge, owners):
         # the centres of 8 cells on [0, 1] are (j + 1/2) / 8 exactly; a
         # centre at x_until is the segment's last, and a centre just above
-        # it the next segment's first, although it is within the 1e-15
-        # allowance of both
+        # it the next segment's first
         states = [
             {"rho": 1.0, "U": 0.3, "theta": 1.0},
             {"rho": 0.5, "U": -0.2, "theta": 0.7, "db": [0.0, 0.1]},
