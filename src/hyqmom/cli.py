@@ -36,7 +36,7 @@ from .moments import (
     _realizability,
 )
 from .orthopoly import check_interlacing
-from .solver import ConfigError, RealizabilityLossError, run
+from .solver import ConfigError, RealizabilityLossError, _blocks, run
 from .stability import EquilibriumState, certify
 
 EXIT_OK = 0
@@ -346,6 +346,12 @@ def _require_sampling(args):
 
 
 def _cmd_verify_hyperbolicity(args):
+    """Sample recurrence rows (a, b), close them at gamma and certify each
+    draw's spectrum (_hyperbolicity_failures).  The draws are made whole,
+    so the PCG64 stream does not depend on blocking, and then run in the
+    solver's blocks (solver._blocks over 2n+1 moments per draw): only the
+    running minimum separation, the near-degenerate count and the failure
+    records, with global sample indices, outlive a block."""
     tol = 1e-7 if args.tol is None else args.tol
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
@@ -358,21 +364,30 @@ def _cmd_verify_hyperbolicity(args):
     rng = np.random.default_rng(args.seed)
     a = rng.uniform(args.a_range[0], args.a_range[1], (args.samples, n))
     b = rng.uniform(args.b_range[0], args.b_range[1], (args.samples, n + 1))
-    # every draw with b > 0 is realizable: a row the gate refuses after the
-    # round trip overflowed or cancelled, a precision limit of the ranges
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = _moments_from_recurrence_batch(a, b, 2 * n + 1)
-        try:
-            lam, om, _, _ = _spectral_batch(moments, gamma)
-        except NotRealizableError as exc:
-            raise ValueError(
-                f"sample {exc.pivot_index} lost realizability in the (a, b) -> moments round "
-                f"trip: --a-range {args.a_range[0]!r} {args.a_range[1]!r} --b-range "
-                f"{args.b_range[0]!r} {args.b_range[1]!r} exceed double precision at n={n}"
-            ) from None
-    radius = np.max(np.abs(lam), axis=1)
-    separation = np.min(np.diff(lam, axis=1), axis=1) / radius
-    failures = _hyperbolicity_failures(a, b, gamma, lam, om)
+    min_separation, near_degenerate, failures = np.inf, 0, []
+    for blk in _blocks(args.samples, 2 * n + 1):
+        a_blk, b_blk = a[blk], b[blk]
+        # every draw with b > 0 is realizable: a row the gate refuses after
+        # the round trip overflowed or cancelled, a precision limit of the ranges
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = _moments_from_recurrence_batch(a_blk, b_blk, 2 * n + 1)
+            try:
+                lam, om, _, _ = _spectral_batch(moments, gamma)
+            except NotRealizableError as exc:
+                raise ValueError(
+                    f"sample {blk.start + exc.pivot_index} lost realizability in the (a, b) "
+                    f"-> moments round trip: --a-range {args.a_range[0]!r} "
+                    f"{args.a_range[1]!r} --b-range {args.b_range[0]!r} "
+                    f"{args.b_range[1]!r} exceed double precision at n={n}"
+                ) from None
+        radius = np.max(np.abs(lam), axis=1)
+        separation = np.min(np.diff(lam, axis=1), axis=1) / radius
+        # np.minimum, like one np.min over all draws, keeps a NaN
+        min_separation = np.minimum(min_separation, separation.min())
+        near_degenerate += int(np.sum(separation <= tol))
+        for failure in _hyperbolicity_failures(a_blk, b_blk, gamma, lam, om):
+            failure["sample"] += blk.start
+            failures.append(failure)
     report = {
         "n": n,
         "gamma": gamma,
@@ -382,8 +397,8 @@ def _cmd_verify_hyperbolicity(args):
         "a_range": list(args.a_range),
         "b_range": list(args.b_range),
         "separation_tol": tol,
-        "min_separation": float(separation.min()),
-        "near_degenerate": int(np.sum(separation <= tol)),
+        "min_separation": float(min_separation),
+        "near_degenerate": near_degenerate,
         "failures": failures,
         "passed": not failures,
     }
@@ -412,8 +427,10 @@ def _cmd_verify_stability(args):
             "note": "Condition (I)/(III) trivial: no relaxing block",
             "passed": True,
         }
-        print(report["note"])
-        _write_report(args, "stability_report.json", report)
+        text = _print_json(args, report)
+        if text is None:
+            print(report["note"])
+        _write_report(args, "stability_report.json", report, text)
         return EXIT_OK
     # one call draws what scalar draws of rho, U, theta, state after state, gave
     low, high = zip(args.rho_range, args.u_range, args.theta_range)

@@ -175,7 +175,8 @@ def _blocks(J, L):
     """Slices cutting J cells of L moments into ceil(J / size) contiguous
     blocks of nearly equal length, size = BLOCK_VALUES // L cells; J <= size
     gives one block.  Equal lengths keep a short remainder out, which would
-    pay every kernel's per-call overhead for a few cells."""
+    pay every kernel's per-call overhead for a few cells.  The rows may be
+    cells of a grid (the step) or sampled draws (verify-hyperbolicity)."""
     count = -(-J // max(BLOCK_VALUES // L, 1))
     bounds = [J * i // count for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -455,6 +456,16 @@ def validate_config(cfg):
         raise ConfigError("domain", "need x1 > x0")
     out["domain"] = [x0, x1]
     out["cells"] = int(_require(cfg, "cells", int, lambda v: v >= 2, "integer >= 2"))
+    with np.errstate(invalid="ignore"):  # an infinite domain or width makes inf - inf
+        centers, dx = _cell_centers(x0, x1, out["cells"])
+        ascending = x0 < centers[0] and centers[-1] <= x1 and np.all(centers[1:] > centers[:-1])
+    if not ascending:
+        # a centre rounded onto x0 or onto its neighbour would own no cell
+        raise ConfigError(
+            "domain",
+            f"the centres of {out['cells']} cells of width {dx!r} are not strictly "
+            f"increasing inside ({x0!r}, {x1!r}] in double precision",
+        )
     out["t_final"] = float(
         _require(cfg, "t_final", (int, float), lambda v: v >= 0, "nonnegative")
     )
@@ -525,13 +536,23 @@ def _segment_coefficients(seg, n):
     return a, b
 
 
+def _cell_centers(x0, x1, J):
+    """Centres x0 + (j + 1/2) dx and width dx of J equal cells on [x0, x1],
+    computed in place in one array."""
+    dx = (x1 - x0) / J
+    centers = np.arange(J, dtype=float)
+    centers += 0.5
+    centers *= dx
+    centers += x0
+    return centers, dx
+
+
 def build_initial_grid(cfg):
     """Grid at t = 0 from a validated config."""
     n = cfg["n"]
     J = cfg["cells"]
     x0, x1 = cfg["domain"]
-    dx = (x1 - x0) / J
-    centers = x0 + (np.arange(J) + 0.5) * dx
+    centers, dx = _cell_centers(x0, x1, J)
     rows = np.empty((2 * n + 1, J))
     lower = x0
     for seg in cfg["initial"]:

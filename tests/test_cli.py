@@ -5,12 +5,13 @@ import json.encoder
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyqmom import cli
+from hyqmom import cli, solver
 from hyqmom.cli import _dump, _hyperbolicity_failures, build_parser, main
 from hyqmom.closures import _spectral_from_recurrence
 
@@ -296,6 +297,71 @@ class TestVerifyHyperbolicity:
         # the same draws at gamma = 1 are certified
         lam, om, _, _ = _spectral_from_recurrence(a, b, 1.0)
         assert _hyperbolicity_failures(a, b, 1.0, lam, om) == []
+
+
+class TestDrawBlocks:
+    """verify-hyperbolicity runs its draws in solver._blocks; the blocks
+    change no report, stdout or refusal."""
+
+    def run_in_blocks(self, argv, draws, monkeypatch, capsys, tmp_path):
+        """Exit code, stdout, stderr and report bytes of argv run in blocks
+        of about ``draws`` draws each (None: the solver's own blocks)."""
+        if draws is not None:
+            n = int(argv[argv.index("--n") + 1])
+            monkeypatch.setattr(solver, "BLOCK_VALUES", draws * (2 * n + 1))
+        out_dir = tmp_path / f"blocks-of-{draws}"
+        code, out, err = run_cli(argv + ["--output-dir", str(out_dir)], capsys)
+        report = out_dir / "hyperbolicity_report.json"
+        return code, out, err, report.read_bytes() if report.exists() else None
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_block_length_does_not_change_the_report(self, n, draws, monkeypatch, capsys, tmp_path):
+        # 3 draws per block cut 1000 draws into blocks of 2 and 3
+        argv = ["verify-hyperbolicity", "--n", str(n), "--seed", "4"]
+        whole = self.run_in_blocks(argv, 1000, monkeypatch, capsys, tmp_path)
+        assert whole[0] == 0 and whole[3] is not None
+        assert self.run_in_blocks(argv, draws, monkeypatch, capsys, tmp_path) == whole
+
+    def test_failures_carry_global_ascending_indices(self, monkeypatch, capsys, tmp_path):
+        # gamma just above -2n: two of the 20000 default draws fail
+        argv = ["verify-hyperbolicity", "--n", "2", "--gamma=-3.9999999999", "--samples", "20000"]
+        whole = self.run_in_blocks(argv, 20000, monkeypatch, capsys, tmp_path)
+        assert self.run_in_blocks(argv, 3, monkeypatch, capsys, tmp_path) == whole
+        assert whole[0] == 3
+        report = json.loads(whole[3])
+        assert [f["sample"] for f in report["failures"]] == [15536, 17022]
+
+    @pytest.mark.parametrize("draws", [None, 3, 60000], ids=["solver", "3", "one-block"])
+    def test_refusal_names_the_draw_in_the_whole_sample(self, draws, monkeypatch, capsys, tmp_path):
+        # draw 15914 is the first that the round trip cannot resolve; it
+        # lies past the first block under the solver's own block rule
+        argv = ["verify-hyperbolicity", "--n", "1", "--samples", "60000", "--seed", "1",
+                "--a-range", "0", "2.5e7"]
+        assert solver._blocks(60000, 3)[0].stop <= 15914
+        code, out, err, report = self.run_in_blocks(argv, draws, monkeypatch, capsys, tmp_path)
+        assert code == 1 and out == "" and report is None
+        assert "error: sample 15914 lost realizability in the (a, b) -> moments round trip" in err
+
+    def test_peak_memory_is_the_draws_and_one_block(self, capsys):
+        # n = 4, 1e5 draws: the draws (a, b) take 7.2 MB; one pass over
+        # all of them held about 9x that in temporaries (66 MB traced), a
+        # block at a time holds about 12 blocks of 8 BLOCK_VALUES bytes
+        n, samples = 4, 100_000
+        argv = ["verify-hyperbolicity", "--n", str(n), "--samples", str(samples)]
+        assert len(solver._blocks(samples, 2 * n + 1)) > 1
+        run_cli(argv, capsys)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        draws = 8 * samples * (2 * n + 1)
+        block = 8 * solver.BLOCK_VALUES
+        assert peak <= draws + 16 * block
 
 
 class TestRoundTripPrecision:
@@ -730,6 +796,7 @@ class TestReportEncoding:
             (["spectrum", "--moments", "1,0,1,0,3"], "spectrum.json"),
             (["verify-hyperbolicity", "--n", "2", "--samples", "30"], "hyperbolicity_report.json"),
             (["verify-stability", "--n", "3", "--samples", "4"], "stability_report.json"),
+            (["verify-stability", "--n", "1"], "stability_report.json"),
         ],
     )
     def test_each_report_is_encoded_once(self, argv, name, fmt, capsys, count_calls, tmp_path):

@@ -579,6 +579,24 @@ class TestConfigValidation:
             hq.validate_config(cfg)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "domain", [[1e16, 1e16 + 4], [-1e308, 1e308], [0.0, math.inf]],
+        ids=["below-double-spacing", "overflowing-width", "infinite"],
+    )
+    def test_unresolved_cell_centres_refused(self, domain):
+        # doubles near 1e16 are 2 apart: the centres of 4 cells of width 1
+        # round to x0 + [0, 2, 2, 4], and the first would own no cell
+        cfg = dict(self.base(), domain=domain, cells=4)
+        with pytest.raises(hq.ConfigError, match="not strictly increasing") as exc:
+            hq.validate_config(cfg)
+        assert exc.value.field == "domain"
+
+    def test_cells_two_doubles_wide_accepted(self):
+        eps = np.finfo(float).eps
+        cfg = dict(self.base(), domain=[1.0, 1.0 + 8 * eps], cells=4)
+        grid = build_initial_grid(hq.validate_config(cfg))
+        assert np.all(grid.cells == grid.cells[0])
+
     def test_missing_field(self):
         cfg = self.base()
         del cfg["cells"]
