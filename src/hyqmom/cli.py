@@ -32,7 +32,6 @@ from .moments import (
     DEFAULT_REALIZABILITY_TOL,
     MAX_HALF_ORDER,
     NotRealizableError,
-    _moments_from_recurrence_batch,
     _realizability,
 )
 from .orthopoly import check_interlacing
@@ -270,32 +269,38 @@ def _cmd_spectrum(args):
     return EXIT_OK
 
 
-def _hyperbolicity_failures(a, b, gamma, lam, om):
-    """Failure records of the draws with recurrence rows a (J, n) and
-    b (J, n+1) and merged spectra (lam, om) at this gamma.
+def _enclosure_radii(a, b, gamma):
+    """Per draw, the eigenvalue enclosure radius (m+1) eps ||T||_F of T_Q
+    (order n) plus that of T_R (order n+1), with ||T||_F taken from the
+    drawn rows a (J, n) and b (J, n+1); inf where ||T||_F^2 overflows."""
+    n = a.shape[1]
+    tq = np.sum(a**2, axis=1) + 2 * np.sum(b[:, 1:n], axis=1)
+    tr = tq + _hyqmom_an(a, gamma) ** 2 + 2 * (2 * n + gamma) / n * b[:, n]
+    return np.finfo(float).eps * ((n + 1) * np.sqrt(tq) + (n + 2) * np.sqrt(tr))
+
+
+def _hyperbolicity_failures(gaps, enclosure, om, gamma, start):
+    """Failure records of the draws whose merged spectra have the gaps
+    np.diff(lam) (J, 2n), the enclosure radii ``_enclosure_radii`` and the
+    weights om (J, 2n+1) at this gamma; draw i is sample start + i.
 
     A draw fails when its Q_n and R_{n+1} roots do not interlace strictly,
     when two adjacent eigenvalue enclosures overlap, or (for gamma > -n) on
-    a nonpositive weight.  Each computed eigenvalue of a symmetric
-    tridiagonal T of order m is enclosed with the radius (m+1) eps ||T||_F,
-    with ||T||_F taken from the draw's own (a, b) for T_Q (order n) and
-    T_R (order n+1).  For m >= 5 that is LAPACK's backward-error bound; for
-    the closed-form orders m <= 4 it is a measured bound, checked against
-    60-digit eigenvalues in the tests (worst error 0.36 of the radius,
-    close and near-degenerate pairs included).  Interlaced eigenvalues
-    alternate between the two, so disjoint adjacent enclosures prove 2n+1
-    distinct eigenvalues; a small gap alone fails nothing, as the theorem
-    gives no lower bound on it.
+    a weight that is not positive.  The spectra are those of the drawn
+    rows themselves, the Jacobi matrices T_Q and T_R of the two factors,
+    and each computed eigenvalue of a symmetric tridiagonal T of order m is
+    enclosed with the radius (m+1) eps ||T||_F.  For m >= 5 that is
+    LAPACK's backward-error bound; for the closed-form orders m <= 4 it is
+    a measured bound, checked against 60-digit eigenvalues in the tests
+    (worst error 0.36 of the radius, close and near-degenerate pairs
+    included).  Interlaced eigenvalues alternate between the two, so
+    disjoint adjacent enclosures prove 2n+1 distinct eigenvalues; a small
+    gap alone fails nothing, as the theorem gives no lower bound on it.
     """
-    n = a.shape[1]
-    eps = np.finfo(float).eps
-    tq = np.sum(a**2, axis=1) + 2 * np.sum(b[:, 1:n], axis=1)
-    tr = tq + _hyqmom_an(a, gamma) ** 2 + 2 * (2 * n + gamma) / n * b[:, n]
-    enclosure = (n + 1) * eps * np.sqrt(tq) + (n + 2) * eps * np.sqrt(tr)
-    gaps = np.diff(lam, axis=1)
+    n = gaps.shape[1] // 2
     not_interlaced = ~np.all(gaps > 0, axis=1)
     overlap = ~(np.min(gaps, axis=1) > enclosure)
-    bad_weight = np.min(om, axis=1) <= 0 if gamma > -n else np.zeros_like(overlap)
+    bad_weight = ~(np.min(om, axis=1) > 0) if gamma > -n else np.zeros_like(overlap)
     failures = []
     for i in np.flatnonzero(not_interlaced | overlap | bad_weight):
         reasons = []
@@ -305,7 +310,7 @@ def _hyperbolicity_failures(a, b, gamma, lam, om):
             reasons.append(f"enclosures overlap (gap {float(np.min(gaps[i]))!r})")
         if bad_weight[i]:
             reasons.append("nonpositive weight")
-        failures.append({"sample": int(i), "reasons": reasons})
+        failures.append({"sample": start + int(i), "reasons": reasons})
     return failures
 
 
@@ -346,12 +351,15 @@ def _require_sampling(args):
 
 
 def _cmd_verify_hyperbolicity(args):
-    """Sample recurrence rows (a, b), close them at gamma and certify each
-    draw's spectrum (_hyperbolicity_failures).  The draws are made whole,
-    so the PCG64 stream does not depend on blocking, and then run in the
-    solver's blocks (solver._blocks over 2n+1 moments per draw): only the
-    running minimum separation, the near-degenerate count and the failure
-    records, with global sample indices, outlive a block."""
+    """Sample recurrence rows (a, b), close them at gamma and certify the
+    spectra of the drawn rows themselves (_hyperbolicity_failures), with no
+    moments built from them.  The draws are made whole, so the PCG64
+    stream does not depend on blocking, and then run in the solver's
+    blocks (solver._blocks over 2n+1 moments per draw): only the running
+    minimum separation, the near-degenerate count and the failure records,
+    with global sample indices, outlive a block.  A draw whose eigenvalues,
+    enclosure radius or separation are not finite in doubles is refused,
+    with no report written."""
     tol = 1e-7 if args.tol is None else args.tol
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
@@ -366,28 +374,25 @@ def _cmd_verify_hyperbolicity(args):
     b = rng.uniform(args.b_range[0], args.b_range[1], (args.samples, n + 1))
     min_separation, near_degenerate, failures = np.inf, 0, []
     for blk in _blocks(args.samples, 2 * n + 1):
-        a_blk, b_blk = a[blk], b[blk]
-        # every draw with b > 0 is realizable: a row the gate refuses after
-        # the round trip overflowed or cancelled, a precision limit of the ranges
+        # order-major rows, as the kernels read them
+        a_blk, b_blk = np.asfortranarray(a[blk]), np.asfortranarray(b[blk])
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = _moments_from_recurrence_batch(a_blk, b_blk, 2 * n + 1)
-            try:
-                lam, om, _, _ = _spectral_batch(moments, gamma)
-            except NotRealizableError as exc:
-                raise ValueError(
-                    f"sample {blk.start + exc.pivot_index} lost realizability in the (a, b) "
-                    f"-> moments round trip: --a-range {args.a_range[0]!r} "
-                    f"{args.a_range[1]!r} --b-range {args.b_range[0]!r} "
-                    f"{args.b_range[1]!r} exceed double precision at n={n}"
-                ) from None
-        radius = np.max(np.abs(lam), axis=1)
-        separation = np.min(np.diff(lam, axis=1), axis=1) / radius
-        # np.minimum, like one np.min over all draws, keeps a NaN
-        min_separation = np.minimum(min_separation, separation.min())
+            lam, om, _, _ = _spectral_batch(a_blk, b_blk, gamma)
+            enclosure = _enclosure_radii(a_blk, b_blk, gamma)
+            gaps = np.diff(lam, axis=1)
+            # 0/0 where every eigenvalue is 0: the couplings underflowed
+            separation = np.min(gaps, axis=1) / np.max(np.abs(lam), axis=1)
+        finite = np.isfinite(enclosure + separation) & np.all(np.isfinite(lam), axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"sample {blk.start + int(np.argmin(finite))} has a non-finite eigenvalue, "
+                f"enclosure radius or separation: --a-range {args.a_range[0]!r} "
+                f"{args.a_range[1]!r} --b-range {args.b_range[0]!r} {args.b_range[1]!r} "
+                f"exceed double precision at n={n}"
+            )
+        min_separation = min(min_separation, float(separation.min()))
         near_degenerate += int(np.sum(separation <= tol))
-        for failure in _hyperbolicity_failures(a_blk, b_blk, gamma, lam, om):
-            failure["sample"] += blk.start
-            failures.append(failure)
+        failures += _hyperbolicity_failures(gaps, enclosure, om, gamma, blk.start)
     report = {
         "n": n,
         "gamma": gamma,

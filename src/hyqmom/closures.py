@@ -34,9 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import (
-    NotRealizableError,
     _as_moment_array,
-    _realizable_pivots_batch,
     _wheeler_batch,
     affine_transform,
     moments_to_recurrence,
@@ -291,9 +289,11 @@ def jacobian_matrix(m, spec):
     return _companion(characteristic_polynomial(m, spec).c)
 
 
-def _spectral_from_recurrence(a, b, gamma):
+def _spectral_batch(a, b, gamma):
     """Batched merged eigenstructure of hyqmom systems from recurrence rows
-    a (J, n) and b (J, n+1).
+    a (J, n) and b (J, n+1), the one spectral kernel of the package.  The
+    rows are taken as given (b > 0): no moments are built and nothing is
+    gated here, so callers that start from moments gate them first.
 
     Eigenvalues: stacked tridiagonal eigensolves of the Q_n Jacobi matrix
     and of the same matrix extended by one row (diagonal a_n, off-diagonal
@@ -326,18 +326,6 @@ def _spectral_from_recurrence(a, b, gamma):
     return lam.T, om.T, qroots, rroots
 
 
-def _spectral_batch(M, gamma):
-    """Realizability gate on odd-length moment rows, then
-    _spectral_from_recurrence on their Wheeler coefficients."""
-    ok, a, b, _ = _realizable_pivots_batch(M)
-    if not np.all(ok):
-        bad = int(np.flatnonzero(~ok)[0])
-        raise NotRealizableError(
-            f"row {bad} of the batch is not strictly realizable", pivot_index=bad
-        )
-    return _spectral_from_recurrence(a, b, gamma)
-
-
 def spectral_decomposition(m, spec):
     """Full eigenstructure (characteristic coefficients, eigenvalues,
     weights, factors) of a closed hyqmom system."""
@@ -349,7 +337,7 @@ def spectral_decomposition(m, spec):
     a, b = _recurrence_rows(m, spec)
     n = a.shape[1]
     c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
-    lam, om, _, _ = _spectral_from_recurrence(a, b, spec.gamma)
+    lam, om, _, _ = _spectral_batch(a, b, spec.gamma)
     lam, om = lam[0], om[0]
     if not np.all(np.diff(lam) > 0):
         raise RuntimeError(

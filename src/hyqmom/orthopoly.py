@@ -13,8 +13,9 @@ picks the solver from the order m: a closed form on length-J rows for
 m <= 4 (Smith's trigonometric roots with one Newton step at m = 3, the
 depressed quartic split by its largest resolvent root with two Newton
 steps at m = 4), and stacked ``numpy.linalg.eigvalsh`` for m >= 5 and for
-m = 3 and 4 lanes with two nearly equal eigenvalues.  Polynomial deflation
-and companion matrices are never used.
+the m = 3 and 4 lanes with two nearly equal eigenvalues or with a spread
+large enough to overflow the closed form, which LAPACK scales.
+Polynomial deflation and companion matrices are never used.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ def _small_jacobi_eigenvalues(d, off):
     eps ||T||^2 / gap on a close pair; at m = 3 one Newton step repaired
     that at a gap of 1e-5 of the spread but not at 1e-6 (60-digit
     reference), so lanes whose closest pair lies within 1e-4 of the spread
-    are solved again by ``_dense_eigenvalues``."""
+    are solved again by ``_dense_eigenvalues``.  So are the lanes whose
+    spread would overflow the intermediates, about spread^3 at m = 3 and
+    spread^6 at m = 4: past 1e100 and 1e50, which keeps them below 1e300."""
     m, J = d.shape
     x = np.empty((m, J))
     if m == 1:
@@ -140,11 +143,13 @@ def _small_jacobi_eigenvalues(d, off):
     for k in range(m):
         np.subtract(d[k], q, out=x[k])
     roots = _trigonometric_cubic_roots if m == 3 else _quartic_roots
-    close = roots(x, s, rows[1:])
-    x += q
-    for xk in x:
-        for _ in range(m - 2):
-            _newton_step(xk, d, s, rows)
+    # lanes past the spread limit overflow here; they go to LAPACK below
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = roots(x, s, rows[1:])
+        x += q
+        for xk in x:
+            for _ in range(m - 2):
+                _newton_step(xk, d, s, rows)
     if close.size:
         x[:, close] = _dense_eigenvalues(d[:, close].T, off[:, close].T).T
     return x
@@ -157,7 +162,8 @@ def _trigonometric_cubic_roots(e, s, rows):
     r = det(T - qI) / (2 p^3) clipped to [-1, 1], phi = arccos(r) / 3; the
     outer roots are 2p cos(phi) and 2p cos(phi + 2 pi/3), the middle one
     follows from the trace.  Returns the lanes whose closest pair lies
-    within 1e-4 p."""
+    within 1e-4 p, and those with p > 1e100, where det(T - qI) and the
+    Newton polynomial, about p^3, near overflow."""
     r, p, t = rows
     np.multiply(e[1], e[2], out=r)  # det(T - qI), then r
     r -= s[1]
@@ -189,8 +195,7 @@ def _trigonometric_cubic_roots(e, s, rows):
     np.subtract(e[1], e[0], out=r)
     np.subtract(e[2], e[1], out=t)
     np.minimum(r, t, out=r)
-    p *= 1e-4
-    return np.flatnonzero(r <= p)
+    return np.flatnonzero((r <= 1e-4 * p) | (p > 1e100))
 
 
 def _quartic_roots(e, s, rows):
@@ -212,7 +217,8 @@ def _quartic_roots(e, s, rows):
     cubic, and the closest-pair test missed lanes wrong by up to 1e9
     enclosure radii (a_k = U, b_1 = b_3, b_2 small).  Returns the lanes
     whose closest pair lies within 1e-4 of the spread
-    sqrt(-p) = ||T - qI||_F / sqrt(2)."""
+    sqrt(-p) = ||T - qI||_F / sqrt(2), and those whose spread exceeds 1e50,
+    where Q and c1^2, about spread^6, near overflow."""
     tiny = np.finfo(float).tiny
     p, c1, c0, u, v, w = rows
     np.add(s[0], s[1], out=p)
@@ -301,8 +307,7 @@ def _quartic_roots(e, s, rows):
     np.minimum(c0, w, out=c0)
     np.negative(p, out=p)
     np.sqrt(p, out=p)
-    p *= 1e-4
-    return np.flatnonzero(c0 <= p)
+    return np.flatnonzero((c0 <= 1e-4 * p) | (p > 1e50))
 
 
 def _newton_step(x, d, s, rows):

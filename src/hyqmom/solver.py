@@ -56,7 +56,7 @@ from .closures import (
     ClosureSpec,
     _hyqmom_an,
     _recurrence_rows,
-    _spectral_from_recurrence,
+    _spectral_batch,
 )
 from .moments import (
     MAX_HALF_ORDER,
@@ -250,7 +250,7 @@ def _reconstruct_batch(a, b, gamma, variant):
         diag = np.concatenate([a.T, _hyqmom_an(a, gamma)[None, :]]).T
         off = np.sqrt(b[:, 1:])
         return _jacobi_batch(diag, off, b[:, :1])
-    lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
+    lam, om, _, _ = _spectral_batch(a, b, gamma)
     return lam, om
 
 
@@ -576,11 +576,10 @@ def build_initial_grid(cfg):
 
 def _snapshot_csv_head(cfg, grid):
     """Header line and x column of a run's snapshot CSVs, which the run's
-    grids share: the cell widths do not change."""
+    grids share: the centres by which build_initial_grid assigns the cells."""
     moments = [f"M_{k}" for k in range(2 * grid.n + 1)]
     header = ",".join(["x", *moments, "rho", "U", "theta", "realizable_flag"])
-    x0, _ = cfg["domain"]
-    centers = x0 + (np.cumsum(grid.dx) - 0.5 * grid.dx)
+    centers, _ = _cell_centers(*cfg["domain"], cfg["cells"])
     return header, list(map(repr, centers.tolist()))
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import _characteristic_rows, _companion, _row_products, _spectral_from_recurrence
+from .closures import _characteristic_rows, _companion, _row_products, _spectral_batch
 from .moments import EquilibriumState, _gaussian_u_derivatives, _maxwellian_recurrence
 from .orthopoly import _monic_pair_batch, poly_eval
 
@@ -104,7 +104,7 @@ def _equilibrium_spectrum(n, U, theta, gamma=1.0):
     the closed system at an equilibrium state; both rho-free."""
     a, b = _maxwellian_recurrence(1.0, U, theta, n)
     c, _ = _characteristic_rows(a, b, "hyqmom", gamma)
-    return _spectral_from_recurrence(a, b, gamma)[0][0], c[0]
+    return _spectral_batch(a, b, gamma)[0][0], c[0]
 
 
 def _source_blocks(delta, d1, half, rho, U, theta):
@@ -192,7 +192,7 @@ def symmetrizer_weights(n):
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    w = _spectral_from_recurrence(*_maxwellian_recurrence(1.0, 0.0, 1.0, n), 1.0)[1][0]
+    w = _spectral_batch(*_maxwellian_recurrence(1.0, 0.0, 1.0, n), 1.0)[1][0]
     w[1::2] *= n / (n + 1)
     w[0::2] *= (n + 1) / n
     if np.min(w) <= 0:

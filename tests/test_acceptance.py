@@ -43,6 +43,14 @@ def _corpus(rng, n, count=SAMPLES, length=None):
     return _moments_from_recurrence_batch(a, b, length or 2 * n + 1)
 
 
+def _corpus_spectra(M, gamma):
+    """Merged spectra of moment rows: the corpus passes the realizability
+    gate, and the spectral kernel takes its Wheeler rows."""
+    ok, a, b, _ = _realizable_pivots_batch(M)
+    assert np.all(ok), "the corpus must be strictly realizable"
+    return _spectral_batch(a, b, gamma)
+
+
 def _complex_step_coefficients(M, close_rows, length):
     """c_j = -d(closed)/dM_j for every row by complex-step differentiation."""
     J, L = M.shape
@@ -101,7 +109,7 @@ def _residual_radii(T, lam):
 
 def _distinctness_margin(M, gamma, lam):
     """Per-row min over i != j of |lam_i - lam_j| / (rho_i + rho_j) for the
-    merged eigenvalues that _spectral_batch returns (R_{n+1} roots at even
+    merged eigenvalues that _corpus_spectra returns (R_{n+1} roots at even
     indices, Q_n roots at odd).  A margin > 1 makes the 2n+1 intervals
     pairwise disjoint, so the exact spectrum has 2n+1 distinct eigenvalues."""
     TQ, TR = _jacobi_matrices(M, gamma)
@@ -132,7 +140,7 @@ def test_criterion_1_strict_hyperbolicity():
     worst_rho = 0.0
     table = []
     for n, gamma, M in _criterion_1_cells():
-        lam, _, _, _ = _spectral_batch(M, gamma)
+        lam, _, _, _ = _corpus_spectra(M, gamma)
         gaps = np.diff(lam, axis=1)
         radius = np.max(np.abs(lam), axis=1)
         interlaced = np.all(gaps > 0, axis=1)
@@ -182,7 +190,7 @@ def test_criterion_1_degenerate_limit_is_not_certified():
             continue
         limit = np.float64(-2 * n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam, _, _, _ = _spectral_batch(M, limit)
+            lam, _, _, _ = _corpus_spectra(M, limit)
         margin, _ = _distinctness_margin(M, limit, lam)
         certified[n] = int(np.sum(margin > 1))
     assert not any(certified.values()), certified
@@ -214,7 +222,7 @@ def test_criterion_1_exact_separation_reference():
     smallest = np.inf
     with mpmath.workdps(60):
         for n, gamma, M in _criterion_1_cells():
-            lam, _, _, _ = _spectral_batch(M, gamma)
+            lam, _, _, _ = _corpus_spectra(M, gamma)
             gaps = np.min(np.diff(lam, axis=1), axis=1)
             for j in np.argsort(gaps / np.max(np.abs(lam), axis=1))[:5]:
                 exact = _mp_separation(M[j], gamma, mpmath.mp)
@@ -257,7 +265,7 @@ def test_criterion_3_reconstruction_positivity():
     for n in N_RANGE:
         for gamma in (-n + 0.1, 0.0, 1.0, 5.0):
             M = _corpus(rng, n)
-            lam, om, _, _ = _spectral_batch(M, gamma)
+            lam, om, _, _ = _corpus_spectra(M, gamma)
             min_weight = min(min_weight, float(om.min()))
             assert np.all(om > 0), f"nonpositive weight at n={n}, gamma={gamma}"
             recon_err = 0.0

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyqmom import cli, solver
-from hyqmom.cli import _dump, _hyperbolicity_failures, build_parser, main
-from hyqmom.closures import _spectral_from_recurrence
+from hyqmom import cli, closures, moments, solver, stability
+from hyqmom.cli import _dump, _enclosure_radii, _hyperbolicity_failures, build_parser, main
+from hyqmom.closures import _spectral_batch
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
@@ -288,15 +288,52 @@ class TestVerifyHyperbolicity:
         a = rng.uniform(-5.0, 5.0, (20, n))
         b = rng.uniform(0.1, 10.0, (20, n + 1))
         gamma = np.float64(-2 * n)
-        lam, om, _, _ = _spectral_from_recurrence(a, b, gamma)
-        failures = _hyperbolicity_failures(a, b, gamma, lam, om)
-        assert [f["sample"] for f in failures] == list(range(20))
+
+        def failures(gamma):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam, om, _, _ = _spectral_batch(a, b, gamma)
+            return _hyperbolicity_failures(
+                np.diff(lam, axis=1), _enclosure_radii(a, b, gamma), om, gamma, 0
+            )
+
+        records = failures(gamma)
+        assert [f["sample"] for f in records] == list(range(20))
         assert all(
-            any(r.startswith("enclosures overlap") for r in f["reasons"]) for f in failures
+            any(r.startswith("enclosures overlap") for r in f["reasons"]) for f in records
         )
         # the same draws at gamma = 1 are certified
-        lam, om, _, _ = _spectral_from_recurrence(a, b, 1.0)
-        assert _hyperbolicity_failures(a, b, 1.0, lam, om) == []
+        assert failures(1.0) == []
+
+    def test_drawn_rows_are_certified_without_moments(self, monkeypatch, capsys):
+        # the spectra are those of the drawn (a, b): no moments are built
+        # from them and no Wheeler sweep recovers them
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_wheeler_batch", "_moments_from_recurrence_batch"):
+            for module in (moments, closures, solver, stability, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        code, _, _ = run_cli(["verify-hyperbolicity", "--n", "3", "--samples", "500"], capsys)
+        assert code == 0
+        assert calls == {}
+
+    def test_wide_a_range_certified(self, capsys, tmp_path):
+        # 60000 draws with a_0 up to 2.5e7 certify as drawn: at n = 1 and
+        # gamma = 1 the gaps are sqrt(3 b_1), whatever a_0
+        code, _, _ = run_cli(
+            ["verify-hyperbolicity", "--n", "1", "--samples", "60000", "--seed", "1",
+             "--a-range", "0", "2.5e7", "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        report = json.loads((tmp_path / "hyperbolicity_report.json").read_text())
+        assert code == 0
+        assert report["failures"] == []
 
 
 class TestDrawBlocks:
@@ -334,14 +371,15 @@ class TestDrawBlocks:
 
     @pytest.mark.parametrize("draws", [None, 3, 60000], ids=["solver", "3", "one-block"])
     def test_refusal_names_the_draw_in_the_whole_sample(self, draws, monkeypatch, capsys, tmp_path):
-        # draw 15914 is the first that the round trip cannot resolve; it
-        # lies past the first block under the solver's own block rule
-        argv = ["verify-hyperbolicity", "--n", "1", "--samples", "60000", "--seed", "1",
-                "--a-range", "0", "2.5e7"]
-        assert solver._blocks(60000, 3)[0].stop <= 15914
+        # at n = 1 and gamma = 1, ||T_R||_F^2 = 2 a_0^2 + 6 b_1 overflows for
+        # a_0 above 9.4808e153; draw 33587 is the first such, past the first
+        # block under the solver's own block rule
+        argv = ["verify-hyperbolicity", "--n", "1", "--samples", "60000", "--seed", "3",
+                "--a-range", "0", "9.481e153"]
+        assert solver._blocks(60000, 3)[0].stop <= 33587
         code, out, err, report = self.run_in_blocks(argv, draws, monkeypatch, capsys, tmp_path)
         assert code == 1 and out == "" and report is None
-        assert "error: sample 15914 lost realizability in the (a, b) -> moments round trip" in err
+        assert "error: sample 33587 has a non-finite eigenvalue, enclosure radius or" in err
 
     def test_peak_memory_is_the_draws_and_one_block(self, capsys):
         # n = 4, 1e5 draws: the draws (a, b) take 7.2 MB; one pass over
@@ -364,22 +402,29 @@ class TestDrawBlocks:
         assert peak <= draws + 16 * block
 
 
-class TestRoundTripPrecision:
-    @pytest.mark.parametrize("high", ["1e60", "1e200"])
-    def test_unresolved_ranges_refused(self, high, capsys, tmp_path):
-        # every drawn (a, b) with b > 0 is realizable, so a row the gate
-        # refuses after the (a, b) -> moments round trip (overflow here) is
-        # a precision limit of the ranges, not an unrealizable input; no
-        # RuntimeWarning escapes (pytest turns them into errors)
-        code, _, err = run_cli(
-            ["verify-hyperbolicity", "--n", "3", "--samples", "5", "--a-range", "0", high,
-             "--output-dir", str(tmp_path)],
-            capsys,
-        )
-        assert code == 1
-        assert "sample 0 lost realizability in the (a, b) -> moments round trip" in err
-        assert f"--a-range 0.0 {float(high)!r} --b-range 0.1 10.0" in err
-        assert not any(tmp_path.iterdir())
+class TestUnresolvedRanges:
+    @pytest.mark.parametrize("high, code", [("1e60", 3), ("1e200", 1)])
+    def test_no_warning_and_no_nan(self, high, code, capsys, tmp_path):
+        # n = 3 with a_k up to 1e60: the eigenvalues are finite (LAPACK
+        # takes the lanes that overflow the closed forms), but the
+        # interlacing gaps, which shrink like powers of sqrt(b) / a, and the
+        # weights, about a^-6, fall below double precision, so every draw
+        # fails certification.  Up to
+        # 1e200, ||T||_F^2 overflows and the command refuses.  No
+        # RuntimeWarning escapes (pytest turns them into errors) and no NaN
+        # reaches a report.
+        argv = ["verify-hyperbolicity", "--n", "3", "--samples", "5", "--a-range", "0", high,
+                "--output-dir", str(tmp_path)]
+        assert run_cli(argv, capsys)[0] == code
+        _, out, err = run_cli(argv[:-2] + ["--format", "json"], capsys)
+        if code == 1:
+            assert "sample 0 has a non-finite eigenvalue, enclosure radius or separation" in err
+            assert f"--a-range 0.0 {float(high)!r} --b-range 0.1 10.0" in err
+            assert out == "" and not any(tmp_path.iterdir())
+        else:
+            report = json.loads(out, parse_constant=pytest.fail)
+            assert len(report["failures"]) == 5 and report["min_separation"] == 0.0
+            assert (tmp_path / "hyperbolicity_report.json").read_text() == out
 
 
 @pytest.mark.parametrize(

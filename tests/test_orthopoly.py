@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.closures import _spectral_from_recurrence
+from hyqmom.closures import _spectral_batch
 from hyqmom.moments import _moments_from_recurrence_batch
 from hyqmom.orthopoly import _jacobi_batch, _monic_pair_batch
 from corpus import random_coefficients, random_even_moments, random_odd_moments
@@ -239,10 +239,10 @@ class TestSmallOrderEigenvalues:
         for m in (1, 2, 3, 4):
             hq.jacobi_roots(rng.uniform(-1, 1, m), rng.uniform(0.5, 2, m - 1))
         a, b = random_coefficients(rng, 2, count=50)
-        _spectral_from_recurrence(a, b, 1.0)  # orders 2 and 3
+        _spectral_batch(a, b, 1.0)  # orders 2 and 3
         a, b = random_coefficients(rng, 3, count=50)
         for gamma in (1.0, 0.0, -2.0):
-            _spectral_from_recurrence(a, b, gamma)  # orders 3 and 4
+            _spectral_batch(a, b, gamma)  # orders 3 and 4
         for n in (2, 3):  # orders 3 and 4
             cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 2 * n), (40, 1))
             cells[20:] = hq.maxwellian_moments(0.125, 0.3, 0.8, 2 * n)
@@ -276,6 +276,32 @@ class TestSmallOrderEigenvalues:
             x = _jacobi_batch(diag, off)
             assert calls[0] == count
             assert np.array_equal(x[lanes], expected)
+
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("spread", [1e45, 1e50, 1e51, 1e52, 1e100, 1e101, 1e103, 1e150])
+    def test_large_spreads_match_lapack(self, rng, m, spread):
+        # the closed forms' intermediates grow like spread^3 at m = 3 and
+        # spread^6 at m = 4; the lanes that would overflow them go to LAPACK
+        # quietly (pytest turns a RuntimeWarning into an error), with
+        # couplings of order 1 or of the spread
+        diag = rng.uniform(-spread, spread, (400, m))
+        for off in (np.sqrt(rng.uniform(0.1, 10.0, (400, m - 1))),
+                    spread * rng.uniform(0.1, 1.0, (400, m - 1))):
+            dense = np.zeros((400, m, m))
+            k = np.arange(m)
+            dense[:, k, k] = diag
+            dense[:, k[:-1], k[1:]] = dense[:, k[1:], k[:-1]] = off
+            expected = np.linalg.eigvalsh(dense)
+            x = _jacobi_batch(diag, off)
+            scale = np.max(np.abs(expected), axis=1, keepdims=True)
+            assert np.all(np.abs(x - expected) <= 1e-14 * scale)
+
+    def test_overflowing_quartic_in_public_api(self):
+        # the closed form returned (-3.0e51, -1.9e50, -3.3e50, 3.0e51)
+        roots = hq.jacobi_roots([0, 3e51, -3e51, 9e50], [1, 1, 1])
+        dense = np.diag([0, 3e51, -3e51, 9e50]) + np.diag([1.0] * 3, 1) + np.diag([1.0] * 3, -1)
+        assert np.array_equal(roots, np.linalg.eigvalsh(dense))
 
 
 class TestChristoffelWeights:
