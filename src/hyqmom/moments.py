@@ -17,11 +17,14 @@ and every realizability check reports a cancellation-loss estimate.
 The batched kernels take (J, L) moment rows, J cells of L moments, and run
 order-major: the Wheeler recursion works on contiguous length-J rows of
 M.T, one per order, and returns its (J, .) coefficient and pivot arrays as
-transposed views of order-major buffers.  ``gaussian_moments`` builds one
-row per order before returning the moment axis last, and the moment build
-from recurrence rows fills one (L, J) block per polynomial degree.  A
-Fortran-ordered input, such as the solver's cells, is read row by row
-without a copy; a C-ordered one gives the same values.
+transposed views of order-major buffers.  Given ``out=``, the Wheeler
+kernels and ``_primitive_rows`` write into the caller's order-major rows
+instead, such as a block of the solver's gate, with the same values.
+``gaussian_moments`` builds one row per order in place before returning
+the moment axis last, and the moment build from recurrence rows fills one
+(L, J) block per polynomial degree.  A Fortran-ordered input, such as the
+solver's cells or a block of them, is read row by row without a copy; a
+C-ordered one gives the same values.
 """
 
 from __future__ import annotations
@@ -195,13 +198,17 @@ def gaussian_moments(order, U, theta):
     if np.any(theta <= 0):
         raise ValueError("theta must be positive")
     shape = np.broadcast_shapes(U.shape, theta.shape)
-    # built order-major, one contiguous row per order, returned moment-last
-    out = np.zeros((order + 1,) + shape)
+    # built order-major in place, one contiguous row per order, returned
+    # moment-last; out[k + 1, ...] is a view also for scalar U and theta
+    out = np.empty((order + 1,) + shape)
     out[0] = 1.0
     if order >= 1:
         out[1] = U
+    scratch = np.empty(shape)
     for k in range(1, order):
-        out[k + 1] = U * out[k] + k * theta * out[k - 1]
+        row = np.multiply(theta, k, out=out[k + 1, ...])
+        row *= out[k - 1]
+        row += np.multiply(U, out[k], out=scratch)
     return np.moveaxis(out, 0, -1)
 
 
@@ -238,12 +245,16 @@ def maxwellian_moments(rho, U, theta, order):
     return rho * gaussian_moments(order, U, theta)
 
 
-def _primitive_rows(M):
+def _primitive_rows(M, out=None):
     """(rho, U, theta) of moment rows from M_0..M_2: U = M_1/rho and
-    theta = M_2/rho - U^2."""
+    theta = M_2/rho - U^2, into the rows of ``out`` (3, J) if given, the
+    last one for U^2."""
     rho = M[..., 0]
-    U = M[..., 1] / rho
-    return rho, U, M[..., 2] / rho - U**2
+    U, theta, square = [None] * 3 if out is None else out
+    U = np.divide(M[..., 1], rho, out=U)
+    theta = np.divide(M[..., 2], rho, out=theta)
+    theta -= np.square(U, out=square)
+    return rho, U, theta
 
 
 def _maxwellian_recurrence(rho, U, theta, n):
@@ -277,57 +288,66 @@ def affine_transform(m, u, sigma):
     return out
 
 
-def _wheeler_batch(M):
+def _wheeler_batch(M, out=None):
     """Mixed-moment (Wheeler) recursion on a batch of moment rows.
 
     Returns (a, b, pivots) with shapes (J, n_a), (J, n_b), (J, n_b) where the
     pivots are the norms <Q_k^2>.  No realizability enforcement here; callers
     inspect the pivots.  dtype follows the input (complex inputs supported,
     which is what derivative probes rely on).  The recursion reads M.T
-    order-major, one contiguous length-J row per order (a C-ordered input
-    is copied to that layout first), and the outputs are transposed views
-    of order-major buffers.
+    order-major, one contiguous length-J row per order (other inputs are
+    copied to that layout first), through one (3, L, J) scratch block, and
+    the outputs are transposed views of order-major buffers: the caller's
+    (n_a, J), (n_b, J) and (n_b, J) rows ``out = (a, b, pivots)`` if given.
     """
     M = np.asarray(M)
     J, L = M.shape
-    n = (L - 1) // 2 if L % 2 else L // 2
-    n_a = n
-    n_b = n + 1 if L % 2 else n
-    cur = np.ascontiguousarray(M.T)  # only read, never written
-    prev = np.zeros_like(cur)
-    a = np.zeros((max(n_a, 1), J), dtype=M.dtype)
-    b = np.zeros((n_b, J), dtype=M.dtype)
-    piv = np.zeros((n_b, J), dtype=M.dtype)
+    n_a, n_b = L // 2, (L + 1) // 2  # n and n + 1 for L = 2n + 1, n and n for 2n
+    cur = M.T if M.strides[0] == M.itemsize else np.ascontiguousarray(M.T)  # only read
+    a, b, piv = out or [np.empty((rows, J), dtype=M.dtype) for rows in (n_a, n_b, n_b)]
+    work = np.empty((3, L, J), dtype=M.dtype)
+    tmp = work[2]
     if n_a:
-        a[0] = cur[1] / cur[0]
+        np.divide(cur[1], cur[0], out=a[0])
     b[0] = cur[0]
     piv[0] = cur[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, n_b):
-            # rows outside lo:hi are never read again
-            nxt = np.empty_like(cur)
+            # rows outside lo:hi are never read again, and from k = 3 on the
+            # new table overwrites prev's rows once they are scaled
+            nxt = work[(k - 1) % 2]
             lo, hi = k, L - k
-            nxt[lo:hi] = (
-                cur[lo + 1 : hi + 1] - a[k - 1] * cur[lo:hi] - b[k - 1] * prev[lo:hi]
-            )
+            np.multiply(a[k - 1], cur[lo:hi], out=tmp[lo:hi])
+            if k == 1:  # prev is all zeros: b_0 * 0 would subtract nothing
+                np.subtract(cur[lo + 1 : hi + 1], tmp[lo:hi], out=nxt[lo:hi])
+            else:
+                np.multiply(b[k - 1], prev[lo:hi], out=nxt[lo:hi])
+                np.subtract(cur[lo + 1 : hi + 1], tmp[lo:hi], out=tmp[lo:hi])
+                np.subtract(tmp[lo:hi], nxt[lo:hi], out=nxt[lo:hi])
             piv[k] = nxt[k]
-            b[k] = nxt[k] / cur[k - 1]
+            np.divide(nxt[k], cur[k - 1], out=b[k])
             if k < n_a:
-                a[k] = nxt[k + 1] / nxt[k] - cur[k] / cur[k - 1]
+                np.divide(nxt[k + 1], nxt[k], out=a[k])
+                np.divide(cur[k], cur[k - 1], out=tmp[k])
+                a[k] -= tmp[k]
             prev, cur = cur, nxt
-    return a[:n_a].T, b.T, piv.T
+    return a.T, b.T, piv.T
 
 
-def _realizable_pivots_batch(M, tol=DEFAULT_REALIZABILITY_TOL):
+def _realizable_pivots_batch(M, tol=DEFAULT_REALIZABILITY_TOL, out=None):
     """Batched strict-realizability mask from the Wheeler pivots, reduced
-    over the order axis of the order-major rows."""
-    a, b, piv = _wheeler_batch(M)
+    over the order axis of the order-major rows; ``out = (ok, a, b)`` takes
+    the mask and _wheeler_batch's a and b rows, and only the pivots are
+    allocated."""
+    ok = None
+    if out is not None:
+        ok, a, b = out
+        out = a, b, np.empty(b.shape, dtype=M.dtype)
+    a, b, piv = _wheeler_batch(M, out)
     X, P = M.T, piv.T
-    ok = (
-        np.all(P.real > tol * X[0].real, axis=0)
-        & np.all(np.isfinite(P), axis=0)
-        & np.all(np.isfinite(X), axis=0)
-    )
+    ok = np.all(P.real > tol * X[0].real, axis=0, out=ok)
+    ok &= np.all(np.isfinite(P), axis=0)
+    ok &= np.all(np.isfinite(X), axis=0)
     return ok, a, b, piv
 
 

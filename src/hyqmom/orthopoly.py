@@ -108,7 +108,8 @@ def _small_jacobi_eigenvalues(d, off):
     """Ascending eigenvalues, as an (m, J) array, of the Jacobi matrices of
     order m <= 4 with order-major diagonal rows d (m, J) and coupling rows
     off (m-1, J), in closed form on length-J rows.  m = 2 is h +- hypot of
-    the half difference and the coupling.  m = 3 and 4 work on T - qI with
+    the half difference and the coupling, from halved entries, which keeps
+    the sum and difference finite.  m = 3 and 4 work on T - qI with
     q = trace/m: Smith's trigonometric cubic at m = 3
     (``_trigonometric_cubic_roots``), the depressed quartic at m = 4
     (``_quartic_roots``).  Then m - 2 Newton steps on the characteristic
@@ -125,10 +126,10 @@ def _small_jacobi_eigenvalues(d, off):
         x[0] = d[0]
         return x
     if m == 2:
-        np.add(d[0], d[1], out=x[1])
-        x[1] *= 0.5
-        r = np.subtract(d[0], d[1])
-        r *= 0.5
+        np.multiply(d[0], 0.5, out=x[0])
+        r = np.multiply(d[1], 0.5)
+        np.add(x[0], r, out=x[1])
+        np.subtract(x[0], r, out=r)
         np.hypot(r, off[0], out=r)
         np.subtract(x[1], r, out=x[0])
         x[1] += r
@@ -136,15 +137,16 @@ def _small_jacobi_eigenvalues(d, off):
     s = np.square(off)
     rows = np.empty((4 if m == 3 else 7, J))
     q = rows[0]
-    np.add(d[0], d[1], out=q)
-    for k in range(2, m):
-        q += d[k]
-    q /= float(m)
-    for k in range(m):
-        np.subtract(d[k], q, out=x[k])
     roots = _trigonometric_cubic_roots if m == 3 else _quartic_roots
-    # lanes past the spread limit overflow here; they go to LAPACK below
+    # lanes past the spread limit overflow here, a finite diagonal whose trace
+    # overflows among them (T - qI is then infinite); they go to LAPACK below
     with np.errstate(over="ignore", invalid="ignore"):
+        np.add(d[0], d[1], out=q)
+        for k in range(2, m):
+            q += d[k]
+        q /= float(m)
+        for k in range(m):
+            np.subtract(d[k], q, out=x[k])
         close = roots(x, s, rows[1:])
         x += q
         for xk in x:

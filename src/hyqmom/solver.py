@@ -33,9 +33,11 @@ the grid's ends, rows taken by the boundary rule, so its faces and flux
 differences come from its own rows: nothing carries over from one block to
 the next, and no table spans the grid's interfaces.  The differences go
 straight into the (2n+1, J) buffer of the new cells.  The global dt
-follows from all speeds.  The second pass scales the differences, adds the
-old cells, relaxes, and gates the new cells into the new grid's memo; the
-new grid takes the buffer read-only without a copy.  Within a block every
+follows from all speeds, reduced block by block.  The second pass scales
+the differences, adds the old cells, relaxes, and gates the new cells,
+writing the gate rows in place: ``_realizable_pivots_batch`` and
+``_wheeler_batch`` take them as ``out=``.  The new grid takes the buffer
+read-only without a copy, and the gate as its memo.  Within a block every
 per-order update is a contiguous row operation, and every cell sees the
 same operations in the same order as in one block over the whole grid,
 so the results are bitwise those of an unblocked step.  Inputs in C order
@@ -191,11 +193,10 @@ def _empty_gate(J, L):
 
 
 def _gate_block(cells, gate, blk):
-    """_realizable_pivots_batch on one block of cells, into the rows blk of
-    the gate arrays."""
-    ok, a, b, _ = _realizable_pivots_batch(cells)
-    for whole, part in zip(gate, (ok, a, b)):
-        whole[blk] = part
+    """_realizable_pivots_batch on one block of cells, written in place into
+    the rows blk of the gate arrays."""
+    ok, a, b = gate
+    _realizable_pivots_batch(cells, out=(ok[blk], a[blk].T, b[blk].T))
 
 
 @dataclass
@@ -312,11 +313,18 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
     return smax, diff
 
 
-def _time_step(grid, smax, cfl, dt, dt_max):
+def _time_step(grid, smax, blocks, cfl, dt, dt_max):
     """dt from the CFL speeds, or the explicit dt, capped by dt_max, after
-    checking that every convex-update factor stays nonnegative."""
-    with np.errstate(divide="ignore"):
-        dt_cfl = cfl * np.min(np.where(smax > 0, grid.dx / smax, np.inf))
+    checking that every convex-update factor stays nonnegative.  Both
+    reductions run block by block through one scratch row, which leaves
+    their results exact and makes no grid-sized temporary."""
+    low, high = np.empty((2, len(blocks)))
+    row = np.empty(max(blk.stop - blk.start for blk in blocks))
+    for i, blk in enumerate(blocks):
+        speeds, part = smax[blk], row[: blk.stop - blk.start]
+        part.fill(np.inf)
+        low[i] = np.divide(grid.dx[blk], speeds, out=part, where=speeds > 0).min()
+    dt_cfl = cfl * low.min()
     if not np.isfinite(dt_cfl):
         dt_cfl = dt_max if dt_max is not None else 1.0
     step_dt = float(dt_cfl) if dt is None else float(dt)
@@ -327,7 +335,10 @@ def _time_step(grid, smax, cfl, dt, dt_max):
 
     # the smallest convex-update factor 1 - dt |x| / dx sits at each cell's
     # largest |x|, and rounding is monotone, so it is read off smax
-    factor = 1.0 - np.max(step_dt * smax / grid.dx)
+    for i, blk in enumerate(blocks):
+        part = np.multiply(step_dt, smax[blk], out=row[: blk.stop - blk.start])
+        high[i] = np.divide(part, grid.dx[blk], out=part).max()
+    factor = 1.0 - high.max()
     if factor < -1e-12:
         raise RuntimeError(
             "CFL violated: a convex-update factor went negative "
@@ -339,24 +350,27 @@ def _time_step(grid, smax, cfl, dt, dt_max):
 def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     """The grid one step on, from the gate's (a, b), in two passes over the
     blocks of cells around the global dt.  The second pass updates the flux
-    differences in place into the new cells and gates them block by block;
-    the new grid takes that buffer without a copy, and the gate as its
-    memo."""
+    differences in place into the new cells and gates them block by block,
+    writing the gate rows in place; the new grid takes that buffer without
+    a copy, and the gate as its memo."""
     J, L = grid.cells.shape
     blocks = _blocks(J, L)
     smax, new = _flux_differences(grid, a, b, gamma, variant, blocks)
-    step_dt = _time_step(grid, smax, cfl, dt, dt_max)
+    step_dt = _time_step(grid, smax, blocks, cfl, dt, dt_max)
     # the speeds go before the new grid's gate is allocated
     del smax
 
     gate = _empty_gate(J, L)
     r = step_dt / grid.tau
+    # the rows of _primitive_rows, which every block reuses
+    scratch = np.empty((3, max(blk.stop - blk.start for blk in blocks)))
     for blk in blocks:
+        rows = scratch[:, : blk.stop - blk.start]
         cells = new[:, blk]
-        cells *= step_dt / grid.dx[blk]
+        cells *= np.divide(step_dt, grid.dx[blk], out=rows[2])
         cells += grid.cells[blk].T
 
-        rho, U, theta = _primitive_rows(grid.cells[blk])
+        rho, U, theta = _primitive_rows(grid.cells[blk], out=rows)
         maxwellian = gaussian_moments(L - 1, U, theta).T
         maxwellian *= rho
         maxwellian *= r

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 import hyqmom as hq
 from hyqmom.moments import (
     _moments_from_recurrence_batch,
+    _primitive_rows,
     _realizable_pivots_batch,
     _wheeler_batch,
 )
@@ -114,6 +116,114 @@ class TestBatchLayout:
                     assert abs(mp.mpf(got) - e) <= 1e-14 * s
 
 
+def _batch_inputs(rng, dtype, length, count=11):
+    """Moment rows with the given length as a C- and an F-ordered (J, L)
+    array and as a block of columns of an order-major (L, J) buffer, with a
+    row that is not realizable and one that is not finite."""
+    M = random_odd_moments(rng, 10, count=count)[:, :length].astype(dtype)
+    if dtype is complex:
+        M = M + 1e-20j * rng.standard_normal(M.shape)  # a derivative probe
+    if length > 2:
+        M[3, 2] = -abs(M[3, 2])
+    M[7, -1] = np.nan
+    buffer = np.zeros((length, count + 5), dtype=dtype)
+    buffer[:, 2 : 2 + count] = M.T
+    return {
+        "C": np.array(M, order="C"),
+        "F": np.array(M, order="F"),
+        "block": buffer[:, 2 : 2 + count].T,
+    }
+
+
+def _order_major_out(J, *rows, dtype=float):
+    """Order-major (rows, J) outputs as the columns of wider buffers, the way
+    the solver hands a block of its gate to the kernels."""
+    return [np.full((k, J + 3), np.inf, dtype=dtype)[:, 1 : 1 + J] for k in rows]
+
+
+class TestOutArguments:
+    """With ``out=``, the Wheeler kernels write into the caller's arrays and
+    return views of them, with values bitwise those of the allocating
+    call."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "block"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("length", range(2, 22))
+    def test_wheeler_batch(self, rng, dtype, length, layout):
+        M = _batch_inputs(rng, dtype, length)[layout]
+        J = M.shape[0]
+        n = (length - 1) // 2 if length % 2 else length // 2
+        n_b = n + 1 if length % 2 else n
+        expected = _wheeler_batch(M)
+        out = _order_major_out(J, n, n_b, n_b, dtype=dtype)
+        got = _wheeler_batch(M, out=out)
+        for mine, theirs, buffer in zip(got, expected, out):
+            assert np.shares_memory(mine, buffer)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs, equal_nan=True)
+            assert np.array_equal(buffer.T, theirs, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "block"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("length", range(2, 22))
+    def test_realizable_pivots_batch(self, rng, dtype, length, layout):
+        M = _batch_inputs(rng, dtype, length)[layout]
+        J = M.shape[0]
+        n = (length - 1) // 2 if length % 2 else length // 2
+        n_b = n + 1 if length % 2 else n
+        expected = _realizable_pivots_batch(M)
+        ok = np.ones(J + 2, dtype=bool)[1:-1]
+        a, b = _order_major_out(J, n, n_b, dtype=dtype)
+        got = _realizable_pivots_batch(M, out=(ok, a, b))
+        assert got[0] is ok and np.shares_memory(got[1], a) and np.shares_memory(got[2], b)
+        assert not ok[7] and not (length > 2 and ok[3])
+        for mine, theirs in zip(got, expected):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "block"])
+    def test_primitive_rows(self, rng, layout):
+        # U = M_1/rho and theta = M_2/rho - U^2 as written, into the rows of
+        # out or allocated
+        M = np.abs(_batch_inputs(rng, float, 5)[layout])
+        U = M[:, 1] / M[:, 0]
+        expected = M[:, 0], U, M[:, 2] / M[:, 0] - U**2
+        out = np.empty((3, M.shape[0] + 4))[:, 2:-2]
+        for rows in (None, out):
+            got = _primitive_rows(M, out=rows)
+            for mine, theirs in zip(got, expected):
+                assert np.array_equal(mine, theirs, equal_nan=True)
+        assert np.shares_memory(got[1], out[0]) and np.shares_memory(got[2], out[1])
+        state = _primitive_rows(M[0])
+        assert [float(x) for x in state] == [float(x[0]) for x in expected]
+
+    def test_pivot_block_allocates_only_its_rows(self):
+        # one solver block through the out= kernels allocates the two
+        # rolling tables of mixed moments, one scratch table and the
+        # pivots, besides numpy's iterator buffers (np.getbufsize() values
+        # each, two at most at a time) for the rows of a wider buffer; the
+        # bool rows of the mask come after the tables are freed
+        J, L, B = 5000, 13, 1000
+        cells = np.tile(hq.maxwellian_moments(1.0, 0.2, 1.0, L - 1), (J, 1)).T.copy()
+        ok = np.empty(J, dtype=bool)
+        a, b = np.empty((L // 2, J)), np.empty((L // 2 + 1, J))
+        blk = slice(2000, 2000 + B)
+        rows, out = cells[:, blk].T, (ok[blk], a[:, blk], b[:, blk])
+        _realizable_pivots_batch(rows, out=out)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            _realizable_pivots_batch(rows, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = 3 * 8 * L * B
+        pivots = 8 * (L // 2 + 1) * B
+        buffers = 2 * 8 * np.getbufsize()
+        # measured: 130552 bytes over the tables and the pivots
+        assert peak <= tables + pivots + buffers + 1024
+        assert ok[blk].all()
+
+
 class TestGaussianMoments:
     def test_standard_fourth_moment(self):
         assert hq.gaussian_moment(4, 0, 1) == 3.0
@@ -148,6 +258,24 @@ class TestGaussianMoments:
         out = hq.gaussian_moments(4, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         assert out.shape == (2, 5)
         assert out[0, 4] == 3.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 20])
+    @pytest.mark.parametrize(
+        "shapes", [((), ()), ((6,), (6,)), ((), (6,)), ((3, 1), (4,)), ((4,), ())]
+    )
+    def test_bitwise_textbook_recurrence(self, rng, order, shapes):
+        # Delta_{k+1} = U Delta_k + k theta Delta_{k-1}, evaluated as written;
+        # 0-d U and theta are demo 01's call
+        U = rng.uniform(-3, 3, shapes[0])
+        theta = rng.uniform(0.1, 4, shapes[1])
+        shape = np.broadcast_shapes(U.shape, theta.shape)
+        rows = [np.ones(shape), np.broadcast_to(U, shape)]
+        for k in range(1, order):
+            rows.append(U * rows[k] + k * theta * rows[k - 1])
+        expected = np.stack(rows[: order + 1], axis=-1)
+        got = hq.gaussian_moments(order, U, theta)
+        assert got.shape == shape + (order + 1,)
+        assert np.array_equal(got, expected)
 
 
 class TestGaussianMomentDerivative:

@@ -297,6 +297,39 @@ class TestSmallOrderEigenvalues:
             scale = np.max(np.abs(expected), axis=1, keepdims=True)
             assert np.all(np.abs(x - expected) <= 1e-14 * scale)
 
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, 1.6e308],
+            [1.7e308] * 3, [-1.7e308, -1.7e308, 1e308],
+            [1e308] * 4, [1.7e308, 1.7e308, -1e300, 1e308],
+        ],
+    )
+    def test_entries_near_the_largest_double(self, diag):
+        # the sum and difference at m = 2 and the trace at m = 3 and 4 would
+        # overflow; the halved entries and LAPACK keep the eigenvalues, and
+        # pytest turns an overflow warning into an error
+        m = len(diag)
+        dense = np.diag(diag) + np.diag([1.0] * (m - 1), 1) + np.diag([1.0] * (m - 1), -1)
+        expected = np.linalg.eigvalsh(dense)
+        roots = hq.jacobi_roots(diag, [1.0] * (m - 1))
+        assert np.all(np.isfinite(roots))
+        assert np.all(np.abs(roots - expected) <= 1e-15 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_overflowing_trace_goes_to_lapack_alone(self, rng, m, count_calls):
+        diag = rng.uniform(-1, 1, (9, m))
+        off = rng.uniform(0.5, 2, (9, m - 1))
+        alone = _jacobi_batch(diag, off)
+        huge = [2, 7]
+        diag[huge] = 1.7e308
+        calls = count_calls(np.linalg, "eigvalsh")
+        x = _jacobi_batch(diag, off)
+        assert calls[0] == 1
+        rest = np.setdiff1d(np.arange(9), huge)
+        assert np.array_equal(x[rest], alone[rest])
+        assert np.all(x[huge] == 1.7e308)
+
     def test_overflowing_quartic_in_public_api(self):
         # the closed form returned (-3.0e51, -1.9e50, -3.3e50, 3.0e51)
         roots = hq.jacobi_roots([0, 3e51, -3e51, 9e50], [1, 1, 1])
