@@ -43,6 +43,7 @@ from .orthopoly import (
     NEAR_DEGENERACY_RTOL,
     _jacobi_batch,
     _monic_pair_batch,
+    _standard_spectrum,
 )
 
 VARIANTS = ("qmom", "hyqmom", "new", "polynomial")
@@ -289,7 +290,27 @@ def jacobian_matrix(m, spec):
     return _companion(characteristic_polynomial(m, spec).c)
 
 
-def _spectral_batch(a, b, gamma):
+def _extended_jacobi_rows(a, b, gamma, scale):
+    """Order-major rows, diagonal (n+1, J) and couplings (n, J), of the
+    order n + 1 Jacobi matrix that extends the Q_n one of the rows a (J, n)
+    and b (J, n+1) by the hyqmom a_n and the coupling sqrt(scale * b_n):
+    R_{n+1} at scale (2n + gamma)/n, the gauss variant's augmented Q_{n+1}
+    at scale 1.  Its leading rows are the Q_n matrix's."""
+    n = a.shape[1]
+    diag = np.concatenate([a.T, _hyqmom_an(a, gamma)[None, :]])
+    off = np.concatenate([np.sqrt(b.T[1:n]), np.sqrt(scale * b.T[n:])])
+    return diag, off
+
+
+def _standard_factors(n, gamma):
+    """The models (``orthopoly._standard_spectrum``) of the Q_n and R_{n+1}
+    Jacobi matrices at the standard state, where a_k = 0 and b_k = k: the
+    couplings 1..n-1, and for R_{n+1} also (2n + gamma)/n * b_n = 2n + gamma."""
+    q = tuple(range(1, n))
+    return _standard_spectrum(q), _standard_spectrum((*q, float(2 * n + gamma)))
+
+
+def _spectral_batch(a, b, gamma, warm=False):
     """Batched merged eigenstructure of hyqmom systems from recurrence rows
     a (J, n) and b (J, n+1), the one spectral kernel of the package.  The
     rows are taken as given (b > 0): no moments are built and nothing is
@@ -307,13 +328,17 @@ def _spectral_batch(a, b, gamma):
     so positivity for gamma > -n is structural rather than numerical.
     The merged (lam, om) are (J, 2n+1) transposed views of order-major
     buffers, as the nodes and weights of ``_jacobi_batch`` are.
+
+    With ``warm`` the eigensolves of order >= 5 warm-start from the same
+    two matrices at the standard state (U = 0, theta = 1, the spectra of
+    ``_standard_factors``); the solver asks for that near equilibrium, and
+    every other caller solves from scratch.
     """
     J, n = a.shape
-    an = _hyqmom_an(a, gamma)
-    qroots, wq = _jacobi_batch(a, np.sqrt(b[:, 1:n]), b[:, :1])
-    rdiag = np.concatenate([a.T, an[None, :]]).T
-    roff = np.concatenate([np.sqrt(b.T[1:n]), np.sqrt((2 * n + gamma) / n * b.T[n:])]).T
-    rroots, wr = _jacobi_batch(rdiag, roff, b[:, :1])
+    qstd, rstd = _standard_factors(n, gamma) if warm else (None, None)
+    rdiag, roff = _extended_jacobi_rows(a, b, gamma, (2 * n + gamma) / n)
+    qroots, wq = _jacobi_batch(a, roff[: n - 1].T, b[:, :1], qstd)
+    rroots, wr = _jacobi_batch(rdiag.T, roff.T, b[:, :1], rstd)
     lam = np.empty((2 * n + 1, J))
     om = np.empty((2 * n + 1, J))
     lam[1::2] = qroots.T

@@ -9,17 +9,28 @@ at each node (Gautschi, Orthogonal Polynomials, 2004), equal to b_0 times
 the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
 and computes no eigenvectors; single-matrix calls are its J = 1 case.  It
-picks the solver from the order m: a closed form on length-J rows for
-m <= 4 (Smith's trigonometric roots with one Newton step at m = 3, the
-depressed quartic split by its largest resolvent root with two Newton
-steps at m = 4), and stacked ``numpy.linalg.eigvalsh`` for m >= 5 and for
-the m = 3 and 4 lanes with two nearly equal eigenvalues or with a spread
-large enough to overflow the closed form, which LAPACK scales.
+picks the solver by the order m and, at m >= 5, by whether the caller
+gives a model to start from:
+
+* m <= 4: a closed form on length-J rows (Smith's trigonometric roots
+  with one Newton step at m = 3, the depressed quartic split by its
+  largest resolvent root with two Newton steps at m = 4);
+* m >= 5 with a model T_std (``_standard_spectrum``; the solver passes
+  the factor of the standard normal, U = 0 and theta = 1): Newton steps
+  on det(T - x) from guesses near c + s xi, for each lane within g/8 of
+  c I + s T_std (xi its spectrum, g its smallest gap), which Weyl's bound
+  makes one eigenvalue per window of radius s g/2;
+* stacked ``numpy.linalg.eigvalsh`` for m >= 5 without a model, for the
+  lanes that the Newton steps do not certify, and for the m = 3 and 4
+  lanes with two nearly equal eigenvalues or with a spread large enough
+  to overflow the closed form, which LAPACK scales.
+
 Polynomial deflation and companion matrices are never used.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -30,6 +41,14 @@ from .moments import _as_moment_array, moments_to_recurrence
 # Two roots closer than this fraction of the spectral radius are flagged as
 # near-degenerate (boundary-of-realizability inputs); not an error.
 NEAR_DEGENERACY_RTOL = 1e-8
+
+# Newton steps of the warm path at m >= 5 (``_newton_from_standard``).
+# Against LAPACK, relative to the spread, the first-order guesses and the
+# first three steps were off by 9.5e-4, 7.2e-6, 4.0e-10 and 1.1e-15 on
+# m = 5 lanes at the filter's edge, ||E|| = g/8, and by 7.8e-8, 6.8e-14 and
+# 4.1e-16 after the guess and two steps on the stiff n = 6 benchmark run;
+# three steps certify every lane the filter admits.
+NEWTON_STEPS = 3
 
 
 @dataclass
@@ -359,13 +378,150 @@ def _dense_eigenvalues(diag, offdiag):
     return np.linalg.eigvalsh(A)
 
 
-def _jacobi_batch(diag, offdiag, mass=None):
+@functools.cache
+def _standard_spectrum(couplings):
+    """(beta, xi, g, w) of the Jacobi matrix T_std with zero diagonal and the
+    squared couplings ``couplings`` (a tuple): its couplings beta, its
+    ascending eigenvalues xi, their smallest gap g, and the rows w of
+    first-order perturbation theory, xi_i + w_i . e ~ the i-th eigenvalue of
+    T_std + E for the entries e (diagonal, then couplings) of a small
+    tridiagonal E: w_ik = v_ik^2 on the diagonal and 2 v_ik v_i,k+1 on the
+    couplings, v_i the unit eigenvectors.  With the couplings of a factor
+    of the standard normal (U = 0, theta = 1) this is the model that
+    ``_jacobi_batch`` warm-starts from; built once per tuple, read-only."""
+    beta = np.sqrt(np.array(couplings, dtype=float))
+    xi, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    v = v.T
+    w = np.concatenate([v * v, 2.0 * v[:, :-1] * v[:, 1:]], axis=1)
+    for arr in (beta, xi, w):
+        arr.flags.writeable = False
+    return beta, xi, float(np.min(np.diff(xi))), w
+
+
+def _standard_deviation(d, off, beta):
+    """Per lane, ||(T - cI) / s - T_std||_inf with (c, s) = (d_0, off_0),
+    for the order-major rows d (m, J) and off (m-1, J) of T and the
+    couplings beta of T_std (zero diagonal): the largest row sum of the
+    standardized deviation, which bounds its spectral norm.  Non-finite
+    where the rows overflow or s = 0, which no filter admits."""
+    with np.errstate(all="ignore"):
+        dev = np.subtract(d, d[0])
+        np.abs(dev, out=dev)
+        dev /= off[0]
+        e = np.divide(off, off[0])
+        e -= beta[:, None]
+        np.abs(e, out=e)
+        dev[:-1] += e
+        dev[1:] += e
+    return np.max(dev, axis=0)
+
+
+def _newton_from_standard(d, off, standard):
+    """NEWTON_STEPS Newton steps on det(T - y) for every lane of the
+    order-major rows d (m, K) and off (m-1, K) of T, near the model
+    ``standard`` of ``_standard_spectrum``.  Returns the last iterates
+    (m, K) and which lanes it accepts.
+
+    The steps run on the standardized matrix (T - cI) / s,
+    (c, s) = (d_0, off_0), whose entries are of order one, so the
+    recurrence P_{k+1} = (y - d_k) P_k - s_k P_{k-1} and its derivative
+    neither overflow nor underflow.  They start from the first-order
+    guesses xi + w e of its deviation e from T_std.  p and p' are stacked,
+    and the coefficient rows d_k and s_k are repeated over the m rows of a
+    lane, since numpy runs a same-shape update faster than a broadcast one.
+    Every operation is elementwise within a lane, so which other lanes
+    share the call changes no bit.  A lane is accepted when, for each i,
+    its last iterate lies within g/2 of xi_i, its last step is below
+    sqrt(eps) of the spread of xi, and the back-transformed nodes ascend
+    strictly.  The step bounds the distance to the nearest eigenvalue by
+    m |step|, and by Weyl's bound the window of xi_i holds exactly one
+    eigenvalue, as the callers admit only lanes within g/8 of the model."""
+    beta, xi, gap, w = standard
+    m, K = d.shape
+    c, s = d[0], off[0]
+    e = np.empty((2 * m - 1, K))
+    dt, st = e[:m], e[m:]
+    np.subtract(d, c, out=dt)
+    dt /= s
+    np.divide(off, s, out=st)
+    st -= beta[:, None]
+    y = np.matmul(w, e)
+    y += xi[:, None]
+    st += beta[:, None]
+    st *= st
+    D = np.repeat(dt[:, None, :], m, axis=1)
+    S = np.repeat(st[:, None, :], m, axis=1)
+    t = np.empty((m, K))
+    P, Pm, N, U = np.empty((4, 2, m, K))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            # P = (P_k, P_k') and Pm = (P_{k-1}, P_{k-1}'), from k = 2 on
+            np.subtract(y, D[0], out=Pm[0])
+            Pm[1] = 1.0
+            np.subtract(y, D[1], out=t)
+            np.multiply(t, Pm[0], out=P[0])
+            P[0] -= S[0]
+            np.add(t, Pm[0], out=P[1])
+            for k in range(2, m):
+                np.subtract(y, D[k], out=t)
+                np.multiply(t, P[0], out=N[0])
+                np.multiply(t, P[1], out=N[1])
+                N[1] += P[0]
+                np.multiply(S[k - 1], Pm[0], out=U[0])
+                np.multiply(S[k - 1], Pm[1], out=U[1])
+                N -= U
+                Pm, P, N = P, N, Pm
+            np.divide(P[0], P[1], out=t)
+            y -= t
+        np.abs(t, out=t)
+        ok = t < np.sqrt(np.finfo(float).eps) * (xi[-1] - xi[0])
+        np.subtract(y, xi[:, None], out=t)
+        np.abs(t, out=t)
+        ok &= t < gap / 2
+        y *= s
+        y += c
+        ok[1:] &= y[1:] > y[:-1]
+    return y, np.all(ok, axis=0)
+
+
+def _warm_eigenvalues(diag, offdiag, standard):
+    """Order-major (m, J) eigenvalues of the Jacobi matrices of order m >= 5
+    near the model ``standard`` of ``_standard_spectrum``: the lanes within
+    g/8 of it (``_standard_deviation``) go to ``_newton_from_standard``,
+    and every lane it does not accept to ``_dense_eigenvalues``, as one
+    stacked call."""
+    J, m = diag.shape
+    d, off = diag.T, offdiag.T
+    beta, _, gap, _ = standard
+    lanes = np.flatnonzero(_standard_deviation(d, off, beta) < gap / 8)
+    if lanes.size == J:
+        x, ok = _newton_from_standard(d, off, standard)
+    else:
+        x, ok = np.empty((m, J)), np.zeros(J, dtype=bool)
+        if lanes.size:
+            rows = (np.take(v, lanes, axis=1) for v in (d, off))
+            x[:, lanes], ok[lanes] = _newton_from_standard(*rows, standard)
+    if not ok.any():
+        x[:] = _dense_eigenvalues(diag, offdiag).T
+    elif not ok.all():
+        cold = ~ok
+        x[:, cold] = _dense_eigenvalues(diag[cold], offdiag[cold]).T
+    return x
+
+
+def _jacobi_batch(diag, offdiag, mass=None, standard=None):
     """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
-    already-square-rooted couplings beta_1..beta_{m-1}.  Orders m <= 4 are
-    solved in closed form (``_small_jacobi_eigenvalues``), larger ones by
-    ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices filled through
-    strided views of their diagonals.  Given ``mass`` (shape (J, 1)) it
-    also returns the Gauss weights as Christoffel numbers
+    already-square-rooted couplings beta_1..beta_{m-1}.  The solver is
+    chosen by the order m and, from m = 5 on, by ``standard``.  Orders
+    m <= 4 are solved in closed form (``_small_jacobi_eigenvalues``).
+    Larger ones go to ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices
+    filled through strided views of their diagonals, unless ``standard``
+    names a model matrix T_std with zero diagonal (``_standard_spectrum``):
+    then each lane whose (T - cI) / s lies within g/8 of T_std, with
+    (c, s) = (a_0, beta_1) and g the smallest gap of T_std's spectrum xi,
+    takes NEWTON_STEPS Newton steps from c + s xi moved to first order in
+    the deviation, and only the lanes they do not certify go to LAPACK
+    (``_warm_eigenvalues``).  Given ``mass`` (shape (J, 1)) it also returns the Gauss weights as Christoffel numbers
     mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
     polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
     with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
@@ -379,14 +535,16 @@ def _jacobi_batch(diag, offdiag, mass=None):
     d, off = diag.T, offdiag.T
     if m <= 4:
         x = _small_jacobi_eigenvalues(d, off)
-        if mass is None:
-            return x.T
+    elif standard is not None:
+        x = _warm_eigenvalues(diag, offdiag, standard)
     else:
         nodes = _dense_eigenvalues(diag, offdiag)
         if mass is None:
             return nodes
         x = np.array(nodes.T, order="C")
         del nodes
+    if mass is None:
+        return x.T
     p_prev, p = None, 1.0
     christoffel = np.ones_like(x)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -32,7 +32,14 @@ reconstructs one ghost cell beyond either end, a neighbour's rows or, at
 the grid's ends, rows taken by the boundary rule, so its faces and flux
 differences come from its own rows: nothing carries over from one block to
 the next, and no table spans the grid's interfaces.  The differences go
-straight into the (2n+1, J) buffer of the new cells.  The global dt
+straight into the (2n+1, J) buffer of the new cells.  Near equilibrium the
+reconstruction's eigensolves of order >= 5 start from the standard
+state's spectra (``_jacobi_batch``): by the closure's affine invariance a
+local Maxwellian at gamma = 1 has its eigenvalues at U + sqrt(theta) xi,
+with xi those of the standard normal.  A step asks for that when at least
+WARM_SHARE of its cells pass the filter (``_warm_start``), a count over
+the whole grid, and every lane is solved on its own, so where the blocks
+end changes no bit.  The global dt
 follows from all speeds, reduced block by block.  The second pass scales
 the differences, adds the old cells, relaxes, and gates the new cells,
 writing the gate rows in place: ``_realizable_pivots_batch`` and
@@ -56,9 +63,10 @@ import numpy as np
 from . import __version__ as _version
 from .closures import (
     ClosureSpec,
-    _hyqmom_an,
+    _extended_jacobi_rows,
     _recurrence_rows,
     _spectral_batch,
+    _standard_factors,
 )
 from .moments import (
     MAX_HALF_ORDER,
@@ -68,7 +76,7 @@ from .moments import (
     _realizable_pivots_batch,
     gaussian_moments,
 )
-from .orthopoly import Quadrature, _jacobi_batch
+from .orthopoly import Quadrature, _jacobi_batch, _standard_deviation
 
 FLUX_VARIANTS = ("gauss", "eigen")
 BOUNDARIES = ("periodic", "zero-gradient")
@@ -82,6 +90,10 @@ NEAR_BOUNDARY_FRACTION = 1e-10
 # a block-length sweep of the whole step at J = 1e5 (ROADMAP, "Where the
 # time goes").
 BLOCK_VALUES = 40960
+
+# Share of a step's cells that must lie near their standard state before the
+# step warm-starts its eigensolves of order >= 5 (``_warm_start``).
+WARM_SHARE = 0.5
 
 # Cells per chunk of a snapshot CSV, whose columns are formatted a chunk at
 # a time: a float's repr takes about three times the float's memory.  At
@@ -145,10 +157,12 @@ class GridState:
             self.dx = np.full(self.cells.shape[0], float(self.dx))
         if len(self.dx) != self.cells.shape[0]:
             raise ValueError("need one cell width per cell")
-        if np.any(self.dx <= 0):
-            raise ValueError("cell widths must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        # two reductions and no grid-sized temporary; a NaN fails both
+        if self.dx.size and not (self.dx.min() > 0 and self.dx.max() < np.inf):
+            raise ValueError("cell widths must be finite and positive")
+        # tau = inf is pure transport; NaN compares false here
+        if not self.tau > 0:
+            raise ValueError("tau must be positive (or inf)")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.cells.shape[1] % 2 == 0:
@@ -237,7 +251,7 @@ def reconstruct_nodes(m, spec, variant):
     return Quadrature(nodes=nodes[0], weights=weights[0])
 
 
-def _reconstruct_batch(a, b, gamma, variant):
+def _reconstruct_batch(a, b, gamma, variant, warm=False):
     """Nodes/weights for every cell at once from the gate's recurrence
     rows a (J, n) and b (J, n+1).
 
@@ -245,14 +259,44 @@ def _reconstruct_batch(a, b, gamma, variant):
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
     eigensolve yields nodes and Gauss (Christoffel) weights directly.  The eigen
-    variant hands (a, b) to the spectral kernel.
+    variant hands (a, b) to the spectral kernel.  With ``warm`` the
+    eigensolves of order >= 5 warm-start from the standard state's spectra
+    (``_standard_jacobi``).
     """
     if variant == "gauss":
-        diag = np.concatenate([a.T, _hyqmom_an(a, gamma)[None, :]]).T
-        off = np.sqrt(b[:, 1:])
-        return _jacobi_batch(diag, off, b[:, :1])
-    lam, om, _, _ = _spectral_batch(a, b, gamma)
+        diag, off = _extended_jacobi_rows(a, b, gamma, 1.0)
+        standard = _standard_jacobi(a.shape[1], gamma, variant) if warm else None
+        return _jacobi_batch(diag.T, off.T, b[:, :1], standard)
+    lam, om, _, _ = _spectral_batch(a, b, gamma, warm)
     return lam, om
+
+
+def _standard_jacobi(n, gamma, variant):
+    """The model (``_standard_factors``) of the reconstruction's largest
+    Jacobi matrix, of order n + 1, at the standard state: the augmented
+    Q_{n+1} of the gauss variant, whose couplings 1..n are the standard
+    normal's own, and the R_{n+1} factor of the eigen variant."""
+    if variant == "gauss":
+        return _standard_factors(n + 1, gamma)[0]
+    return _standard_factors(n, gamma)[1]
+
+
+def _warm_start(a, b, gamma, variant, blocks):
+    """Whether a step warm-starts its eigensolves of order >= 5: when at
+    least WARM_SHARE of the cells have a largest reconstruction matrix
+    (order n + 1, ``_standard_jacobi``) that passes the filter of
+    ``_jacobi_batch``.  The count runs block by block over the gate's rows
+    and depends on no block boundary, so neither does the choice."""
+    n = a.shape[1]
+    if n + 1 < 5:
+        return False
+    beta, _, gap, _ = _standard_jacobi(n, gamma, variant)
+    scale = (2 * n + gamma) / n if variant == "eigen" else 1.0
+    count = 0
+    for blk in blocks:
+        diag, off = _extended_jacobi_rows(a[blk], b[blk], gamma, scale)
+        count += np.count_nonzero(_standard_deviation(diag, off, beta) < gap / 8)
+    return count >= WARM_SHARE * a.shape[0]
 
 
 def _interface_fluxes(nodes, weights, right, left):
@@ -296,6 +340,7 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
     for zero-gradient ones, order-major like the gate's."""
     J, L = grid.cells.shape
     mode = "wrap" if grid.boundary == "periodic" else "clip"
+    warm = _warm_start(a, b, gamma, variant, blocks)
     smax, diff = np.empty(J), np.empty((L, J))
     for blk in blocks:
         lo, hi = blk.start - 1, blk.stop + 1
@@ -303,7 +348,7 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
             rows = a[lo:hi], b[lo:hi]
         else:
             rows = [np.take(x.T, np.arange(lo, hi), axis=1, mode=mode).T for x in (a, b)]
-        nodes, weights = _reconstruct_batch(*rows, gamma, variant)
+        nodes, weights = _reconstruct_batch(*rows, gamma, variant, warm)
         np.max(np.abs(nodes.T[:, 1:-1]), axis=0, out=smax[blk])
         right, left = np.empty((2, L, hi - lo))
         _interface_fluxes(nodes, weights, right, left)
@@ -404,6 +449,10 @@ def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
     _check_flux(spec, variant, grid.n)
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
+    if dt is not None and not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if dt_max is not None and np.isnan(dt_max):
+        raise ValueError("dt_max must be a number, got nan")
     a, b = _require_realizable(grid, "is not strictly realizable")
     new = _advance(grid, a, b, spec.gamma, variant, cfl, dt, dt_max)
     _require_realizable(new, "lost strict realizability")
@@ -417,14 +466,23 @@ def total_moments(grid):
 
 
 def _flagged_cells(grid):
+    """The cells whose smallest b_k (k >= 1) lies below
+    NEAR_BOUNDARY_FRACTION of their temperature, and the (U, theta) rows of
+    the grid, which the snapshot CSV reuses."""
     _, _, b = grid._gate()
-    theta = _primitive_rows(grid.cells)[2]
+    _, U, theta = _primitive_rows(grid.cells)
     near = np.min(b.T[1:], axis=0) < NEAR_BOUNDARY_FRACTION * theta
-    return [int(i) for i in np.flatnonzero(near)]
+    return [int(i) for i in np.flatnonzero(near)], U, theta
 
 
 # ---------------------------------------------------------------------------
 # Config-driven runs
+
+
+def _is_number(val):
+    """An int or float that is not a bool: JSON's true and false load as
+    Python bools, which are ints."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _require(cfg, key, types, check=None, what=""):
@@ -458,7 +516,7 @@ def validate_config(cfg):
     tau = cfg.get("tau", None)
     if isinstance(tau, str) and tau.lower() in ("inf", "infinity"):
         tau = np.inf
-    if not isinstance(tau, (int, float)) or not tau > 0:
+    if not _is_number(tau) or not tau > 0:
         raise ConfigError("tau", f"expected positive number (or 'inf'), got {cfg.get('tau')!r}")
     out["tau"] = float(tau)
     dom = _require(cfg, "domain", list, lambda v: len(v) == 2, "[x0, x1]")
@@ -484,14 +542,14 @@ def validate_config(cfg):
         _require(cfg, "t_final", (int, float), lambda v: v >= 0, "nonnegative")
     )
     snap = cfg.get("snapshot_every", None)
-    if snap is not None and (not isinstance(snap, (int, float)) or snap <= 0):
+    if snap is not None and (not _is_number(snap) or not snap > 0):
         raise ConfigError("snapshot_every", "must be a positive number or omitted")
     out["snapshot_every"] = None if snap is None else float(snap)
     out["boundary"] = _require(
         cfg, "boundary", str, lambda v: v in BOUNDARIES, f"one of {BOUNDARIES}"
     )
     dt_max = cfg.get("dt_max", None)
-    if dt_max is not None and (not isinstance(dt_max, (int, float)) or dt_max <= 0):
+    if dt_max is not None and (not _is_number(dt_max) or not dt_max > 0):
         raise ConfigError("dt_max", "must be a positive number or omitted")
     out["dt_max"] = None if dt_max is None else float(dt_max)
 
@@ -504,24 +562,22 @@ def validate_config(cfg):
         ns = {}
         for key in ("rho", "theta"):
             val = seg.get(key)
-            if not isinstance(val, (int, float)) or val <= 0:
+            if not _is_number(val) or not val > 0:
                 raise ConfigError(f"initial[{i}].{key}", "must be a positive number")
             ns[key] = float(val)
-        if not isinstance(seg.get("U"), (int, float)):
+        if not _is_number(seg.get("U")):
             raise ConfigError(f"initial[{i}].U", "must be a number")
         ns["U"] = float(seg["U"])
         for key, maxlen in (("da", n), ("db", n + 1)):
             arr = seg.get(key, [])
-            if not isinstance(arr, list) or len(arr) > maxlen or not all(
-                isinstance(x, (int, float)) for x in arr
-            ):
+            if not isinstance(arr, list) or len(arr) > maxlen or not all(map(_is_number, arr)):
                 raise ConfigError(
                     f"initial[{i}].{key}", f"must be a list of <= {maxlen} numbers"
                 )
             ns[key] = [float(x) for x in arr]
         if i < len(segments) - 1:
             xu = seg.get("x_until")
-            if not isinstance(xu, (int, float)) or not (x0 < xu <= x1):
+            if not _is_number(xu) or not (x0 < xu <= x1):
                 raise ConfigError(
                     f"initial[{i}].x_until", f"must be a number in ({x0}, {x1}]"
                 )
@@ -597,11 +653,11 @@ def _snapshot_csv_head(cfg, grid):
     return header, list(map(repr, centers.tolist()))
 
 
-def _snapshot_csv_lines(grid, header, x_text):
-    """Lines of the snapshot CSV of ``grid``, formatted column by column
-    over CSV_ROWS cells at a time."""
+def _snapshot_csv_lines(grid, U, theta, header, x_text):
+    """Lines of the snapshot CSV of ``grid``, whose velocity and temperature
+    rows are U and theta, formatted column by column over CSV_ROWS cells at
+    a time."""
     ok, _, _ = grid._gate()
-    _, U, theta = _primitive_rows(grid.cells)
     rows = [*grid.cells.T, U, theta]
     flags = ["1" if flag else "0" for flag in ok.tolist()]
     lines = [header]
@@ -636,11 +692,13 @@ def run(config, output_dir=None):
     snapshots, files = [], []
 
     def take_snapshot(grid):
-        # written from the live grid, whose memoized gate gives the flags
-        snapshots.append(Snapshot(grid.time, grid.cells, _flagged_cells(grid)))
+        # written from the live grid, whose memoized gate gives the flags;
+        # the flags and the CSV share one set of primitive rows
+        flagged, U, theta = _flagged_cells(grid)
+        snapshots.append(Snapshot(grid.time, grid.cells, flagged))
         if out is not None:
             path = out / f"snapshot_{len(files):04d}.csv"
-            path.write_text("\n".join(_snapshot_csv_lines(grid, *head)) + "\n")
+            path.write_text("\n".join(_snapshot_csv_lines(grid, U, theta, *head)) + "\n")
             files.append(str(path))
 
     take_snapshot(grid)

@@ -360,6 +360,28 @@ class TestDrawBlocks:
         assert whole[0] == 0 and whole[3] is not None
         assert self.run_in_blocks(argv, draws, monkeypatch, capsys, tmp_path) == whole
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_eigensolves_from_scratch(self, n, monkeypatch, capsys, tmp_path):
+        # the command passes no guesses: one eigvalsh call per factor of
+        # order >= 5 (R_{n+1}, and Q_n from n = 5 on) per block, on every draw
+        matrices = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(A):
+            if A.shape[-1] >= 5:
+                matrices.append(A.shape[0])
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        samples = 7000
+        blocks = solver._blocks(samples, 2 * n + 1)
+        assert len(blocks) > 1
+        run_cli(["verify-hyperbolicity", "--n", str(n), "--samples", str(samples),
+                 "--output-dir", str(tmp_path)], capsys)
+        factors = 1 if n == 4 else 2
+        assert len(matrices) == factors * len(blocks)
+        assert sum(matrices) == factors * samples
+
     def test_failures_carry_global_ascending_indices(self, monkeypatch, capsys, tmp_path):
         # gamma just above -2n: two of the 20000 default draws fail
         argv = ["verify-hyperbolicity", "--n", "2", "--gamma=-3.9999999999", "--samples", "20000"]

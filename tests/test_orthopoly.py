@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.closures import _spectral_batch
+from hyqmom.closures import _spectral_batch, _standard_factors
 from hyqmom.moments import _moments_from_recurrence_batch
-from hyqmom.orthopoly import _jacobi_batch, _monic_pair_batch
+from hyqmom.orthopoly import (
+    _jacobi_batch,
+    _monic_pair_batch,
+    _newton_from_standard,
+    _standard_deviation,
+)
 from corpus import random_coefficients, random_even_moments, random_odd_moments
 from reference import mp_golub_welsch, mp_tridiagonal_eigenvalues, vandermonde_weights
 
@@ -335,6 +340,137 @@ class TestSmallOrderEigenvalues:
         roots = hq.jacobi_roots([0, 3e51, -3e51, 9e50], [1, 1, 1])
         dense = np.diag([0, 3e51, -3e51, 9e50]) + np.diag([1.0] * 3, 1) + np.diag([1.0] * 3, -1)
         assert np.array_equal(roots, np.linalg.eigvalsh(dense))
+
+
+def _dense(diag, off):
+    """Dense (J, m, m) Jacobi matrices of the rows diag (J, m), off (J, m-1)."""
+    J, m = diag.shape
+    A = np.zeros((J, m, m))
+    k = np.arange(m)
+    A[:, k, k] = diag
+    A[:, k[:-1], k[1:]] = A[:, k[1:], k[:-1]] = off
+    return A
+
+
+def _near_standard_rows(rng, standard, sizes):
+    """Jacobi rows (diag, off) of matrices c I + s (T_std + E), one lane
+    per entry of ``sizes``: c = U and s = sqrt(theta) with theta in
+    [0.1, 10] and |U| / sqrt(theta) up to 15, E tridiagonal and random
+    with ||E||_inf = size * g / 8, zero in the entries that fix the frame
+    (E_00 and E_01: c = a_0 and s = beta_1, as the solver's rows)."""
+    beta, _, gap, _ = standard
+    m = len(beta) + 1
+    J = len(sizes)
+    theta = rng.uniform(0.1, 10.0, J)
+    s = np.sqrt(theta)
+    c = s * rng.uniform(-15.0, 15.0, J)
+    ed = rng.uniform(-1.0, 1.0, (J, m))
+    eo = rng.uniform(-1.0, 1.0, (J, m - 1))
+    ed[:, 0] = eo[:, 0] = 0.0
+    rows = np.abs(ed)
+    rows[:, :-1] += np.abs(eo)
+    rows[:, 1:] += np.abs(eo)
+    scale = np.asarray(sizes) * gap / 8 / rows.max(axis=1)
+    diag = c[:, None] + s[:, None] * (ed * scale[:, None])
+    off = s[:, None] * (beta + eo * scale[:, None])
+    return diag, off
+
+
+def _factor_models(m):
+    """The models of order m that the solver warm-starts from: the Q_m
+    factor (also the gauss variant's augmented Q_{n+1}, n = m - 1) and
+    the R_{n+1} factors, n = m - 1, at gamma = 1 and 0."""
+    return {
+        "Q": _standard_factors(m, 1.0)[0],
+        "R, gamma=1": _standard_factors(m - 1, 1.0)[1],
+        "R, gamma=0": _standard_factors(m - 1, 0.0)[1],
+    }
+
+
+class TestWarmStart:
+    """From m = 5 on, a lane whose matrix lies within g/8 of c I + s T_std
+    starts Newton from the model's spectrum, and only the lanes Newton
+    does not certify go to LAPACK."""
+
+    SIZES = (1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.999)
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    def test_high_precision_reference(self, rng, m):
+        # accepted nodes within (m+1) eps ||T||_F of the eigenvalues of the
+        # same double matrices at 60 digits, and Christoffel weights within
+        # the 1e-12 of the cold path's Golub-Welsch test, up to the filter's
+        # edge and |U| / sqrt(theta) = 15
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        eps = np.finfo(float).eps
+        worst = [0.0, 0.0]
+        with mpmath.workdps(60):
+            for name, standard in _factor_models(m).items():
+                diag, off = _near_standard_rows(rng, standard, self.SIZES)
+                mass = rng.uniform(0.5, 2.0, (len(self.SIZES), 1))
+                assert np.all(_standard_deviation(diag.T, off.T, standard[0]) < standard[2] / 8)
+                _, ok = _newton_from_standard(diag.T, off.T, standard)
+                assert ok.all(), name
+                nodes, weights = _jacobi_batch(diag, off, mass, standard)
+                for j in range(len(self.SIZES)):
+                    ref_nodes, ref_weights = mp_golub_welsch(
+                        [mp.mpf(v) for v in diag[j]], [mp.mpf(v) for v in off[j]],
+                        mp.mpf(mass[j, 0]), mp,
+                    )
+                    radius = (m + 1) * eps * np.sqrt(np.sum(diag[j] ** 2) + 2 * np.sum(off[j] ** 2))
+                    for v, e in zip(nodes[j], ref_nodes):
+                        worst[0] = max(worst[0], float(abs(mp.mpf(v) - e)) / radius)
+                    for w, rw in zip(weights[j], ref_weights):
+                        worst[1] = max(worst[1], float(abs(mp.mpf(w) - rw) / rw))
+        print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
+              f"worst relative weight error {worst[1]:.1e}")
+        assert worst[0] <= 1.0
+        assert worst[1] <= 1e-12
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_guesses_a_gap_off_are_never_accepted(self, rng, m, shift):
+        # the model's spectrum moved by one smallest gap: its outermost
+        # window holds no eigenvalue, so no lane is accepted and every lane
+        # comes back exactly as eigvalsh solves it
+        for standard in _factor_models(m).values():
+            beta, xi, gap, w = standard
+            moved = (beta, xi + shift * gap, gap, w)
+            diag, off = _near_standard_rows(rng, standard, self.SIZES)
+            assert not _newton_from_standard(diag.T, off.T, moved)[1].any()
+            expected = np.linalg.eigvalsh(_dense(diag, off))
+            assert np.array_equal(_jacobi_batch(diag, off, None, moved), expected)
+
+    @pytest.mark.parametrize("m", [5, 7, 9])
+    def test_rows_just_past_the_filter_go_to_lapack(self, rng, m):
+        for standard in _factor_models(m).values():
+            diag, off = _near_standard_rows(rng, standard, [1.001] * 6 + [2.0, 100.0])
+            assert np.all(_standard_deviation(diag.T, off.T, standard[0]) >= standard[2] / 8)
+            expected = np.linalg.eigvalsh(_dense(diag, off))
+            assert np.array_equal(_jacobi_batch(diag, off, None, standard), expected)
+            mass = np.ones((len(diag), 1))
+            for warm, cold in zip(_jacobi_batch(diag, off, mass, standard),
+                                  _jacobi_batch(diag, off, mass)):
+                assert np.array_equal(warm, cold)
+
+    def test_only_rejected_lanes_go_to_lapack(self, rng, monkeypatch):
+        # accepted and rejected lanes interleaved: one eigvalsh call on the
+        # two rejected ones, which match LAPACK on those matrices alone
+        standard = _factor_models(7)["R, gamma=1"]
+        diag, off = _near_standard_rows(rng, standard, [1e-3, 2.0, 1e-3, 1e-3, 5.0, 1e-3])
+        far = [1, 4]
+        expected = np.linalg.eigvalsh(_dense(diag[far], off[far]))
+        matrices = []
+        original = np.linalg.eigvalsh
+
+        def spy(A):
+            matrices.append(A.shape[0])
+            return original(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        x = _jacobi_batch(diag, off, None, standard)
+        assert matrices == [2]
+        assert np.array_equal(x[far], expected)
 
 
 class TestChristoffelWeights:

@@ -15,7 +15,7 @@ from hyqmom.solver import (
     _reconstruct_batch,
     build_initial_grid,
 )
-from corpus import random_odd_moments
+from corpus import random_odd_moments, smooth_random_config
 from reference import kinetic_flux
 
 SPEC1 = hq.hyqmom_closure(1.0)
@@ -29,6 +29,21 @@ def hankel_positive_definite(m):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def accepted_lanes(monkeypatch):
+    """A list that receives, per call of the warm path's Newton steps, the
+    number of lanes they accept."""
+    accepted = []
+    newton = hq.orthopoly._newton_from_standard
+
+    def spy(*args):
+        y, ok = newton(*args)
+        accepted.append(int(ok.sum()))
+        return y, ok
+
+    monkeypatch.setattr(hq.orthopoly, "_newton_from_standard", spy)
+    return accepted
 
 
 def uniform_grid(m, cells=8, tau=1.0, boundary="periodic", width=1.0):
@@ -288,6 +303,18 @@ class TestStep:
         new = hq.step(grid, SPEC1, "gauss", dt=1e-4)
         assert new.time == pytest.approx(1e-4)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+    def test_bad_explicit_dt_refused(self, dt):
+        grid = uniform_grid(hq.maxwellian_moments(1.0, 0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            hq.step(grid, SPEC1, "gauss", dt=dt)
+
+    def test_nan_dt_max_refused(self):
+        # min(dt, nan) is dt, so a NaN cap was ignored
+        grid = uniform_grid(hq.maxwellian_moments(1.0, 0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="dt_max"):
+            hq.step(grid, SPEC1, "gauss", dt_max=np.nan)
+
     def test_zero_gradient_boundary(self):
         cells = np.tile(hq.maxwellian_moments(1.0, 0.5, 1.0, 4), (16, 1))
         cells[8:] = hq.maxwellian_moments(0.5, 0.5, 0.6, 4)
@@ -342,6 +369,20 @@ class TestGridState:
         assert not np.shares_memory(new.cells, grid.cells)
         assert not np.shares_memory(new.cells, cells)
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, 0.0, -0.25])
+    def test_bad_cell_widths_refused(self, width):
+        # a NaN width passed the old positivity check, and the step's CFL
+        # fallback dt = 1.0 then ended the run in a realizability loss
+        dx = np.full(4, 0.25)
+        dx[2] = width
+        with pytest.raises(ValueError, match="cell widths must be finite and positive"):
+            hq.GridState(cells=np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), (4, 1)),
+                         dx=dx, tau=1.0)
+
+    def test_nan_tau_refused(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            uniform_grid(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), tau=np.nan)
+
     def test_new_cells_drop_the_memoized_gate(self):
         m = hq.maxwellian_moments(1.0, 0.0, 1.0, 2)
         grid = uniform_grid(m, cells=2)
@@ -370,11 +411,16 @@ class TestBlocks:
     @pytest.mark.parametrize("block_cells", [1, 7])
     @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
     def test_block_length_does_not_change_results(
         self, n, variant, boundary, block_cells, monkeypatch
     ):
         cfg = self.riemann(n, variant, boundary)
+        if n in (5, 8):
+            # stiff relaxation puts the cells near equilibrium from the
+            # second step on, so the m >= 5 eigensolves warm-start there
+            cfg["tau"] = 1e-6
+            accepted = accepted_lanes(monkeypatch)
         grid = build_initial_grid(hq.validate_config(cfg))
         one_block = hq.step(grid, SPEC1, variant)
         whole = hq.run(cfg)
@@ -392,6 +438,8 @@ class TestBlocks:
         for mine, theirs in zip(result.snapshots, whole.snapshots):
             assert np.array_equal(mine.cells, theirs.cells)
             assert mine.flagged_cells == theirs.flagged_cells
+        if n in (5, 8):
+            assert sum(accepted) > 0
 
     @pytest.mark.parametrize("block_cells", [7, None])
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
@@ -562,6 +610,75 @@ class TestBlocks:
                 assert x.strides[0] == x.itemsize
 
 
+@pytest.fixture(scope="module")
+def stiff_smooth_config():
+    """n = 6 eigen fluxes, tau = 1e-6, 400 cells that are each their own
+    smooth random segment, 60 steps (``corpus.smooth_random_config``)."""
+    return smooth_random_config(np.random.default_rng(20251019), 6, 1e-6)
+
+
+class TestWarmStart:
+    """Near equilibrium the step's eigensolves of order m >= 5 start from
+    the standard state's spectra; LAPACK solves only what Newton does not
+    certify."""
+
+    @staticmethod
+    def lane_counter(monkeypatch):
+        """Counts of the m >= 5 lanes the run solves and of the matrices
+        eigvalsh gets."""
+        counts = {"lanes": 0, "lapack": 0}
+        jacobi, eigvalsh = hq.closures._jacobi_batch, np.linalg.eigvalsh
+
+        def lanes(diag, *args):
+            if diag.shape[1] >= 5:
+                counts["lanes"] += diag.shape[0]
+            return jacobi(diag, *args)
+
+        def lapack(A):
+            counts["lapack"] += A.shape[0]
+            return eigvalsh(A)
+
+        monkeypatch.setattr(hq.closures, "_jacobi_batch", lanes)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lapack)
+        return counts
+
+    def test_stiff_run_takes_the_warm_path(self, stiff_smooth_config, monkeypatch):
+        # at least 95% of the m = 6 and 7 lanes skip LAPACK, and the final
+        # cells stay within 1e-12 of a run that solves every lane by LAPACK,
+        # per moment order relative to its largest magnitude
+        with monkeypatch.context() as patch:
+            counts = self.lane_counter(patch)
+            warm = hq.run(stiff_smooth_config).grid.cells
+        assert counts["lanes"] == 60 * 2 * 402
+        assert counts["lapack"] <= 0.05 * counts["lanes"]
+        monkeypatch.setattr(hq.solver, "_warm_start", lambda *args: False)
+        cold = hq.run(stiff_smooth_config).grid.cells
+        assert len(np.unique(cold, axis=0)) == 400
+        assert np.max(np.abs(warm - cold) / np.max(np.abs(cold), axis=0)) <= 1e-12
+
+    def test_stiff_step_sends_only_rejected_lanes_to_lapack(self, stiff_smooth_config,
+                                                            monkeypatch):
+        cfg = dict(stiff_smooth_config, t_final=3 * stiff_smooth_config["dt_max"])
+        grid = hq.run(cfg).grid
+        accepted = accepted_lanes(monkeypatch)
+        counts = self.lane_counter(monkeypatch)
+        hq.step(grid, SPEC1, "eigen", dt_max=cfg["dt_max"])
+        assert len(accepted) == 2 and counts["lanes"] == 2 * 402
+        assert counts["lapack"] == counts["lanes"] - sum(accepted)
+
+    def test_far_from_equilibrium_the_step_solves_from_scratch(self, rng, monkeypatch):
+        # fewer than WARM_SHARE of the cells pass the filter: no Newton step
+        cfg = smooth_random_config(rng, 6, 1.0, cells=40, steps=1)
+        for seg in cfg["initial"]:
+            seg["da"] = [0.0, 0.4]
+        newton = []
+        monkeypatch.setattr(hq.orthopoly, "_newton_from_standard",
+                            lambda *args: newton.append(args))
+        counts = self.lane_counter(monkeypatch)
+        hq.run(cfg)
+        assert newton == [] and counts["lapack"] == counts["lanes"] == 2 * 42
+
+
 class TestConfigValidation:
     def base(self):
         return {
@@ -602,6 +719,25 @@ class TestConfigValidation:
         with pytest.raises(hq.ConfigError) as exc:
             hq.validate_config(cfg)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize(
+        "field", ["tau", "snapshot_every", "dt_max", "rho", "U", "theta", "x_until", "da", "db"]
+    )
+    def test_booleans_refused(self, field, value):
+        # JSON true and false load as bools, which are ints: "tau": true ran
+        # with tau = 1 and "U": false with U = 0
+        cfg = self.base()
+        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
+                          {"rho": 0.5, "U": 0.0, "theta": 1.0}]
+        if field in ("tau", "snapshot_every", "dt_max"):
+            cfg[field], where = value, field
+        else:
+            cfg["initial"][0][field] = [value] if field in ("da", "db") else value
+            where = f"initial[0].{field}"
+        with pytest.raises(hq.ConfigError) as exc:
+            hq.validate_config(cfg)
+        assert exc.value.field == where
 
     @pytest.mark.parametrize(
         "domain", [[1e16, 1e16 + 4], [-1e308, 1e308], [0.0, math.inf]],
