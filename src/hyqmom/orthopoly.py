@@ -16,14 +16,15 @@ gives a model to start from:
   with one Newton step at m = 3, the depressed quartic split by its
   largest resolvent root with two Newton steps at m = 4);
 * m >= 5 with a model T_std (``_standard_spectrum``; the solver passes
-  the factor of the standard normal, U = 0 and theta = 1): Newton steps
-  on det(T - x) from guesses near c + s xi, for each lane within g/8 of
-  c I + s T_std (xi its spectrum, g its smallest gap), which Weyl's bound
-  makes one eigenvalue per window of radius s g/2;
+  the factor of the standard normal, U = 0 and theta = 1): for each lane
+  within g/8 of c I + s T_std (xi its spectrum, g its smallest gap), the
+  guess c + s xi moved to first order, which Kato-Temple certifies close to
+  the model, else Newton steps on det(T - x) that stop per lane, in
+  windows of radius s g/2 that Weyl's bound gives one eigenvalue each;
 * stacked ``numpy.linalg.eigvalsh`` for m >= 5 without a model, for the
-  lanes that the Newton steps do not certify, and for the m = 3 and 4
-  lanes with two nearly equal eigenvalues or with a spread large enough
-  to overflow the closed form, which LAPACK scales.
+  lanes that neither certifies, and for the m = 3 and 4 lanes with two
+  nearly equal eigenvalues or with a spread large enough to overflow the
+  closed form, which LAPACK scales.
 
 Polynomial deflation and companion matrices are never used.
 """
@@ -42,12 +43,11 @@ from .moments import _as_moment_array, moments_to_recurrence
 # near-degenerate (boundary-of-realizability inputs); not an error.
 NEAR_DEGENERACY_RTOL = 1e-8
 
-# Newton steps of the warm path at m >= 5 (``_newton_from_standard``).
-# Against LAPACK, relative to the spread, the first-order guesses and the
-# first three steps were off by 9.5e-4, 7.2e-6, 4.0e-10 and 1.1e-15 on
-# m = 5 lanes at the filter's edge, ||E|| = g/8, and by 7.8e-8, 6.8e-14 and
-# 4.1e-16 after the guess and two steps on the stiff n = 6 benchmark run;
-# three steps certify every lane the filter admits.
+# Newton steps of the warm path at m >= 5, at most (``_newton_steps``).  At
+# the filter's edge, ||E|| = g/8, m = 5 lanes were off by 9.5e-4, 7.2e-6,
+# 4.0e-10 and 1.1e-15 of the spread after the guess and each of three steps;
+# on the stiff n = 6 benchmark run about 95% of the lanes need no step
+# (Kato-Temple) and nearly every other lane stops after two.
 NEWTON_STEPS = 3
 
 
@@ -417,41 +417,68 @@ def _standard_deviation(d, off, beta):
 
 
 def _newton_from_standard(d, off, standard):
-    """NEWTON_STEPS Newton steps on det(T - y) for every lane of the
-    order-major rows d (m, K) and off (m-1, K) of T, near the model
-    ``standard`` of ``_standard_spectrum``.  Returns the last iterates
-    (m, K) and which lanes it accepts.
+    """Eigenvalues (m, K) of the order-major rows d (m, K) and off (m-1, K)
+    of T near the model ``standard`` of ``_standard_spectrum``, and which
+    lanes are accepted, all within g/8 of it (``_standard_deviation`` dev
+    < g/8): by Weyl's bound each window |y - xi_i| < g/2 then holds one
+    eigenvalue, and the other eigenvalues lie 3g/4 from the guess.
 
-    The steps run on the standardized matrix (T - cI) / s,
-    (c, s) = (d_0, off_0), whose entries are of order one, so the
-    recurrence P_{k+1} = (y - d_k) P_k - s_k P_{k-1} and its derivative
-    neither overflow nor underflow.  They start from the first-order
-    guesses xi + w e of its deviation e from T_std.  p and p' are stacked,
-    and the coefficient rows d_k and s_k are repeated over the m rows of a
-    lane, since numpy runs a same-shape update faster than a broadcast one.
-    Every operation is elementwise within a lane, so which other lanes
-    share the call changes no bit.  A lane is accepted when, for each i,
-    its last iterate lies within g/2 of xi_i, its last step is below
-    sqrt(eps) of the spread of xi, and the back-transformed nodes ascend
-    strictly.  The step bounds the distance to the nearest eigenvalue by
-    m |step|, and by Weyl's bound the window of xi_i holds exactly one
-    eigenvalue, as the callers admit only lanes within g/8 of the model."""
+    On (T - cI) / s = T_std + E, (c, s) = (d_0, off_0), whose entries are of
+    order one, the guess xi_i + w_i e is the Rayleigh quotient of T_std's
+    i-th eigenvector, with a residual at most ||E||_2 <= dev, so by
+    Kato-Temple it is within 4 dev^2 / (3g) of its eigenvalue.  Lanes where
+    that is at most eps times the spread of xi stand as they are, if each
+    xi_i is its own Rayleigh quotient w_i[m:] . beta to (m+1) eps ||T_std||_F
+    (a moved model is not); the others take ``_newton_steps``.  A lane is
+    accepted when its iterates have stopped in their windows and ascend
+    strictly.  Every operation is elementwise within a lane, so which other
+    lanes share the call changes no bit."""
     beta, xi, gap, w = standard
     m, K = d.shape
+    eps, spread = np.finfo(float).eps, xi[-1] - xi[0]
     c, s = d[0], off[0]
+    dev = _standard_deviation(d, off, beta)
+    trusted = np.all(np.abs(w[:, m:] @ beta - xi) <= (m + 1) * eps * np.sqrt(2 * beta @ beta))
+    near = np.square(dev) <= (0.75 * eps * spread * gap if trusted else -1.0)
+    admitted = dev < gap / 8
+    lanes = np.flatnonzero(admitted & ~near)
     e = np.empty((2 * m - 1, K))
     dt, st = e[:m], e[m:]
-    np.subtract(d, c, out=dt)
-    dt /= s
-    np.divide(off, s, out=st)
-    st -= beta[:, None]
-    y = np.matmul(w, e)
-    y += xi[:, None]
-    st += beta[:, None]
-    st *= st
-    D = np.repeat(dt[:, None, :], m, axis=1)
-    S = np.repeat(st[:, None, :], m, axis=1)
-    t = np.empty((m, K))
+    ok = np.ones((m, K), dtype=bool)
+    with np.errstate(all="ignore"):
+        np.subtract(d, c, out=dt)
+        dt /= s
+        np.divide(off, s, out=st)
+        st -= beta[:, None]
+        y = np.matmul(w, e)
+        y += xi[:, None]
+        st += beta[:, None]
+        st *= st
+        stop = np.sqrt(eps * spread * gap / (2 * m - 2))
+        if lanes.size == K:
+            y, ok = _newton_steps(y, e, stop)
+        elif lanes.size:
+            rows = (np.take(v, lanes, axis=1) for v in (y, e))
+            y[:, lanes], ok[:, lanes] = _newton_steps(*rows, stop)
+        ok &= np.abs(y - xi[:, None]) < gap / 2
+        y *= s
+        y += c
+        ok[1:] &= y[1:] > y[:-1]
+    return y, np.all(ok, axis=0) & admitted
+
+
+def _newton_steps(y, e, stop):
+    """Up to NEWTON_STEPS Newton steps on det(T - y), in place on y (m, K),
+    from the standardized rows e (2m - 1, K): diagonal, squared couplings.
+    p and p' of P_{k+1} = (y - d_k) P_k - s_k P_{k-1} are stacked, and d_k
+    and s_k repeated over the m rows of a lane: numpy runs a same-shape
+    update faster than a broadcast one.  An iterate stops after a step of at
+    most ``stop``, past which quadratic convergence puts the next step below
+    eps times the spread; the update is masked, so every bit stays
+    lane-local.  Returns y and which iterates stopped."""
+    m, K = y.shape
+    D, S = (np.repeat(v[:, None], m, axis=1) for v in (e[:m], e[m:]))
+    t, done = np.empty((m, K)), np.zeros((m, K), dtype=bool)
     P, Pm, N, U = np.empty((4, 2, m, K))
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
@@ -472,35 +499,22 @@ def _newton_from_standard(d, off, standard):
                 N -= U
                 Pm, P, N = P, N, Pm
             np.divide(P[0], P[1], out=t)
+            t[done] = 0.0
             y -= t
-        np.abs(t, out=t)
-        ok = t < np.sqrt(np.finfo(float).eps) * (xi[-1] - xi[0])
-        np.subtract(y, xi[:, None], out=t)
-        np.abs(t, out=t)
-        ok &= t < gap / 2
-        y *= s
-        y += c
-        ok[1:] &= y[1:] > y[:-1]
-    return y, np.all(ok, axis=0)
+            np.abs(t, out=t)
+            done |= t <= stop
+            if done.all():
+                break
+    return y, done
 
 
 def _warm_eigenvalues(diag, offdiag, standard):
     """Order-major (m, J) eigenvalues of the Jacobi matrices of order m >= 5
-    near the model ``standard`` of ``_standard_spectrum``: the lanes within
-    g/8 of it (``_standard_deviation``) go to ``_newton_from_standard``,
-    and every lane it does not accept to ``_dense_eigenvalues``, as one
-    stacked call."""
-    J, m = diag.shape
-    d, off = diag.T, offdiag.T
-    beta, _, gap, _ = standard
-    lanes = np.flatnonzero(_standard_deviation(d, off, beta) < gap / 8)
-    if lanes.size == J:
-        x, ok = _newton_from_standard(d, off, standard)
-    else:
-        x, ok = np.empty((m, J)), np.zeros(J, dtype=bool)
-        if lanes.size:
-            rows = (np.take(v, lanes, axis=1) for v in (d, off))
-            x[:, lanes], ok[lanes] = _newton_from_standard(*rows, standard)
+    near the model ``standard`` of ``_standard_spectrum``: the lanes that
+    ``_newton_from_standard`` certifies, by Kato-Temple or by Newton steps
+    that stop per lane, keep its values, and every other lane goes to
+    ``_dense_eigenvalues``, as one stacked call."""
+    x, ok = _newton_from_standard(diag.T, offdiag.T, standard)
     if not ok.any():
         x[:] = _dense_eigenvalues(diag, offdiag).T
     elif not ok.all():
@@ -515,22 +529,21 @@ def _jacobi_batch(diag, offdiag, mass=None, standard=None):
     chosen by the order m and, from m = 5 on, by ``standard``.  Orders
     m <= 4 are solved in closed form (``_small_jacobi_eigenvalues``).
     Larger ones go to ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices
-    filled through strided views of their diagonals, unless ``standard``
-    names a model matrix T_std with zero diagonal (``_standard_spectrum``):
-    then each lane whose (T - cI) / s lies within g/8 of T_std, with
-    (c, s) = (a_0, beta_1) and g the smallest gap of T_std's spectrum xi,
-    takes NEWTON_STEPS Newton steps from c + s xi moved to first order in
-    the deviation, and only the lanes they do not certify go to LAPACK
-    (``_warm_eigenvalues``).  Given ``mass`` (shape (J, 1)) it also returns the Gauss weights as Christoffel numbers
-    mass / sum_{k<m} p_k(x)^2 at every eigenvalue x, where the orthonormal
-    polynomials follow beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}
-    with p_0 = 1.  These equal mass * (first eigenvector components)^2, the
-    Golub-Welsch weights, without computing eigenvectors.  The closed form
-    and the recurrence run order-major, on contiguous length-J rows of the
-    transposed inputs; nodes and weights come back as (J, m) transposed
-    views.  With a zero coupling (a decoupled matrix) the eigenvalues are
-    those of the diagonal blocks, exactly from LAPACK and within about
-    eps ||T||_F in closed form, and the weights are undefined (0 or nan)."""
+    filled through strided views of their diagonals, except the lanes within
+    g/8 of c I + s T_std, (c, s) = (a_0, beta_1), for a model ``standard``
+    (``_standard_spectrum``): there the first-order guess, certified by
+    Kato-Temple, or Newton steps that stop per lane replace LAPACK
+    (``_warm_eigenvalues``).  Given ``mass`` (shape (J, 1)) it also returns
+    the Gauss weights as Christoffel numbers mass / sum_{k<m} p_k(x)^2 at
+    every eigenvalue x, where the orthonormal polynomials follow
+    beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1} with p_0 = 1.  These
+    equal mass * (first eigenvector components)^2, the Golub-Welsch weights,
+    without computing eigenvectors.  The closed form and the recurrence run
+    order-major, on contiguous length-J rows of the transposed inputs; nodes
+    and weights come back as (J, m) transposed views.  With a zero coupling
+    (a decoupled matrix) the eigenvalues are those of the diagonal blocks,
+    exactly from LAPACK and within about eps ||T||_F in closed form, and the
+    weights are undefined (0 or nan)."""
     J, m = diag.shape
     d, off = diag.T, offdiag.T
     if m <= 4:

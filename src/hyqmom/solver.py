@@ -36,19 +36,21 @@ straight into the (2n+1, J) buffer of the new cells.  Near equilibrium the
 reconstruction's eigensolves of order >= 5 start from the standard
 state's spectra (``_jacobi_batch``): by the closure's affine invariance a
 local Maxwellian at gamma = 1 has its eigenvalues at U + sqrt(theta) xi,
-with xi those of the standard normal.  A step asks for that when at least
+with xi those of the standard normal.  Most lanes there stand as their
+first-order guess, which Kato-Temple certifies, and the others take
+Newton steps that stop per lane.  A step asks for that when at least
 WARM_SHARE of its cells pass the filter (``_warm_start``), a count over
 the whole grid, and every lane is solved on its own, so where the blocks
-end changes no bit.  The global dt
-follows from all speeds, reduced block by block.  The second pass scales
-the differences, adds the old cells, relaxes, and gates the new cells,
-writing the gate rows in place: ``_realizable_pivots_batch`` and
-``_wheeler_batch`` take them as ``out=``.  The new grid takes the buffer
-read-only without a copy, and the gate as its memo.  Within a block every
-per-order update is a contiguous row operation, and every cell sees the
-same operations in the same order as in one block over the whole grid,
-so the results are bitwise those of an unblocked step.  Inputs in C order
-give the same values, only through strided rows.
+end changes no bit.  The global dt follows from all speeds, reduced block
+by block.  The second pass scales the differences, adds the old cells,
+relaxes, and gates the new cells, writing the gate rows in place:
+``_realizable_pivots_batch`` and ``_wheeler_batch`` take them as
+``out=``.  The new grid takes the buffer read-only without a copy, and the
+gate as its memo.  Within a block every per-order update is a contiguous
+row operation, and every cell sees the same operations in the same order
+as in one block over the whole grid, so the results are bitwise those of
+an unblocked step.  Inputs in C order give the same values, only through
+strided rows.
 """
 
 from __future__ import annotations

@@ -387,22 +387,68 @@ def _factor_models(m):
     }
 
 
+def _worst_errors(diag, off, mass, nodes, weights, mp):
+    """Largest node error in units of (m+1) eps ||T||_F and largest
+    relative weight error against 60-digit Golub-Welsch rules of the same
+    double matrices."""
+    eps, m = np.finfo(float).eps, diag.shape[1]
+    worst = [0.0, 0.0]
+    for j in range(len(diag)):
+        ref_nodes, ref_weights = mp_golub_welsch(
+            [mp.mpf(v) for v in diag[j]], [mp.mpf(v) for v in off[j]], mp.mpf(mass[j, 0]), mp,
+        )
+        radius = (m + 1) * eps * np.sqrt(np.sum(diag[j] ** 2) + 2 * np.sum(off[j] ** 2))
+        for v, e in zip(nodes[j], ref_nodes):
+            worst[0] = max(worst[0], float(abs(mp.mpf(v) - e)) / radius)
+        for w, rw in zip(weights[j], ref_weights):
+            worst[1] = max(worst[1], float(abs(mp.mpf(w) - rw) / rw))
+    return worst
+
+
+def _kato_temple_edge(standard):
+    """The deviation ||E||_inf, in units of g/8, at which the Kato-Temple
+    bound 4 ||E||^2 / (3g) reaches eps times the spread of xi."""
+    _, xi, gap, _ = standard
+    return np.sqrt(0.75 * np.finfo(float).eps * (xi[-1] - xi[0]) * gap) / (gap / 8)
+
+
+def _warm_spies(monkeypatch):
+    """Lists that receive the lanes of each ``_newton_steps`` call and the
+    matrices of each eigvalsh call."""
+    newton, lapack = [], []
+    steps, eigvalsh = hq.orthopoly._newton_steps, np.linalg.eigvalsh
+
+    def newton_spy(y, *args):
+        newton.append(y.shape[1])
+        return steps(y, *args)
+
+    def lapack_spy(A):
+        lapack.append(A.shape[0])
+        return eigvalsh(A)
+
+    monkeypatch.setattr(hq.orthopoly, "_newton_steps", newton_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lapack_spy)
+    return newton, lapack
+
+
 class TestWarmStart:
     """From m = 5 on, a lane whose matrix lies within g/8 of c I + s T_std
-    starts Newton from the model's spectrum, and only the lanes Newton
-    does not certify go to LAPACK."""
+    starts from the model's spectrum moved to first order.  Kato-Temple
+    certifies that guess close to the model, Newton steps that stop per
+    lane certify the rest, and only the lanes neither certifies go to
+    LAPACK."""
 
     SIZES = (1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.999)
 
-    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    # m = 10 and 11 are the largest orders the solver warm-starts, at
+    # MAX_HALF_ORDER = 10, where the Newton stop lies closest to the gap
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10, 11])
     def test_high_precision_reference(self, rng, m):
         # accepted nodes within (m+1) eps ||T||_F of the eigenvalues of the
         # same double matrices at 60 digits, and Christoffel weights within
         # the 1e-12 of the cold path's Golub-Welsch test, up to the filter's
         # edge and |U| / sqrt(theta) = 15
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        eps = np.finfo(float).eps
         worst = [0.0, 0.0]
         with mpmath.workdps(60):
             for name, standard in _factor_models(m).items():
@@ -412,20 +458,71 @@ class TestWarmStart:
                 _, ok = _newton_from_standard(diag.T, off.T, standard)
                 assert ok.all(), name
                 nodes, weights = _jacobi_batch(diag, off, mass, standard)
-                for j in range(len(self.SIZES)):
-                    ref_nodes, ref_weights = mp_golub_welsch(
-                        [mp.mpf(v) for v in diag[j]], [mp.mpf(v) for v in off[j]],
-                        mp.mpf(mass[j, 0]), mp,
-                    )
-                    radius = (m + 1) * eps * np.sqrt(np.sum(diag[j] ** 2) + 2 * np.sum(off[j] ** 2))
-                    for v, e in zip(nodes[j], ref_nodes):
-                        worst[0] = max(worst[0], float(abs(mp.mpf(v) - e)) / radius)
-                    for w, rw in zip(weights[j], ref_weights):
-                        worst[1] = max(worst[1], float(abs(mp.mpf(w) - rw) / rw))
+                worst = np.maximum(worst, _worst_errors(diag, off, mass, nodes, weights, mpmath.mp))
         print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
               f"worst relative weight error {worst[1]:.1e}")
         assert worst[0] <= 1.0
         assert worst[1] <= 1e-12
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    def test_kato_temple_lanes_take_no_step(self, rng, m, monkeypatch):
+        # lanes from 1e-16 g up to just below the Kato-Temple bound stand as
+        # their first-order guess, with neither a Newton step nor LAPACK,
+        # and match 60-digit nodes and weights as the Newton lanes do; lanes
+        # just above it take Newton, and a model moved by one gap accepts
+        # none of them
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        newton, lapack = _warm_spies(monkeypatch)
+        worst = [0.0, 0.0]
+        with mpmath.workdps(60):
+            for name, standard in _factor_models(m).items():
+                beta, xi, gap, w = standard
+                edge = _kato_temple_edge(standard)
+                below = _near_standard_rows(rng, standard, np.geomspace(8e-16, 0.9 * edge, 8))
+                above = _near_standard_rows(rng, standard, [1.1 * edge, 2 * edge, 10 * edge])
+                dev = [_standard_deviation(d.T, o.T, beta) for d, o in (below, above)]
+                bound = 0.75 * eps * (xi[-1] - xi[0]) * gap
+                assert np.all(dev[0] ** 2 <= bound) and np.all(dev[1] ** 2 > bound), name
+                mass = rng.uniform(0.5, 2.0, (8, 1))
+                nodes, weights = _jacobi_batch(*below, mass, standard)
+                assert newton == [] and lapack == [], name
+                worst = np.maximum(worst, _worst_errors(*below, mass, nodes, weights, mpmath.mp))
+                _jacobi_batch(*above, None, standard)
+                assert newton == [3] and lapack == [], name
+                moved = (beta, xi + gap, gap, w)
+                assert not _newton_from_standard(below[0].T, below[1].T, moved)[1].any()
+                newton.clear()
+        print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
+              f"worst relative weight error {worst[1]:.1e}")
+        assert worst[0] <= 1.0
+        assert worst[1] <= 1e-12
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_every_lane_as_if_alone(self, rng, m, monkeypatch):
+        # one call that mixes lanes certified by Kato-Temple, by Newton
+        # steps that stop after two or three steps, and lanes sent to
+        # LAPACK: each comes back bitwise as a call on that lane alone
+        standard = _factor_models(m)["R, gamma=1"]
+        sizes = [1e-12, 1e-2, 0.5, 0.999, 2.0] * 4
+        diag, off = _near_standard_rows(rng, standard, sizes)
+        mass = rng.uniform(0.5, 2.0, (len(sizes), 1))
+        accepted = []
+        for steps in range(4):
+            monkeypatch.setattr(hq.orthopoly, "NEWTON_STEPS", steps)
+            accepted.append(_newton_from_standard(diag.T, off.T, standard)[1])
+        kinds = {
+            "Kato-Temple": accepted[0],
+            "two steps": accepted[2] & ~accepted[1],
+            "three steps": accepted[3] & ~accepted[2],
+            "LAPACK": ~accepted[3],
+        }
+        assert all(lanes.any() for lanes in kinds.values()), kinds
+        nodes, weights = _jacobi_batch(diag, off, mass, standard)
+        for j in range(len(sizes)):
+            alone = _jacobi_batch(diag[j : j + 1], off[j : j + 1], mass[j : j + 1], standard)
+            assert np.array_equal(alone[0][0], nodes[j])
+            assert np.array_equal(alone[1][0], weights[j])
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("m", [5, 7, 9])

@@ -46,6 +46,20 @@ def accepted_lanes(monkeypatch):
     return accepted
 
 
+def newton_lanes(monkeypatch):
+    """A list that receives, per call of the warm path's Newton steps, the
+    number of lanes that take them: those Kato-Temple does not certify."""
+    lanes = []
+    steps = hq.orthopoly._newton_steps
+
+    def spy(y, *args):
+        lanes.append(y.shape[1])
+        return steps(y, *args)
+
+    monkeypatch.setattr(hq.orthopoly, "_newton_steps", spy)
+    return lanes
+
+
 def uniform_grid(m, cells=8, tau=1.0, boundary="periodic", width=1.0):
     return hq.GridState(
         cells=np.tile(np.asarray(m, float), (cells, 1)),
@@ -421,6 +435,7 @@ class TestBlocks:
             # second step on, so the m >= 5 eigensolves warm-start there
             cfg["tau"] = 1e-6
             accepted = accepted_lanes(monkeypatch)
+            newton = newton_lanes(monkeypatch)
         grid = build_initial_grid(hq.validate_config(cfg))
         one_block = hq.step(grid, SPEC1, variant)
         whole = hq.run(cfg)
@@ -439,7 +454,9 @@ class TestBlocks:
             assert np.array_equal(mine.cells, theirs.cells)
             assert mine.flagged_cells == theirs.flagged_cells
         if n in (5, 8):
-            assert sum(accepted) > 0
+            # both certificates ran: Kato-Temple on the lanes accepted
+            # without a Newton step, and the steps on some others
+            assert sum(accepted) > sum(newton) > 0
 
     @pytest.mark.parametrize("block_cells", [7, None])
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
