@@ -329,10 +329,10 @@ def _spectral_batch(a, b, gamma, warm=False):
     The merged (lam, om) are (J, 2n+1) transposed views of order-major
     buffers, as the nodes and weights of ``_jacobi_batch`` are.
 
-    With ``warm`` the eigensolves of order >= 5 warm-start from the same
-    two matrices at the standard state (U = 0, theta = 1, the spectra of
-    ``_standard_factors``); the solver asks for that near equilibrium, and
-    every other caller solves from scratch.
+    With ``warm`` the eigensolves of order >= 5 get the same two matrices
+    at the standard state (U = 0, theta = 1, ``_standard_factors``) as
+    models, and the lanes near them start there; the solver always asks
+    for that, and every other caller solves from scratch.
     """
     J, n = a.shape
     qstd, rstd = _standard_factors(n, gamma) if warm else (None, None)

@@ -419,9 +419,10 @@ def _standard_deviation(d, off, beta):
 def _newton_from_standard(d, off, standard):
     """Eigenvalues (m, K) of the order-major rows d (m, K) and off (m-1, K)
     of T near the model ``standard`` of ``_standard_spectrum``, and which
-    lanes are accepted, all within g/8 of it (``_standard_deviation`` dev
-    < g/8): by Weyl's bound each window |y - xi_i| < g/2 then holds one
-    eigenvalue, and the other eigenvalues lie 3g/4 from the guess.
+    lanes are accepted.  The filter runs first and admits the lanes within
+    g/8 of it (``_standard_deviation`` dev < g/8): by Weyl's bound each
+    window |y - xi_i| < g/2 then holds one eigenvalue, and the other
+    eigenvalues lie 3g/4 from the guess.  Only admitted lanes are solved.
 
     On (T - cI) / s = T_std + E, (c, s) = (d_0, off_0), whose entries are of
     order one, the guess xi_i + w_i e is the Rayleigh quotient of T_std's
@@ -435,16 +436,20 @@ def _newton_from_standard(d, off, standard):
     lanes share the call changes no bit."""
     beta, xi, gap, w = standard
     m, K = d.shape
+    dev = _standard_deviation(d, off, beta)
+    admitted = dev < gap / 8
+    lanes = np.flatnonzero(admitted)
+    if not lanes.size:
+        return np.empty((m, K)), admitted
+    if lanes.size < K:
+        d, off, dev = (np.take(v, lanes, axis=-1) for v in (d, off, dev))
     eps, spread = np.finfo(float).eps, xi[-1] - xi[0]
     c, s = d[0], off[0]
-    dev = _standard_deviation(d, off, beta)
     trusted = np.all(np.abs(w[:, m:] @ beta - xi) <= (m + 1) * eps * np.sqrt(2 * beta @ beta))
-    near = np.square(dev) <= (0.75 * eps * spread * gap if trusted else -1.0)
-    admitted = dev < gap / 8
-    lanes = np.flatnonzero(admitted & ~near)
-    e = np.empty((2 * m - 1, K))
+    steps = np.flatnonzero(np.square(dev) > (0.75 * eps * spread * gap if trusted else -1.0))
+    e = np.empty((2 * m - 1, lanes.size))
     dt, st = e[:m], e[m:]
-    ok = np.ones((m, K), dtype=bool)
+    ok = np.ones((m, lanes.size), dtype=bool)
     with np.errstate(all="ignore"):
         np.subtract(d, c, out=dt)
         dt /= s
@@ -455,16 +460,21 @@ def _newton_from_standard(d, off, standard):
         st += beta[:, None]
         st *= st
         stop = np.sqrt(eps * spread * gap / (2 * m - 2))
-        if lanes.size == K:
+        if steps.size == lanes.size:
             y, ok = _newton_steps(y, e, stop)
-        elif lanes.size:
-            rows = (np.take(v, lanes, axis=1) for v in (y, e))
-            y[:, lanes], ok[:, lanes] = _newton_steps(*rows, stop)
+        elif steps.size:
+            rows = (np.take(v, steps, axis=1) for v in (y, e))
+            y[:, steps], ok[:, steps] = _newton_steps(*rows, stop)
         ok &= np.abs(y - xi[:, None]) < gap / 2
         y *= s
         y += c
         ok[1:] &= y[1:] > y[:-1]
-    return y, np.all(ok, axis=0) & admitted
+    if lanes.size == K:
+        return y, np.all(ok, axis=0)
+    x = np.empty((m, K))
+    x[:, lanes] = y
+    admitted[lanes] = np.all(ok, axis=0)
+    return x, admitted
 
 
 def _newton_steps(y, e, stop):

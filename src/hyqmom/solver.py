@@ -38,15 +38,13 @@ state's spectra (``_jacobi_batch``): by the closure's affine invariance a
 local Maxwellian at gamma = 1 has its eigenvalues at U + sqrt(theta) xi,
 with xi those of the standard normal.  Most lanes there stand as their
 first-order guess, which Kato-Temple certifies, and the others take
-Newton steps that stop per lane.  A step asks for that when at least
-WARM_SHARE of its cells pass the filter (``_warm_start``), a count over
-the whole grid, and every lane is solved on its own, so where the blocks
-end changes no bit.  The global dt follows from all speeds, reduced block
-by block.  The second pass scales the differences, adds the old cells,
-relaxes, and gates the new cells, writing the gate rows in place:
-``_realizable_pivots_batch`` and ``_wheeler_batch`` take them as
-``out=``.  The new grid takes the buffer read-only without a copy, and the
-gate as its memo.  Within a block every per-order update is a contiguous
+Newton steps that stop per lane.  Each lane is filtered and solved on
+its own, so where the blocks end changes no bit.  The global dt follows
+from all speeds, reduced block by block.  The second pass scales the
+differences, adds the old cells, relaxes, and gates the new cells,
+writing the gate rows in place: ``_realizable_pivots_batch`` and
+``_wheeler_batch`` take them as ``out=``.  The new grid takes the buffer
+read-only without a copy, and the gate as its memo.  Within a block every per-order update is a contiguous
 row operation, and every cell sees the same operations in the same order
 as in one block over the whole grid, so the results are bitwise those of
 an unblocked step.  Inputs in C order give the same values, only through
@@ -78,7 +76,7 @@ from .moments import (
     _realizable_pivots_batch,
     gaussian_moments,
 )
-from .orthopoly import Quadrature, _jacobi_batch, _standard_deviation
+from .orthopoly import Quadrature, _jacobi_batch
 
 FLUX_VARIANTS = ("gauss", "eigen")
 BOUNDARIES = ("periodic", "zero-gradient")
@@ -92,10 +90,6 @@ NEAR_BOUNDARY_FRACTION = 1e-10
 # a block-length sweep of the whole step at J = 1e5 (ROADMAP, "Where the
 # time goes").
 BLOCK_VALUES = 40960
-
-# Share of a step's cells that must lie near their standard state before the
-# step warm-starts its eigensolves of order >= 5 (``_warm_start``).
-WARM_SHARE = 0.5
 
 # Cells per chunk of a snapshot CSV, whose columns are formatted a chunk at
 # a time: a float's repr takes about three times the float's memory.  At
@@ -253,7 +247,7 @@ def reconstruct_nodes(m, spec, variant):
     return Quadrature(nodes=nodes[0], weights=weights[0])
 
 
-def _reconstruct_batch(a, b, gamma, variant, warm=False):
+def _reconstruct_batch(a, b, gamma, variant):
     """Nodes/weights for every cell at once from the gate's recurrence
     rows a (J, n) and b (J, n+1).
 
@@ -261,44 +255,17 @@ def _reconstruct_batch(a, b, gamma, variant, warm=False):
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
     eigensolve yields nodes and Gauss (Christoffel) weights directly.  The eigen
-    variant hands (a, b) to the spectral kernel.  With ``warm`` the
-    eigensolves of order >= 5 warm-start from the standard state's spectra
-    (``_standard_jacobi``).
+    variant hands (a, b) to the spectral kernel.  Each eigensolve of order
+    >= 5 gets its standard state's model (``_standard_factors``).
     """
+    n = a.shape[1]
+    warm = n + 1 >= 5
     if variant == "gauss":
         diag, off = _extended_jacobi_rows(a, b, gamma, 1.0)
-        standard = _standard_jacobi(a.shape[1], gamma, variant) if warm else None
+        standard = _standard_factors(n + 1, gamma)[0] if warm else None
         return _jacobi_batch(diag.T, off.T, b[:, :1], standard)
     lam, om, _, _ = _spectral_batch(a, b, gamma, warm)
     return lam, om
-
-
-def _standard_jacobi(n, gamma, variant):
-    """The model (``_standard_factors``) of the reconstruction's largest
-    Jacobi matrix, of order n + 1, at the standard state: the augmented
-    Q_{n+1} of the gauss variant, whose couplings 1..n are the standard
-    normal's own, and the R_{n+1} factor of the eigen variant."""
-    if variant == "gauss":
-        return _standard_factors(n + 1, gamma)[0]
-    return _standard_factors(n, gamma)[1]
-
-
-def _warm_start(a, b, gamma, variant, blocks):
-    """Whether a step warm-starts its eigensolves of order >= 5: when at
-    least WARM_SHARE of the cells have a largest reconstruction matrix
-    (order n + 1, ``_standard_jacobi``) that passes the filter of
-    ``_jacobi_batch``.  The count runs block by block over the gate's rows
-    and depends on no block boundary, so neither does the choice."""
-    n = a.shape[1]
-    if n + 1 < 5:
-        return False
-    beta, _, gap, _ = _standard_jacobi(n, gamma, variant)
-    scale = (2 * n + gamma) / n if variant == "eigen" else 1.0
-    count = 0
-    for blk in blocks:
-        diag, off = _extended_jacobi_rows(a[blk], b[blk], gamma, scale)
-        count += np.count_nonzero(_standard_deviation(diag, off, beta) < gap / 8)
-    return count >= WARM_SHARE * a.shape[0]
 
 
 def _interface_fluxes(nodes, weights, right, left):
@@ -342,7 +309,6 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
     for zero-gradient ones, order-major like the gate's."""
     J, L = grid.cells.shape
     mode = "wrap" if grid.boundary == "periodic" else "clip"
-    warm = _warm_start(a, b, gamma, variant, blocks)
     smax, diff = np.empty(J), np.empty((L, J))
     for blk in blocks:
         lo, hi = blk.start - 1, blk.stop + 1
@@ -350,7 +316,7 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
             rows = a[lo:hi], b[lo:hi]
         else:
             rows = [np.take(x.T, np.arange(lo, hi), axis=1, mode=mode).T for x in (a, b)]
-        nodes, weights = _reconstruct_batch(*rows, gamma, variant, warm)
+        nodes, weights = _reconstruct_batch(*rows, gamma, variant)
         np.max(np.abs(nodes.T[:, 1:-1]), axis=0, out=smax[blk])
         right, left = np.empty((2, L, hi - lo))
         _interface_fluxes(nodes, weights, right, left)

@@ -60,6 +60,19 @@ def newton_lanes(monkeypatch):
     return lanes
 
 
+def lapack_lanes(monkeypatch):
+    """A list that receives the number of matrices of each eigvalsh call."""
+    lanes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(A):
+        lanes.append(A.shape[0])
+        return eigvalsh(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return lanes
+
+
 def uniform_grid(m, cells=8, tau=1.0, boundary="periodic", width=1.0):
     return hq.GridState(
         cells=np.tile(np.asarray(m, float), (cells, 1)),
@@ -425,15 +438,26 @@ class TestBlocks:
     @pytest.mark.parametrize("block_cells", [1, 7])
     @pytest.mark.parametrize("boundary", hq.solver.BOUNDARIES)
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("n, tau", [
+        *(pytest.param(n, None, id=str(n)) for n in [1, 2, 3, 4, 5, 6, 8]),
+        pytest.param(6, 1e-2, id="6-tau=1e-2"),
+    ])
     def test_block_length_does_not_change_results(
-        self, n, variant, boundary, block_cells, monkeypatch
+        self, n, tau, variant, boundary, block_cells, monkeypatch
     ):
         cfg = self.riemann(n, variant, boundary)
         if n in (5, 8):
             # stiff relaxation puts the cells near equilibrium from the
             # second step on, so the m >= 5 eigensolves warm-start there
             cfg["tau"] = 1e-6
+        if tau:
+            # half relaxed: the right state is a Maxwellian, whose lanes
+            # stand as their first-order guess, the left one relaxes
+            # through the filter's window, and the wave stays outside it
+            cfg["tau"] = tau
+            cfg["initial"][1]["db"] = [0.0]
+            lapack = lapack_lanes(monkeypatch)
+        if n in (5, 8) or tau:
             accepted = accepted_lanes(monkeypatch)
             newton = newton_lanes(monkeypatch)
         grid = build_initial_grid(hq.validate_config(cfg))
@@ -453,10 +477,13 @@ class TestBlocks:
         for mine, theirs in zip(result.snapshots, whole.snapshots):
             assert np.array_equal(mine.cells, theirs.cells)
             assert mine.flagged_cells == theirs.flagged_cells
-        if n in (5, 8):
+        if n in (5, 8) or tau:
             # both certificates ran: Kato-Temple on the lanes accepted
             # without a Newton step, and the steps on some others
             assert sum(accepted) > sum(newton) > 0
+        if tau:
+            # and LAPACK on the lanes outside the filter
+            assert sum(lapack) > 0
 
     @pytest.mark.parametrize("block_cells", [7, None])
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
@@ -660,16 +687,26 @@ class TestWarmStart:
         return counts
 
     def test_stiff_run_takes_the_warm_path(self, stiff_smooth_config, monkeypatch):
-        # at least 95% of the m = 6 and 7 lanes skip LAPACK, and the final
-        # cells stay within 1e-12 of a run that solves every lane by LAPACK,
-        # per moment order relative to its largest magnitude
+        # at least 95% of the m = 6 and 7 lanes skip LAPACK
+        self.check_against_lapack(stiff_smooth_config, 0.05, monkeypatch)
+
+    def test_half_relaxed_run_takes_the_warm_path(self, stiff_smooth_config, monkeypatch):
+        # at tau = 1e-2 at least half of the lanes skip LAPACK
+        self.check_against_lapack(dict(stiff_smooth_config, tau=1e-2), 0.5, monkeypatch)
+
+    def check_against_lapack(self, cfg, lapack_share, monkeypatch):
+        # at most lapack_share of the m = 6 and 7 lanes go to LAPACK, and
+        # the final cells stay within 1e-12 of a run in which the filter
+        # admits no lane, so that LAPACK solves every lane, per moment order
+        # relative to its largest magnitude
         with monkeypatch.context() as patch:
             counts = self.lane_counter(patch)
-            warm = hq.run(stiff_smooth_config).grid.cells
+            warm = hq.run(cfg).grid.cells
         assert counts["lanes"] == 60 * 2 * 402
-        assert counts["lapack"] <= 0.05 * counts["lanes"]
-        monkeypatch.setattr(hq.solver, "_warm_start", lambda *args: False)
-        cold = hq.run(stiff_smooth_config).grid.cells
+        assert 0 < counts["lapack"] <= lapack_share * counts["lanes"]
+        monkeypatch.setattr(hq.orthopoly, "_newton_from_standard",
+                            lambda d, *args: (np.empty(d.shape), np.zeros(d.shape[1], bool)))
+        cold = hq.run(cfg).grid.cells
         assert len(np.unique(cold, axis=0)) == 400
         assert np.max(np.abs(warm - cold) / np.max(np.abs(cold), axis=0)) <= 1e-12
 
@@ -684,16 +721,73 @@ class TestWarmStart:
         assert counts["lapack"] == counts["lanes"] - sum(accepted)
 
     def test_far_from_equilibrium_the_step_solves_from_scratch(self, rng, monkeypatch):
-        # fewer than WARM_SHARE of the cells pass the filter: no Newton step
+        # no cell passes the filter: no lane is admitted, no Newton step
+        # runs, and each eigensolve sends all its lanes to one eigvalsh call
         cfg = smooth_random_config(rng, 6, 1.0, cells=40, steps=1)
         for seg in cfg["initial"]:
             seg["da"] = [0.0, 0.4]
-        newton = []
-        monkeypatch.setattr(hq.orthopoly, "_newton_from_standard",
-                            lambda *args: newton.append(args))
-        counts = self.lane_counter(monkeypatch)
+        admitted = []
+        warm = hq.orthopoly._newton_from_standard
+
+        def spy(d, off, standard):
+            dev = hq.orthopoly._standard_deviation(d, off, standard[0])
+            admitted.append(np.count_nonzero(dev < standard[2] / 8))
+            return warm(d, off, standard)
+
+        monkeypatch.setattr(hq.orthopoly, "_newton_from_standard", spy)
+        newton, lapack = newton_lanes(monkeypatch), lapack_lanes(monkeypatch)
         hq.run(cfg)
-        assert newton == [] and counts["lapack"] == counts["lanes"] == 2 * 42
+        assert admitted == [0, 0] and newton == [] and lapack == [42, 42]
+
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_single_cell_api_is_the_steps_reconstruction(self, stiff_smooth_config, variant,
+                                                         monkeypatch):
+        # reconstruct_nodes is the J = 1 view of the step's reconstruction:
+        # for a near-equilibrium n = 6 cell, warm-started in both, it returns
+        # that cell's row of the step bitwise
+        cfg = dict(stiff_smooth_config, flux_variant=variant,
+                   t_final=2 * stiff_smooth_config["dt_max"])
+        grid = hq.run(cfg).grid
+        rows = []
+        reconstruct = hq.solver._reconstruct_batch
+
+        def spy(*args):
+            rows.append(reconstruct(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(hq.solver, "_reconstruct_batch", spy)
+        hq.step(grid, SPEC1, variant, dt_max=cfg["dt_max"])
+        ((nodes, weights),) = rows
+        accepted = accepted_lanes(monkeypatch)
+        for j in (0, 137, 399):
+            q = hq.reconstruct_nodes(grid.cells[j], SPEC1, variant)
+            # row j + 1: the step's one block starts with a ghost cell
+            assert np.array_equal(q.nodes, nodes[j + 1])
+            assert np.array_equal(q.weights, weights[j + 1])
+        assert accepted == [1] * (6 if variant == "eigen" else 3)
+
+    @pytest.mark.parametrize("variant, solves", [("eigen", 2), ("gauss", 1)])
+    def test_one_filter_per_eigensolve(self, stiff_smooth_config, variant, solves,
+                                       monkeypatch, count_calls):
+        # near equilibrium at n = 6 a step filters each lane once: one
+        # _standard_deviation call per m >= 5 eigensolve, that is per block
+        # two for eigen (Q_6 and R_7) and one for gauss (augmented Q_7)
+        cfg = dict(stiff_smooth_config, flux_variant=variant,
+                   t_final=2 * stiff_smooth_config["dt_max"])
+        grid = hq.run(cfg).grid
+        monkeypatch.setattr(hq.solver, "BLOCK_VALUES", 70 * 13)
+        blocks = len(_blocks(400, 13))
+        assert blocks == 6
+        solves_seen = [count_calls(module, "_jacobi_batch") for module in (hq.solver, hq.closures)]
+        # every module that binds the filter counts into one total
+        filters = [count_calls(module, "_standard_deviation")
+                   for module in (hq.solver, hq.closures, hq.orthopoly)
+                   if hasattr(module, "_standard_deviation")]
+        accepted = accepted_lanes(monkeypatch)
+        hq.step(grid, SPEC1, variant, dt_max=cfg["dt_max"])
+        assert sum(c[0] for c in solves_seen) == blocks * solves
+        assert sum(c[0] for c in filters) == blocks * solves
+        assert sum(accepted) >= 0.95 * solves * 400
 
 
 class TestConfigValidation:
