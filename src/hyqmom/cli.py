@@ -289,11 +289,14 @@ def _hyperbolicity_failures(gaps, enclosure, om, gamma, start):
     a weight that is not positive.  The spectra are those of the drawn
     rows themselves, the Jacobi matrices T_Q and T_R of the two factors,
     and each computed eigenvalue of a symmetric tridiagonal T of order m is
-    enclosed with the radius (m+1) eps ||T||_F.  For m >= 5 that is
-    LAPACK's backward-error bound; for the closed-form orders m <= 4 it is
-    a measured bound, checked against 60-digit eigenvalues in the tests
-    (worst error 0.36 of the radius, close and near-degenerate pairs
-    included).  Interlaced eigenvalues alternate between the two, so
+    enclosed with the radius (m+1) eps ||T||_F.  For the m >= 5 lanes
+    that go to ``eigvalsh`` that is LAPACK's backward-error bound.  For the
+    closed-form orders m <= 4, and for the m >= 5 lanes near the standard
+    normal's factors that the warm path accepts, it is a measured bound,
+    not a proof: checked against 60-digit eigenvalues in the tests (worst
+    error 0.36 of the radius for the closed forms, close and near-degenerate
+    pairs included, and 0.08 for the warm path up to its filter's edge).
+    Interlaced eigenvalues alternate between the two, so
     disjoint adjacent enclosures prove 2n+1 distinct eigenvalues; a small
     gap alone fails nothing, as the theorem gives no lower bound on it.
     """

@@ -43,7 +43,6 @@ from .orthopoly import (
     NEAR_DEGENERACY_RTOL,
     _jacobi_batch,
     _monic_pair_batch,
-    _standard_spectrum,
 )
 
 VARIANTS = ("qmom", "hyqmom", "new", "polynomial")
@@ -302,15 +301,7 @@ def _extended_jacobi_rows(a, b, gamma, scale):
     return diag, off
 
 
-def _standard_factors(n, gamma):
-    """The models (``orthopoly._standard_spectrum``) of the Q_n and R_{n+1}
-    Jacobi matrices at the standard state, where a_k = 0 and b_k = k: the
-    couplings 1..n-1, and for R_{n+1} also (2n + gamma)/n * b_n = 2n + gamma."""
-    q = tuple(range(1, n))
-    return _standard_spectrum(q), _standard_spectrum((*q, float(2 * n + gamma)))
-
-
-def _spectral_batch(a, b, gamma, warm=False):
+def _spectral_batch(a, b, gamma):
     """Batched merged eigenstructure of hyqmom systems from recurrence rows
     a (J, n) and b (J, n+1), the one spectral kernel of the package.  The
     rows are taken as given (b > 0): no moments are built and nothing is
@@ -329,16 +320,15 @@ def _spectral_batch(a, b, gamma, warm=False):
     The merged (lam, om) are (J, 2n+1) transposed views of order-major
     buffers, as the nodes and weights of ``_jacobi_batch`` are.
 
-    With ``warm`` the eigensolves of order >= 5 get the same two matrices
-    at the standard state (U = 0, theta = 1, ``_standard_factors``) as
-    models, and the lanes near them start there; the solver always asks
-    for that, and every other caller solves from scratch.
+    The eigensolves of order >= 5 start near the same two matrices at the
+    standard state (U = 0, theta = 1, ``orthopoly._standard_spectrum``):
+    the Q_n factor's couplings 1..n-1, and R_{n+1}'s also
+    (2n + gamma)/n * b_n = 2n + gamma, which is passed as ``last``.
     """
     J, n = a.shape
-    qstd, rstd = _standard_factors(n, gamma) if warm else (None, None)
     rdiag, roff = _extended_jacobi_rows(a, b, gamma, (2 * n + gamma) / n)
-    qroots, wq = _jacobi_batch(a, roff[: n - 1].T, b[:, :1], qstd)
-    rroots, wr = _jacobi_batch(rdiag.T, roff.T, b[:, :1], rstd)
+    qroots, wq = _jacobi_batch(a, roff[: n - 1].T, b[:, :1])
+    rroots, wr = _jacobi_batch(rdiag.T, roff.T, b[:, :1], float(2 * n + gamma))
     lam = np.empty((2 * n + 1, J))
     om = np.empty((2 * n + 1, J))
     lam[1::2] = qroots.T
@@ -393,10 +383,9 @@ def verify_affine_invariance(m, spec, u, sigma):
     operator: ||close(S m) - S(close(m))|| / ||S(close(m))||.
 
     Vanishes (to rounding) for the hyqmom closure iff gamma = 1, and for
-    the qmom closure identically.
+    the qmom closure identically.  ``affine_transform`` refuses a
+    non-finite u and a sigma that is not finite and positive.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     m = _as_moment_array(m)
     closed = np.append(m, close(m, spec))
     transformed = affine_transform(m, u, sigma)

@@ -195,7 +195,7 @@ def gaussian_moments(order, U, theta):
         raise ValueError("order must be >= 0")
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0):
+    if not np.all(theta > 0):  # NaN too
         raise ValueError("theta must be positive")
     shape = np.broadcast_shapes(U.shape, theta.shape)
     # built order-major in place, one contiguous row per order, returned
@@ -240,7 +240,7 @@ def gaussian_moment_u_derivative(k, j, U, theta):
 
 def maxwellian_moments(rho, U, theta, order):
     """Equilibrium moment vector rho * Delta_k(U, theta), k = 0..order."""
-    if rho <= 0:
+    if not rho > 0:  # NaN too
         raise ValueError("rho must be positive")
     return rho * gaussian_moments(order, U, theta)
 
@@ -273,10 +273,11 @@ def affine_transform(m, u, sigma):
     """Shift/scale operator on moments: Mbar_k = sum_j C(k,j) sigma^j M_j u^{k-j}.
 
     Realizes the change of velocity variable xi -> sigma*xi + u; invertible
-    with parameters (-u/sigma, 1/sigma).
+    with parameters (-u/sigma, 1/sigma).  u must be finite and sigma finite
+    and positive.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(u) and np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"need a finite u and a finite sigma > 0, got u={u!r}, sigma={sigma!r}")
     m = _as_moment_array(m)
     out = np.zeros_like(m)
     sig_pow = sigma ** np.arange(len(m))

@@ -9,22 +9,21 @@ at each node (Gautschi, Orthogonal Polynomials, 2004), equal to b_0 times
 the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
 and computes no eigenvectors; single-matrix calls are its J = 1 case.  It
-picks the solver by the order m and, at m >= 5, by whether the caller
-gives a model to start from:
+picks the solver by the order m alone:
 
 * m <= 4: a closed form on length-J rows (Smith's trigonometric roots
   with one Newton step at m = 3, the depressed quartic split by its
   largest resolvent root with two Newton steps at m = 4);
-* m >= 5 with a model T_std (``_standard_spectrum``; the solver passes
-  the factor of the standard normal, U = 0 and theta = 1): for each lane
-  within g/8 of c I + s T_std (xi its spectrum, g its smallest gap), the
-  guess c + s xi moved to first order, which Kato-Temple certifies close to
-  the model, else Newton steps on det(T - x) that stop per lane, in
-  windows of radius s g/2 that Weyl's bound gives one eigenvalue each;
-* stacked ``numpy.linalg.eigvalsh`` for m >= 5 without a model, for the
-  lanes that neither certifies, and for the m = 3 and 4 lanes with two
-  nearly equal eigenvalues or with a spread large enough to overflow the
-  closed form, which LAPACK scales.
+* m >= 5: each lane within g/8 of c I + s T_std, for the model T_std of
+  the same factor of the standard normal (``_standard_spectrum``; xi its
+  spectrum, g its smallest gap), starts from the guess c + s xi moved to
+  first order, which Kato-Temple certifies close to the model, else takes
+  Newton steps on det(T - x) that stop per lane, in windows of radius
+  s g/2 that Weyl's bound gives one eigenvalue each;
+* stacked ``numpy.linalg.eigvalsh`` for the m >= 5 lanes that neither
+  certifies, and for the m = 3 and 4 lanes with two nearly equal
+  eigenvalues or with a spread large enough to overflow the closed form,
+  which LAPACK scales.
 
 Polynomial deflation and companion matrices are never used.
 """
@@ -114,8 +113,8 @@ def jacobi_roots(diag, offdiag_b):
     """
     diag = np.asarray(diag, dtype=float)
     offdiag_b = np.asarray(offdiag_b, dtype=float)
-    if diag.ndim != 1 or len(offdiag_b) != len(diag) - 1:
-        raise ValueError("need len(offdiag_b) == len(diag) - 1")
+    if diag.ndim != 1 or offdiag_b.shape != (len(diag) - 1,):
+        raise ValueError("need 1-D diag and offdiag_b with len(offdiag_b) == len(diag) - 1")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag_b))):
         raise ValueError("recursion coefficients must be finite")
     if np.any(offdiag_b <= 0):
@@ -380,22 +379,33 @@ def _dense_eigenvalues(diag, offdiag):
 
 @functools.cache
 def _standard_spectrum(couplings):
-    """(beta, xi, g, w) of the Jacobi matrix T_std with zero diagonal and the
-    squared couplings ``couplings`` (a tuple): its couplings beta, its
-    ascending eigenvalues xi, their smallest gap g, and the rows w of
-    first-order perturbation theory, xi_i + w_i . e ~ the i-th eigenvalue of
-    T_std + E for the entries e (diagonal, then couplings) of a small
-    tridiagonal E: w_ik = v_ik^2 on the diagonal and 2 v_ik v_i,k+1 on the
-    couplings, v_i the unit eigenvectors.  With the couplings of a factor
-    of the standard normal (U = 0, theta = 1) this is the model that
-    ``_jacobi_batch`` warm-starts from; built once per tuple, read-only."""
+    """The model (``_model``) of the Jacobi matrix T_std with zero diagonal
+    and the squared couplings ``couplings`` (a tuple), from its unit
+    eigenvectors v_i: w_ik = v_ik^2 on the diagonal and 2 v_ik v_i,k+1 on
+    the couplings.  With the couplings of a factor of the standard normal
+    (U = 0, theta = 1) this is the model that ``_jacobi_batch`` starts
+    from; built once per tuple, read-only."""
     beta = np.sqrt(np.array(couplings, dtype=float))
     xi, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
     v = v.T
-    w = np.concatenate([v * v, 2.0 * v[:, :-1] * v[:, 1:]], axis=1)
+    return _model(beta, xi, np.concatenate([v * v, 2.0 * v[:, :-1] * v[:, 1:]], axis=1))
+
+
+def _model(beta, xi, w):
+    """(beta, xi, g, w, trusted) of a zero-diagonal Jacobi matrix T_std: its
+    couplings beta, ascending eigenvalues xi, their smallest gap g, and the
+    rows w of first-order perturbation theory, xi_i + w_i . e ~ the i-th
+    eigenvalue of T_std + E for the entries e (diagonal, then couplings) of
+    a small tridiagonal E.  ``trusted`` is whether each xi_i is its own
+    Rayleigh quotient w_i[m:] . beta to (m+1) eps ||T_std||_F, which a
+    moved model is not; only then may a guess stand by Kato-Temple
+    (``_newton_from_standard``).  The arrays are made read-only."""
+    m = len(xi)
     for arr in (beta, xi, w):
         arr.flags.writeable = False
-    return beta, xi, float(np.min(np.diff(xi))), w
+    tol = (m + 1) * np.finfo(float).eps * np.sqrt(2 * beta @ beta)
+    trusted = bool(np.all(np.abs(w[:, m:] @ beta - xi) <= tol))
+    return beta, xi, float(np.min(np.diff(xi))), w, trusted
 
 
 def _standard_deviation(d, off, beta):
@@ -418,8 +428,8 @@ def _standard_deviation(d, off, beta):
 
 def _newton_from_standard(d, off, standard):
     """Eigenvalues (m, K) of the order-major rows d (m, K) and off (m-1, K)
-    of T near the model ``standard`` of ``_standard_spectrum``, and which
-    lanes are accepted.  The filter runs first and admits the lanes within
+    of T near the model ``standard`` (``_model``), and which lanes are
+    accepted.  The filter runs first and admits the lanes within
     g/8 of it (``_standard_deviation`` dev < g/8): by Weyl's bound each
     window |y - xi_i| < g/2 then holds one eigenvalue, and the other
     eigenvalues lie 3g/4 from the guess.  Only admitted lanes are solved.
@@ -428,13 +438,12 @@ def _newton_from_standard(d, off, standard):
     order one, the guess xi_i + w_i e is the Rayleigh quotient of T_std's
     i-th eigenvector, with a residual at most ||E||_2 <= dev, so by
     Kato-Temple it is within 4 dev^2 / (3g) of its eigenvalue.  Lanes where
-    that is at most eps times the spread of xi stand as they are, if each
-    xi_i is its own Rayleigh quotient w_i[m:] . beta to (m+1) eps ||T_std||_F
-    (a moved model is not); the others take ``_newton_steps``.  A lane is
+    that is at most eps times the spread of xi stand as they are, if the
+    model is trusted; the others take ``_newton_steps``.  A lane is
     accepted when its iterates have stopped in their windows and ascend
     strictly.  Every operation is elementwise within a lane, so which other
     lanes share the call changes no bit."""
-    beta, xi, gap, w = standard
+    beta, xi, gap, w, trusted = standard
     m, K = d.shape
     dev = _standard_deviation(d, off, beta)
     admitted = dev < gap / 8
@@ -445,7 +454,6 @@ def _newton_from_standard(d, off, standard):
         d, off, dev = (np.take(v, lanes, axis=-1) for v in (d, off, dev))
     eps, spread = np.finfo(float).eps, xi[-1] - xi[0]
     c, s = d[0], off[0]
-    trusted = np.all(np.abs(w[:, m:] @ beta - xi) <= (m + 1) * eps * np.sqrt(2 * beta @ beta))
     steps = np.flatnonzero(np.square(dev) > (0.75 * eps * spread * gap if trusted else -1.0))
     e = np.empty((2 * m - 1, lanes.size))
     dt, st = e[:m], e[m:]
@@ -520,10 +528,11 @@ def _newton_steps(y, e, stop):
 
 def _warm_eigenvalues(diag, offdiag, standard):
     """Order-major (m, J) eigenvalues of the Jacobi matrices of order m >= 5
-    near the model ``standard`` of ``_standard_spectrum``: the lanes that
+    near the model ``standard`` (``_model``): the lanes that
     ``_newton_from_standard`` certifies, by Kato-Temple or by Newton steps
     that stop per lane, keep its values, and every other lane goes to
-    ``_dense_eigenvalues``, as one stacked call."""
+    ``_dense_eigenvalues``, as one stacked call; where none is admitted,
+    that is every lane, solved exactly as LAPACK alone solves them."""
     x, ok = _newton_from_standard(diag.T, offdiag.T, standard)
     if not ok.any():
         x[:] = _dense_eigenvalues(diag, offdiag).T
@@ -533,19 +542,21 @@ def _warm_eigenvalues(diag, offdiag, standard):
     return x
 
 
-def _jacobi_batch(diag, offdiag, mass=None, standard=None):
+def _jacobi_batch(diag, offdiag, mass=None, last=None):
     """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
     already-square-rooted couplings beta_1..beta_{m-1}.  The solver is
-    chosen by the order m and, from m = 5 on, by ``standard``.  Orders
-    m <= 4 are solved in closed form (``_small_jacobi_eigenvalues``).
-    Larger ones go to ``numpy.linalg.eigvalsh`` on dense (J, m, m) matrices
-    filled through strided views of their diagonals, except the lanes within
-    g/8 of c I + s T_std, (c, s) = (a_0, beta_1), for a model ``standard``
-    (``_standard_spectrum``): there the first-order guess, certified by
-    Kato-Temple, or Newton steps that stop per lane replace LAPACK
-    (``_warm_eigenvalues``).  Given ``mass`` (shape (J, 1)) it also returns
-    the Gauss weights as Christoffel numbers mass / sum_{k<m} p_k(x)^2 at
-    every eigenvalue x, where the orthonormal polynomials follow
+    chosen by the order m alone.  Orders m <= 4 are solved in closed form
+    (``_small_jacobi_eigenvalues``).  From m = 5 on the lanes within g/8 of
+    c I + s T_std, (c, s) = (a_0, beta_1), take the first-order guess,
+    certified by Kato-Temple, or Newton steps that stop per lane
+    (``_warm_eigenvalues``), and the others go to ``numpy.linalg.eigvalsh``
+    on dense (J, m, m) matrices filled through strided views of their
+    diagonals.  T_std is the model (``_standard_spectrum``) with the squared
+    couplings 1, ..., m-2, ``last``: a factor of the standard normal, Q_m
+    for the default last = m - 1 and R_m for last = 2(m-1) + gamma.  Given
+    ``mass`` (shape (J, 1)) it also returns the Gauss weights as
+    Christoffel numbers mass / sum_{k<m} p_k(x)^2 at every eigenvalue x,
+    where the orthonormal polynomials follow
     beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1} with p_0 = 1.  These
     equal mass * (first eigenvector components)^2, the Golub-Welsch weights,
     without computing eigenvectors.  The closed form and the recurrence run
@@ -558,14 +569,9 @@ def _jacobi_batch(diag, offdiag, mass=None, standard=None):
     d, off = diag.T, offdiag.T
     if m <= 4:
         x = _small_jacobi_eigenvalues(d, off)
-    elif standard is not None:
-        x = _warm_eigenvalues(diag, offdiag, standard)
     else:
-        nodes = _dense_eigenvalues(diag, offdiag)
-        if mass is None:
-            return nodes
-        x = np.array(nodes.T, order="C")
-        del nodes
+        model = _standard_spectrum((*range(1, m - 1), m - 1 if last is None else last))
+        x = _warm_eigenvalues(diag, offdiag, model)
     if mass is None:
         return x.T
     p_prev, p = None, 1.0

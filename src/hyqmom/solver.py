@@ -33,10 +33,10 @@ the grid's ends, rows taken by the boundary rule, so its faces and flux
 differences come from its own rows: nothing carries over from one block to
 the next, and no table spans the grid's interfaces.  The differences go
 straight into the (2n+1, J) buffer of the new cells.  Near equilibrium the
-reconstruction's eigensolves of order >= 5 start from the standard
-state's spectra (``_jacobi_batch``): by the closure's affine invariance a
-local Maxwellian at gamma = 1 has its eigenvalues at U + sqrt(theta) xi,
-with xi those of the standard normal.  Most lanes there stand as their
+reconstruction's eigensolves of order >= 5 start, as every such eigensolve
+does, from the standard state's spectra (``_jacobi_batch``): by the
+closure's affine invariance a local Maxwellian at gamma = 1 has its
+eigenvalues at U + sqrt(theta) xi, with xi those of the standard normal.  Most lanes there stand as their
 first-order guess, which Kato-Temple certifies, and the others take
 Newton steps that stop per lane.  Each lane is filtered and solved on
 its own, so where the blocks end changes no bit.  The global dt follows
@@ -66,7 +66,6 @@ from .closures import (
     _extended_jacobi_rows,
     _recurrence_rows,
     _spectral_batch,
-    _standard_factors,
 )
 from .moments import (
     MAX_HALF_ORDER,
@@ -255,16 +254,12 @@ def _reconstruct_batch(a, b, gamma, variant):
     vector's Q_{n+1} is the Jacobi matrix of (a_0..a_{n-1}, a_n; b_1..b_n)
     with the closure's a_n appended, so one stacked symmetric-tridiagonal
     eigensolve yields nodes and Gauss (Christoffel) weights directly.  The eigen
-    variant hands (a, b) to the spectral kernel.  Each eigensolve of order
-    >= 5 gets its standard state's model (``_standard_factors``).
+    variant hands (a, b) to the spectral kernel.
     """
-    n = a.shape[1]
-    warm = n + 1 >= 5
     if variant == "gauss":
         diag, off = _extended_jacobi_rows(a, b, gamma, 1.0)
-        standard = _standard_factors(n + 1, gamma)[0] if warm else None
-        return _jacobi_batch(diag.T, off.T, b[:, :1], standard)
-    lam, om, _, _ = _spectral_batch(a, b, gamma, warm)
+        return _jacobi_batch(diag.T, off.T, b[:, :1])
+    lam, om, _, _ = _spectral_batch(a, b, gamma)
     return lam, om
 
 
@@ -472,9 +467,9 @@ def validate_config(cfg):
     out = {}
     cap = MAX_HALF_ORDER
     out["n"] = int(_require(cfg, "n", int, lambda v: 1 <= v <= cap, f"integer in 1..{cap}"))
-    out["gamma"] = float(
-        _require(cfg, "gamma", (int, float), lambda v: v > -2 * cfg.get("n", 1), "gamma > -2n")
-    )
+    out["gamma"] = float(_require(
+        cfg, "gamma", (int, float), lambda v: -2 * cfg.get("n", 1) < v < np.inf, "finite, > -2n"
+    ))
     out["flux_variant"] = _require(
         cfg, "flux_variant", str, lambda v: v in FLUX_VARIANTS, f"one of {FLUX_VARIANTS}"
     )
@@ -506,8 +501,9 @@ def validate_config(cfg):
             f"the centres of {out['cells']} cells of width {dx!r} are not strictly "
             f"increasing inside ({x0!r}, {x1!r}] in double precision",
         )
+    # an infinite t_final would run forever
     out["t_final"] = float(
-        _require(cfg, "t_final", (int, float), lambda v: v >= 0, "nonnegative")
+        _require(cfg, "t_final", (int, float), lambda v: 0 <= v < np.inf, "finite, nonnegative")
     )
     snap = cfg.get("snapshot_every", None)
     if snap is not None and (not _is_number(snap) or not snap > 0):

@@ -361,8 +361,9 @@ class TestDrawBlocks:
         assert self.run_in_blocks(argv, draws, monkeypatch, capsys, tmp_path) == whole
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_eigensolves_from_scratch(self, n, monkeypatch, capsys, tmp_path):
-        # the command passes no guesses: one eigvalsh call per factor of
+    def test_far_draws_all_go_to_lapack(self, n, monkeypatch, capsys, tmp_path):
+        # the default draws lie far from the standard normal's factors, so
+        # the filter admits none of them: one eigvalsh call per factor of
         # order >= 5 (R_{n+1}, and Q_n from n = 5 on) per block, on every draw
         matrices = []
         eigvalsh = np.linalg.eigvalsh
@@ -682,6 +683,24 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", str(bad)], capsys)
         assert code == 1
         assert "flux_variant" in err or "cfl" in err
+
+    @pytest.mark.parametrize("field", ["t_final", "gamma"])
+    def test_infinite_field_exit_1(self, field, capsys, tmp_path, monkeypatch):
+        # json reads Infinity, and an infinite t_final never returns: the
+        # config is refused before the run builds its grid, and a run that
+        # got that far fails here instead of stepping
+        def started(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(solver, "build_initial_grid", started)
+        cfg = dict(json.loads((CONFIGS / "riemann_n2.json").read_text()), **{field: float("inf")})
+        bad = tmp_path / "infinite.json"
+        bad.write_text(json.dumps(cfg))
+        assert f'"{field}": Infinity' in bad.read_text()
+        code, _, err = run_cli(["simulate", str(bad), "--output-dir", str(tmp_path / "out")],
+                               capsys)
+        assert code == 1
+        assert err.startswith("config error") and field in err
 
     def test_unparseable_json_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

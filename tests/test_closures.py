@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,12 @@ class TestAffineInvariance:
             u, s = rng.uniform(-3, 3), rng.uniform(0.5, 2)
             res = hq.verify_affine_invariance(m, hq.hyqmom_closure(1.0), u, s)
             assert res < 1e-9
+
+    @pytest.mark.parametrize("u, sigma", [(0.0, math.nan), (math.nan, 1.0), (0.0, -1.0)])
+    def test_bad_transform_refused(self, u, sigma):
+        # refused as a bad transform, not later as non-finite moments
+        with pytest.raises(ValueError, match="finite u and a finite sigma > 0"):
+            hq.verify_affine_invariance([1, 0, 1], hq.hyqmom_closure(1.0), u, sigma)
 
     def test_other_scalings_break_it(self):
         res = hq.verify_affine_invariance([1, 0, 1], hq.hyqmom_closure(2.0), 1.0, 1.0)

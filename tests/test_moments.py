@@ -254,6 +254,17 @@ class TestGaussianMoments:
         with pytest.raises(ValueError):
             hq.gaussian_moment(2, 0.0, -1.0)
 
+    def test_nan_refused(self):
+        # theta <= 0 and rho <= 0 are False for NaN, which came back as rows
+        # of NaN moments
+        for theta in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="theta must be positive"):
+                hq.gaussian_moments(4, 0.0, theta)
+        with pytest.raises(ValueError, match="rho must be positive"):
+            hq.maxwellian_moments(math.nan, 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            hq.maxwellian_moments(1.0, 0.0, math.nan, 4)
+
     def test_vector_broadcast(self):
         out = hq.gaussian_moments(4, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         assert out.shape == (2, 5)
@@ -348,6 +359,14 @@ class TestAffineTransform:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             hq.affine_transform([1, 0, 1], 0.0, 0.0)
+
+    @pytest.mark.parametrize("u, sigma", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+    ])
+    def test_non_finite_refused(self, u, sigma):
+        # sigma <= 0 is False for NaN, which gave NaN moments
+        with pytest.raises(ValueError, match="finite u and a finite sigma > 0"):
+            hq.affine_transform([1, 0, 1], u, sigma)
 
 
 class TestMomentsToRecurrence:

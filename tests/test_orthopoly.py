@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.closures import _spectral_batch, _standard_factors
+from hyqmom import cli, stability
+from hyqmom.closures import _spectral_batch
 from hyqmom.moments import _moments_from_recurrence_batch
 from hyqmom.orthopoly import (
     _jacobi_batch,
+    _model,
     _monic_pair_batch,
     _newton_from_standard,
     _standard_deviation,
+    _standard_spectrum,
+    _warm_eigenvalues,
 )
 from corpus import random_coefficients, random_even_moments, random_odd_moments
 from reference import mp_golub_welsch, mp_tridiagonal_eigenvalues, vandermonde_weights
@@ -67,6 +71,11 @@ class TestJacobiRoots:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             hq.jacobi_roots([0, 0], [-1.0])
+
+    def test_two_dimensional_weights_refused(self):
+        # a (m-1, 1) column has the right length and failed inside numpy
+        with pytest.raises(ValueError, match="1-D diag and offdiag_b"):
+            hq.jacobi_roots([0.0, 0.0, 0.0], [[1.0], [2.0]])
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -358,7 +367,7 @@ def _near_standard_rows(rng, standard, sizes):
     [0.1, 10] and |U| / sqrt(theta) up to 15, E tridiagonal and random
     with ||E||_inf = size * g / 8, zero in the entries that fix the frame
     (E_00 and E_01: c = a_0 and s = beta_1, as the solver's rows)."""
-    beta, _, gap, _ = standard
+    beta, _, gap, _, _ = standard
     m = len(beta) + 1
     J = len(sizes)
     theta = rng.uniform(0.1, 10.0, J)
@@ -377,14 +386,13 @@ def _near_standard_rows(rng, standard, sizes):
 
 
 def _factor_models(m):
-    """The models of order m that the solver warm-starts from: the Q_m
-    factor (also the gauss variant's augmented Q_{n+1}, n = m - 1) and
-    the R_{n+1} factors, n = m - 1, at gamma = 1 and 0."""
-    return {
-        "Q": _standard_factors(m, 1.0)[0],
-        "R, gamma=1": _standard_factors(m - 1, 1.0)[1],
-        "R, gamma=0": _standard_factors(m - 1, 0.0)[1],
-    }
+    """(last, model) of the order m eigensolves: the Q_m factor (also the
+    gauss variant's augmented Q_{n+1}, n = m - 1) and the R_{n+1} factors,
+    n = m - 1, at gamma = 1 and 0, whose last squared coupling is
+    2n + gamma; ``_jacobi_batch`` builds the same model from ``last``."""
+    lasts = {"Q": m - 1, "R, gamma=1": float(2 * m - 1), "R, gamma=0": float(2 * m - 2)}
+    return {name: (last, _standard_spectrum((*range(1, m - 1), last)))
+            for name, last in lasts.items()}
 
 
 def _worst_errors(diag, off, mass, nodes, weights, mp):
@@ -408,7 +416,7 @@ def _worst_errors(diag, off, mass, nodes, weights, mp):
 def _kato_temple_edge(standard):
     """The deviation ||E||_inf, in units of g/8, at which the Kato-Temple
     bound 4 ||E||^2 / (3g) reaches eps times the spread of xi."""
-    _, xi, gap, _ = standard
+    _, xi, gap, _, _ = standard
     return np.sqrt(0.75 * np.finfo(float).eps * (xi[-1] - xi[0]) * gap) / (gap / 8)
 
 
@@ -451,13 +459,13 @@ class TestWarmStart:
         mpmath = pytest.importorskip("mpmath")
         worst = [0.0, 0.0]
         with mpmath.workdps(60):
-            for name, standard in _factor_models(m).items():
+            for name, (last, standard) in _factor_models(m).items():
                 diag, off = _near_standard_rows(rng, standard, self.SIZES)
                 mass = rng.uniform(0.5, 2.0, (len(self.SIZES), 1))
                 assert np.all(_standard_deviation(diag.T, off.T, standard[0]) < standard[2] / 8)
                 _, ok = _newton_from_standard(diag.T, off.T, standard)
                 assert ok.all(), name
-                nodes, weights = _jacobi_batch(diag, off, mass, standard)
+                nodes, weights = _jacobi_batch(diag, off, mass, last)
                 worst = np.maximum(worst, _worst_errors(diag, off, mass, nodes, weights, mpmath.mp))
         print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
               f"worst relative weight error {worst[1]:.1e}")
@@ -476,8 +484,8 @@ class TestWarmStart:
         newton, lapack = _warm_spies(monkeypatch)
         worst = [0.0, 0.0]
         with mpmath.workdps(60):
-            for name, standard in _factor_models(m).items():
-                beta, xi, gap, w = standard
+            for name, (last, standard) in _factor_models(m).items():
+                beta, xi, gap, w, _ = standard
                 edge = _kato_temple_edge(standard)
                 below = _near_standard_rows(rng, standard, np.geomspace(8e-16, 0.9 * edge, 8))
                 above = _near_standard_rows(rng, standard, [1.1 * edge, 2 * edge, 10 * edge])
@@ -485,12 +493,13 @@ class TestWarmStart:
                 bound = 0.75 * eps * (xi[-1] - xi[0]) * gap
                 assert np.all(dev[0] ** 2 <= bound) and np.all(dev[1] ** 2 > bound), name
                 mass = rng.uniform(0.5, 2.0, (8, 1))
-                nodes, weights = _jacobi_batch(*below, mass, standard)
+                nodes, weights = _jacobi_batch(*below, mass, last)
                 assert newton == [] and lapack == [], name
                 worst = np.maximum(worst, _worst_errors(*below, mass, nodes, weights, mpmath.mp))
-                _jacobi_batch(*above, None, standard)
+                _jacobi_batch(*above, None, last)
                 assert newton == [3] and lapack == [], name
-                moved = (beta, xi + gap, gap, w)
+                moved = _model(beta, xi + gap, w)
+                assert not moved[4]
                 assert not _newton_from_standard(below[0].T, below[1].T, moved)[1].any()
                 newton.clear()
         print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
@@ -503,7 +512,7 @@ class TestWarmStart:
         # one call that mixes lanes certified by Kato-Temple, by Newton
         # steps that stop after two or three steps, and lanes sent to
         # LAPACK: each comes back bitwise as a call on that lane alone
-        standard = _factor_models(m)["R, gamma=1"]
+        last, standard = _factor_models(m)["R, gamma=1"]
         sizes = [1e-12, 1e-2, 0.5, 0.999, 2.0] * 4
         diag, off = _near_standard_rows(rng, standard, sizes)
         mass = rng.uniform(0.5, 2.0, (len(sizes), 1))
@@ -518,9 +527,9 @@ class TestWarmStart:
             "LAPACK": ~accepted[3],
         }
         assert all(lanes.any() for lanes in kinds.values()), kinds
-        nodes, weights = _jacobi_batch(diag, off, mass, standard)
+        nodes, weights = _jacobi_batch(diag, off, mass, last)
         for j in range(len(sizes)):
-            alone = _jacobi_batch(diag[j : j + 1], off[j : j + 1], mass[j : j + 1], standard)
+            alone = _jacobi_batch(diag[j : j + 1], off[j : j + 1], mass[j : j + 1], last)
             assert np.array_equal(alone[0][0], nodes[j])
             assert np.array_equal(alone[1][0], weights[j])
 
@@ -530,30 +539,28 @@ class TestWarmStart:
         # the model's spectrum moved by one smallest gap: its outermost
         # window holds no eigenvalue, so no lane is accepted and every lane
         # comes back exactly as eigvalsh solves it
-        for standard in _factor_models(m).values():
-            beta, xi, gap, w = standard
-            moved = (beta, xi + shift * gap, gap, w)
+        for _, standard in _factor_models(m).values():
+            beta, xi, gap, w, _ = standard
+            moved = _model(beta, xi + shift * gap, w)
             diag, off = _near_standard_rows(rng, standard, self.SIZES)
             assert not _newton_from_standard(diag.T, off.T, moved)[1].any()
             expected = np.linalg.eigvalsh(_dense(diag, off))
-            assert np.array_equal(_jacobi_batch(diag, off, None, moved), expected)
+            assert np.array_equal(_warm_eigenvalues(diag, off, moved).T, expected)
 
     @pytest.mark.parametrize("m", [5, 7, 9])
     def test_rows_just_past_the_filter_go_to_lapack(self, rng, m):
-        for standard in _factor_models(m).values():
+        for last, standard in _factor_models(m).values():
             diag, off = _near_standard_rows(rng, standard, [1.001] * 6 + [2.0, 100.0])
             assert np.all(_standard_deviation(diag.T, off.T, standard[0]) >= standard[2] / 8)
             expected = np.linalg.eigvalsh(_dense(diag, off))
-            assert np.array_equal(_jacobi_batch(diag, off, None, standard), expected)
-            mass = np.ones((len(diag), 1))
-            for warm, cold in zip(_jacobi_batch(diag, off, mass, standard),
-                                  _jacobi_batch(diag, off, mass)):
-                assert np.array_equal(warm, cold)
+            assert np.array_equal(_jacobi_batch(diag, off, None, last), expected)
+            nodes, _ = _jacobi_batch(diag, off, np.ones((len(diag), 1)), last)
+            assert np.array_equal(nodes, expected)
 
     def test_only_rejected_lanes_go_to_lapack(self, rng, monkeypatch):
         # accepted and rejected lanes interleaved: one eigvalsh call on the
         # two rejected ones, which match LAPACK on those matrices alone
-        standard = _factor_models(7)["R, gamma=1"]
+        last, standard = _factor_models(7)["R, gamma=1"]
         diag, off = _near_standard_rows(rng, standard, [1e-3, 2.0, 1e-3, 1e-3, 5.0, 1e-3])
         far = [1, 4]
         expected = np.linalg.eigvalsh(_dense(diag[far], off[far]))
@@ -565,9 +572,52 @@ class TestWarmStart:
             return original(A)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        x = _jacobi_batch(diag, off, None, standard)
+        x = _jacobi_batch(diag, off, None, last)
         assert matrices == [2]
         assert np.array_equal(x[far], expected)
+
+
+class TestOnePolicy:
+    """Every eigensolve of order m >= 5 filters its lanes against its own
+    standard-normal model, whichever entry point asks for it."""
+
+    ENTRY_POINTS = (
+        "step eigen", "step gauss", "reconstruct_nodes eigen", "reconstruct_nodes gauss",
+        "spectral_decomposition", "verify-hyperbolicity", "symmetrizer_weights",
+        "gauss_quadrature",
+    )
+
+    @staticmethod
+    def call(name, n, tmp_path):
+        """Runs the entry point once at half order n and returns the orders
+        of the Jacobi matrices it solves."""
+        spec = hq.hyqmom_closure(1.0)
+        m = hq.maxwellian_moments(0.8, 0.3, 1.2, 2 * n)
+        if name.startswith("step"):
+            grid = hq.GridState(cells=np.tile(m, (40, 1)), dx=np.full(40, 1 / 40), tau=1.0)
+            hq.step(grid, spec, name.split()[1])
+        elif name.startswith("reconstruct_nodes"):
+            hq.reconstruct_nodes(m, spec, name.split()[1])
+        elif name == "spectral_decomposition":
+            hq.spectral_decomposition(m, spec)
+        elif name == "verify-hyperbolicity":
+            argv = ["verify-hyperbolicity", "--n", str(n), "--samples", "50",
+                    "--output-dir", str(tmp_path)]
+            assert cli.main(argv) == 0
+        elif name == "symmetrizer_weights":
+            stability.symmetrizer_weights.__wrapped__(n)  # past the cache
+        else:
+            hq.gauss_quadrature(m[: 2 * n])
+            return (n,)
+        return (n + 1,) if name.endswith("gauss") else (n, n + 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_one_filter_per_factor_of_order_five_and_more(self, name, n, tmp_path,
+                                                          count_calls):
+        filters = count_calls(hq.orthopoly, "_standard_deviation")
+        orders = self.call(name, n, tmp_path)
+        assert filters[0] == sum(m >= 5 for m in orders)
 
 
 class TestChristoffelWeights:

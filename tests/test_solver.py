@@ -744,7 +744,8 @@ class TestWarmStart:
                                                          monkeypatch):
         # reconstruct_nodes is the J = 1 view of the step's reconstruction:
         # for a near-equilibrium n = 6 cell, warm-started in both, it returns
-        # that cell's row of the step bitwise
+        # that cell's row of the step bitwise, and so does the eigen
+        # variant's spectral_decomposition on every cell of the grid
         cfg = dict(stiff_smooth_config, flux_variant=variant,
                    t_final=2 * stiff_smooth_config["dt_max"])
         grid = hq.run(cfg).grid
@@ -765,6 +766,11 @@ class TestWarmStart:
             assert np.array_equal(q.nodes, nodes[j + 1])
             assert np.array_equal(q.weights, weights[j + 1])
         assert accepted == [1] * (6 if variant == "eigen" else 3)
+        if variant == "eigen":
+            for j, cell in enumerate(grid.cells):
+                sd = hq.spectral_decomposition(cell, SPEC1)
+                assert np.array_equal(sd.eigenvalues, nodes[j + 1])
+                assert np.array_equal(sd.weights, weights[j + 1])
 
     @pytest.mark.parametrize("variant, solves", [("eigen", 2), ("gauss", 1)])
     def test_one_filter_per_eigensolve(self, stiff_smooth_config, variant, solves,
@@ -822,6 +828,8 @@ class TestConfigValidation:
             ("cells", 1),
             ("t_final", -0.5),
             ("boundary", "reflecting"),
+            ("gamma", math.inf),
+            ("t_final", math.inf),
         ],
     )
     def test_bad_fields(self, field, value):
