@@ -380,7 +380,7 @@ def _cmd_verify_hyperbolicity(args):
         # order-major rows, as the kernels read them
         a_blk, b_blk = np.asfortranarray(a[blk]), np.asfortranarray(b[blk])
         with np.errstate(over="ignore", invalid="ignore"):
-            lam, om, _, _ = _spectral_batch(a_blk, b_blk, gamma)
+            lam, om = _spectral_batch(a_blk, b_blk, gamma)
             enclosure = _enclosure_radii(a_blk, b_blk, gamma)
             gaps = np.diff(lam, axis=1)
             # 0/0 where every eigenvalue is 0: the couplings underflowed

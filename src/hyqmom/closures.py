@@ -302,16 +302,16 @@ def _extended_jacobi_rows(a, b, gamma, scale):
 
 
 def _spectral_batch(a, b, gamma):
-    """Batched merged eigenstructure of hyqmom systems from recurrence rows
-    a (J, n) and b (J, n+1), the one spectral kernel of the package.  The
-    rows are taken as given (b > 0): no moments are built and nothing is
-    gated here, so callers that start from moments gate them first.
+    """Batched merged eigenstructure (lam, om) of hyqmom systems from
+    recurrence rows a (J, n) and b (J, n+1), the one spectral kernel of the
+    package.  The rows are taken as given (b > 0): no moments are built and
+    nothing is gated here, so callers that start from moments gate them first.
 
-    Eigenvalues: stacked tridiagonal eigensolves of the Q_n Jacobi matrix
-    and of the same matrix extended by one row (diagonal a_n, off-diagonal
-    sqrt(((2n+gamma)/n) b_n)), which is the modified-final-row form of
-    R_{n+1}.  Weights: the unique Vandermonde solution assembled from the
-    two Gauss rules,
+    Eigenvalues: one nested eigensolve of the Q_n Jacobi matrix extended by
+    one row (diagonal a_n, off-diagonal sqrt(((2n+gamma)/n) b_n)), which is
+    the modified-final-row form of R_{n+1}, and of its leading block, Q_n's
+    (``_jacobi_batch(..., nested=True)``).  Weights: the unique Vandermonde
+    solution assembled from the two Gauss rules,
 
         omega_odd  = (n+gamma)/(2n+gamma) * w'   (Q_n rule)
         omega_even = n/(2n+gamma) * w''          (R_{n+1} rule)
@@ -325,20 +325,15 @@ def _spectral_batch(a, b, gamma):
     the Q_n factor's couplings 1..n-1, and R_{n+1}'s also
     (2n + gamma)/n * b_n = 2n + gamma, which is passed as ``last``.
     """
-    J, n = a.shape
+    n = a.shape[1]
     rdiag, roff = _extended_jacobi_rows(a, b, gamma, (2 * n + gamma) / n)
-    qroots, wq = _jacobi_batch(a, roff[: n - 1].T, b[:, :1])
-    rroots, wr = _jacobi_batch(rdiag.T, roff.T, b[:, :1], float(2 * n + gamma))
-    lam = np.empty((2 * n + 1, J))
-    om = np.empty((2 * n + 1, J))
-    lam[1::2] = qroots.T
-    lam[0::2] = rroots.T
+    lam, om = _jacobi_batch(rdiag.T, roff.T, b[:, :1], float(2 * n + gamma), nested=True)
     # at gamma = -2n only the eigenvalues are defined (R_{n+1} = (X - a_n) Q_n);
     # degenerate-limit callers read those and ignore the infinite weights
     with np.errstate(divide="ignore", invalid="ignore"):
-        om[1::2] = np.divide(n + gamma, 2 * n + gamma) * wq.T
-        om[0::2] = np.divide(n, 2 * n + gamma) * wr.T
-    return lam.T, om.T, qroots, rroots
+        om.T[1::2] *= np.divide(n + gamma, 2 * n + gamma)
+        om.T[0::2] *= np.divide(n, 2 * n + gamma)
+    return lam, om
 
 
 def spectral_decomposition(m, spec):
@@ -352,7 +347,7 @@ def spectral_decomposition(m, spec):
     a, b = _recurrence_rows(m, spec)
     n = a.shape[1]
     c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
-    lam, om, _, _ = _spectral_batch(a, b, spec.gamma)
+    lam, om = _spectral_batch(a, b, spec.gamma)
     lam, om = lam[0], om[0]
     if not np.all(np.diff(lam) > 0):
         raise RuntimeError(

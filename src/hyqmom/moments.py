@@ -189,14 +189,17 @@ def gaussian_moments(order, U, theta):
 
     Computed by the recursion Delta_{k+1} = U Delta_k + k theta Delta_{k-1},
     which is exact in floating point for small orders (no factorial sums).
-    ``U`` and ``theta`` may be arrays; the moment axis comes last.
+    ``U`` (finite) and ``theta`` (positive, finite) may be arrays; the
+    moment axis comes last.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     U = np.asarray(U, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if not np.all(theta > 0):  # NaN too
-        raise ValueError("theta must be positive")
+    if not (0 < theta.min() and theta.max() < np.inf):  # NaN too
+        raise ValueError("theta must be positive and finite")
+    if not np.isfinite(U).all():
+        raise ValueError("U must be finite")
     shape = np.broadcast_shapes(U.shape, theta.shape)
     # built order-major in place, one contiguous row per order, returned
     # moment-last; out[k + 1, ...] is a view also for scalar U and theta
@@ -240,8 +243,8 @@ def gaussian_moment_u_derivative(k, j, U, theta):
 
 def maxwellian_moments(rho, U, theta, order):
     """Equilibrium moment vector rho * Delta_k(U, theta), k = 0..order."""
-    if not rho > 0:  # NaN too
-        raise ValueError("rho must be positive")
+    if not 0 < rho < np.inf:  # NaN too
+        raise ValueError("rho must be positive and finite")
     return rho * gaussian_moments(order, U, theta)
 
 

@@ -8,8 +8,9 @@ Christoffel numbers b_0 / sum_k p_k(x)^2 over the orthonormal polynomials
 at each node (Gautschi, Orthogonal Polynomials, 2004), equal to b_0 times
 the squared first eigenvector components and positive as a sum of squares.
 Every such eigensolve, single or batched, runs through ``_jacobi_batch``
-and computes no eigenvectors; single-matrix calls are its J = 1 case.  It
-picks the solver by the order m alone:
+and computes no eigenvectors; single-matrix calls are its J = 1 case, and
+hyqmom's nested pair Q_n in R_{n+1} is one call.  It picks each factor's
+solver by its order m alone:
 
 * m <= 4: a closed form on length-J rows (Smith's trigonometric roots
   with one Newton step at m = 3, the depressed quartic split by its
@@ -19,7 +20,7 @@ picks the solver by the order m alone:
   spectrum, g its smallest gap), starts from the guess c + s xi moved to
   first order, which Kato-Temple certifies close to the model, else takes
   Newton steps on det(T - x) that stop per lane, in windows of radius
-  s g/2 that Weyl's bound gives one eigenvalue each;
+  s g/2 that Weyl's bound gives one eigenvalue each, one pass for a pair;
 * stacked ``numpy.linalg.eigvalsh`` for the m >= 5 lanes that neither
   certifies, and for the m = 3 and 4 lanes with two nearly equal
   eigenvalues or with a spread large enough to overflow the closed form,
@@ -122,10 +123,11 @@ def jacobi_roots(diag, offdiag_b):
     return _jacobi_batch(diag[None, :], np.sqrt(offdiag_b)[None, :])[0]
 
 
-def _small_jacobi_eigenvalues(d, off):
-    """Ascending eigenvalues, as an (m, J) array, of the Jacobi matrices of
-    order m <= 4 with order-major diagonal rows d (m, J) and coupling rows
-    off (m-1, J), in closed form on length-J rows.  m = 2 is h +- hypot of
+def _small_jacobi_eigenvalues(d, off, x):
+    """Ascending eigenvalues, written into and returned as the rows x (m, J),
+    of the Jacobi matrices of order m <= 4 with order-major diagonal rows
+    d (m, J) and coupling rows off (m-1, J), in closed form on length-J
+    rows.  m = 2 is h +- hypot of
     the half difference and the coupling, from halved entries, which keeps
     the sum and difference finite.  m = 3 and 4 work on T - qI with
     q = trace/m: Smith's trigonometric cubic at m = 3
@@ -139,7 +141,6 @@ def _small_jacobi_eigenvalues(d, off):
     spread would overflow the intermediates, about spread^3 at m = 3 and
     spread^6 at m = 4: past 1e100 and 1e50, which keeps them below 1e300."""
     m, J = d.shape
-    x = np.empty((m, J))
     if m == 1:
         x[0] = d[0]
         return x
@@ -412,7 +413,8 @@ def _standard_deviation(d, off, beta):
     """Per lane, ||(T - cI) / s - T_std||_inf with (c, s) = (d_0, off_0),
     for the order-major rows d (m, J) and off (m-1, J) of T and the
     couplings beta of T_std (zero diagonal): the largest row sum of the
-    standardized deviation, which bounds its spectral norm.  Non-finite
+    standardized deviation, which bounds its spectral norm: row 1 of the
+    result, row 0 that of T's leading block against beta[:-1].  Non-finite
     where the rows overflow or s = 0, which no filter admits."""
     with np.errstate(all="ignore"):
         dev = np.subtract(d, d[0])
@@ -421,102 +423,124 @@ def _standard_deviation(d, off, beta):
         e = np.divide(off, off[0])
         e -= beta[:, None]
         np.abs(e, out=e)
+        lead = dev[-2] + e[-2]
         dev[:-1] += e
         dev[1:] += e
-    return np.max(dev, axis=0)
+    np.maximum(dev[-2], dev[-1], out=dev[-1])
+    dev[-2] = lead
+    return np.maximum(dev[-2:], np.max(dev[:-2], axis=0), out=dev[-2:])
 
 
-def _newton_from_standard(d, off, standard):
-    """Eigenvalues (m, K) of the order-major rows d (m, K) and off (m-1, K)
-    of T near the model ``standard`` (``_model``), and which lanes are
-    accepted.  The filter runs first and admits the lanes within
-    g/8 of it (``_standard_deviation`` dev < g/8): by Weyl's bound each
-    window |y - xi_i| < g/2 then holds one eigenvalue, and the other
-    eigenvalues lie 3g/4 from the guess.  Only admitted lanes are solved.
+def _factor_rows(count):
+    """Rows of one matrix's eigenvalues, or of a leading block's (odd) and
+    its matrix's (even), the merged order that strict interlacing ascends."""
+    return (slice(None),) if count == 1 else (slice(1, None, 2), slice(0, None, 2))
+
+
+def _newton_from_standard(d, off, models, x):
+    """x filled with the eigenvalues of the order-major rows d (m, K) and
+    off (m-1, K) of T near the model ``models[-1]`` (``_model``), given two
+    models also of T's leading block near the first (``_factor_rows``), and
+    which lanes each factor accepts, (len(models), K).  One filter pass
+    admits the lanes within g/8 of each model (``_standard_deviation``
+    dev < g/8): by Weyl's bound each window |y - xi_i| < g/2 then holds one
+    eigenvalue, and the other eigenvalues lie 3g/4 from the guess.
 
     On (T - cI) / s = T_std + E, (c, s) = (d_0, off_0), whose entries are of
     order one, the guess xi_i + w_i e is the Rayleigh quotient of T_std's
     i-th eigenvector, with a residual at most ||E||_2 <= dev, so by
     Kato-Temple it is within 4 dev^2 / (3g) of its eigenvalue.  Lanes where
     that is at most eps times the spread of xi stand as they are, if the
-    model is trusted; the others take ``_newton_steps``.  A lane is
-    accepted when its iterates have stopped in their windows and ascend
-    strictly.  Every operation is elementwise within a lane, so which other
-    lanes share the call changes no bit."""
-    beta, xi, gap, w, trusted = standard
+    model is trusted; the others take ``_newton_steps``, one loop for both
+    factors.  A factor accepts a lane it admits when its iterates have
+    stopped in their windows and ascend strictly.  Each factor keeps its
+    own threshold, stop and windows, so solving the pair changes no bit."""
+    rows = _factor_rows(len(models))
     m, K = d.shape
-    dev = _standard_deviation(d, off, beta)
-    admitted = dev < gap / 8
-    lanes = np.flatnonzero(admitted)
+    devs = _standard_deviation(d, off, models[-1][0])[-len(models):]
+    admitted = devs < [[model[2] / 8] for model in models]
+    lanes = np.flatnonzero(admitted[0] | admitted[-1])
     if not lanes.size:
-        return np.empty((m, K)), admitted
+        return x, admitted
+    y, idx = x, slice(None)
     if lanes.size < K:
-        d, off, dev = (np.take(v, lanes, axis=-1) for v in (d, off, dev))
-    eps, spread = np.finfo(float).eps, xi[-1] - xi[0]
-    c, s = d[0], off[0]
-    steps = np.flatnonzero(np.square(dev) > (0.75 * eps * spread * gap if trusted else -1.0))
+        d, off, devs = (np.take(v, lanes, axis=-1) for v in (d, off, devs))
+        y, idx = np.empty((len(x), lanes.size)), lanes
+    eps, c, s = np.finfo(float).eps, d[0], off[0]
     e = np.empty((2 * m - 1, lanes.size))
     dt, st = e[:m], e[m:]
-    ok = np.ones((m, lanes.size), dtype=bool)
+    xi, half, stop = np.empty((3, len(y), 1))
+    ok, send = np.empty(y.shape, dtype=bool), np.empty(devs.shape, dtype=bool)
     with np.errstate(all="ignore"):
         np.subtract(d, c, out=dt)
         dt /= s
         np.divide(off, s, out=st)
-        st -= beta[:, None]
-        y = np.matmul(w, e)
-        y += xi[:, None]
-        st += beta[:, None]
+        st -= models[-1][0][:, None]
+        factors = zip(rows, models, devs, admitted[:, idx], send)
+        for r, (_, xi_f, gap, w, trusted), dev, adm, go in factors:
+            k, spread = len(xi_f), xi_f[-1] - xi_f[0]
+            # the factor's rows of e on the lanes it admits: the bits of a
+            # BLAS product depend on its number of columns
+            sel = slice(None) if adm.all() else adm
+            ef = e if k == m else np.concatenate((e[:k], e[m : m + k - 1]))
+            y[r][:, sel] = np.matmul(w, ef[:, sel]) + xi_f[:, None]
+            np.greater(np.square(dev), 0.75 * eps * spread * gap if trusted else -1.0, out=go)
+            go &= adm
+            ok[r] = ~go
+            xi[r, 0], half[r], stop[r] = xi_f, gap / 2, np.sqrt(eps * spread * gap / (2 * k - 2))
+        st += models[-1][0][:, None]
         st *= st
-        stop = np.sqrt(eps * spread * gap / (2 * m - 2))
+        steps = np.flatnonzero(send[0] | send[-1])
         if steps.size == lanes.size:
-            y, ok = _newton_steps(y, e, stop)
+            _newton_steps(y, e, stop, ok, rows)
         elif steps.size:
-            rows = (np.take(v, steps, axis=1) for v in (y, e))
-            y[:, steps], ok[:, steps] = _newton_steps(*rows, stop)
-        ok &= np.abs(y - xi[:, None]) < gap / 2
+            ys, es, oks = (np.take(v, steps, axis=1) for v in (y, e, ok))
+            y[:, steps], ok[:, steps] = _newton_steps(ys, es, stop, oks, rows)
+        ok &= np.abs(y - xi) < half
         y *= s
         y += c
-        ok[1:] &= y[1:] > y[:-1]
-    if lanes.size == K:
-        return y, np.all(ok, axis=0)
-    x = np.empty((m, K))
-    x[:, lanes] = y
-    admitted[lanes] = np.all(ok, axis=0)
+        # each factor ascends strictly: its rows lie len(rows) apart
+        ok[len(rows) :] &= y[len(rows) :] > y[: -len(rows)]
+    for f, r in enumerate(rows):
+        admitted[f, idx] &= np.all(ok[r], axis=0)
+    if y is not x:
+        x[:, lanes] = y
     return x, admitted
 
 
-def _newton_steps(y, e, stop):
-    """Up to NEWTON_STEPS Newton steps on det(T - y), in place on y (m, K),
-    from the standardized rows e (2m - 1, K): diagonal, squared couplings.
-    p and p' of P_{k+1} = (y - d_k) P_k - s_k P_{k-1} are stacked, and d_k
-    and s_k repeated over the m rows of a lane: numpy runs a same-shape
-    update faster than a broadcast one.  An iterate stops after a step of at
-    most ``stop``, past which quadratic convergence puts the next step below
-    eps times the spread; the update is masked, so every bit stays
-    lane-local.  Returns y and which iterates stopped."""
-    m, K = y.shape
-    D, S = (np.repeat(v[:, None], m, axis=1) for v in (e[:m], e[m:]))
-    t, done = np.empty((m, K)), np.zeros((m, K), dtype=bool)
-    P, Pm, N, U = np.empty((4, 2, m, K))
+def _newton_steps(y, e, stop, done, rows):
+    """Up to NEWTON_STEPS Newton steps on det(T - y), in place on y (r, K),
+    from the standardized rows e (2m - 1, K) of T: diagonal, squared
+    couplings, for the factors at ``rows`` (``_factor_rows``): a leading
+    block's rows read the recurrence at order m - 1.  p and p' of
+    P_{k+1} = (y - d_k) P_k - s_k P_{k-1} are stacked, so that all y - d_k
+    take one call and each update one call over the pair.  An
+    iterate takes no step once ``done`` and is done after a step of at most
+    its row's ``stop`` (r, 1), past which quadratic convergence puts the
+    next step below eps times the spread; the update is masked, so every
+    bit stays lane-local.  Returns y and done."""
+    r, K = y.shape
+    m = (len(e) + 1) // 2
+    t, T = np.empty((r, K)), np.empty((m, r, K))
+    P, Pm, N, U = np.empty((4, 2, r, K))
     with np.errstate(all="ignore"):
         for _ in range(NEWTON_STEPS):
-            # P = (P_k, P_k') and Pm = (P_{k-1}, P_{k-1}'), from k = 2 on
-            np.subtract(y, D[0], out=Pm[0])
+            # T_k = y - d_k; P = (P_k, P_k') and Pm = (P_{k-1}, P_{k-1}')
+            np.subtract(y, e[:m, None], out=T)
+            Pm[0] = T[0]
             Pm[1] = 1.0
-            np.subtract(y, D[1], out=t)
-            np.multiply(t, Pm[0], out=P[0])
-            P[0] -= S[0]
-            np.add(t, Pm[0], out=P[1])
+            np.multiply(T[1], Pm[0], out=P[0])
+            P[0] -= e[m]
+            np.add(T[1], Pm[0], out=P[1])
             for k in range(2, m):
-                np.subtract(y, D[k], out=t)
-                np.multiply(t, P[0], out=N[0])
-                np.multiply(t, P[1], out=N[1])
+                np.multiply(T[k], P, out=N)
                 N[1] += P[0]
-                np.multiply(S[k - 1], Pm[0], out=U[0])
-                np.multiply(S[k - 1], Pm[1], out=U[1])
+                np.multiply(e[m + k - 1], Pm, out=U)
                 N -= U
                 Pm, P, N = P, N, Pm
             np.divide(P[0], P[1], out=t)
+            for lead in rows[:-1]:
+                np.divide(Pm[0][lead], Pm[1][lead], out=t[lead])
             t[done] = 0.0
             y -= t
             np.abs(t, out=t)
@@ -526,60 +550,22 @@ def _newton_steps(y, e, stop):
     return y, done
 
 
-def _warm_eigenvalues(diag, offdiag, standard):
-    """Order-major (m, J) eigenvalues of the Jacobi matrices of order m >= 5
-    near the model ``standard`` (``_model``): the lanes that
-    ``_newton_from_standard`` certifies, by Kato-Temple or by Newton steps
-    that stop per lane, keep its values, and every other lane goes to
-    ``_dense_eigenvalues``, as one stacked call; where none is admitted,
-    that is every lane, solved exactly as LAPACK alone solves them."""
-    x, ok = _newton_from_standard(diag.T, offdiag.T, standard)
-    if not ok.any():
-        x[:] = _dense_eigenvalues(diag, offdiag).T
-    elif not ok.all():
-        cold = ~ok
-        x[:, cold] = _dense_eigenvalues(diag[cold], offdiag[cold]).T
-    return x
-
-
-def _jacobi_batch(diag, offdiag, mass=None, last=None):
-    """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
-    already-square-rooted couplings beta_1..beta_{m-1}.  The solver is
-    chosen by the order m alone.  Orders m <= 4 are solved in closed form
-    (``_small_jacobi_eigenvalues``).  From m = 5 on the lanes within g/8 of
-    c I + s T_std, (c, s) = (a_0, beta_1), take the first-order guess,
-    certified by Kato-Temple, or Newton steps that stop per lane
-    (``_warm_eigenvalues``), and the others go to ``numpy.linalg.eigvalsh``
-    on dense (J, m, m) matrices filled through strided views of their
-    diagonals.  T_std is the model (``_standard_spectrum``) with the squared
-    couplings 1, ..., m-2, ``last``: a factor of the standard normal, Q_m
-    for the default last = m - 1 and R_m for last = 2(m-1) + gamma.  Given
-    ``mass`` (shape (J, 1)) it also returns the Gauss weights as
-    Christoffel numbers mass / sum_{k<m} p_k(x)^2 at every eigenvalue x,
-    where the orthonormal polynomials follow
-    beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1} with p_0 = 1.  These
-    equal mass * (first eigenvector components)^2, the Golub-Welsch weights,
-    without computing eigenvectors.  The closed form and the recurrence run
-    order-major, on contiguous length-J rows of the transposed inputs; nodes
-    and weights come back as (J, m) transposed views.  With a zero coupling
-    (a decoupled matrix) the eigenvalues are those of the diagonal blocks,
-    exactly from LAPACK and within about eps ||T||_F in closed form, and the
-    weights are undefined (0 or nan)."""
-    J, m = diag.shape
-    d, off = diag.T, offdiag.T
-    if m <= 4:
-        x = _small_jacobi_eigenvalues(d, off)
-    else:
-        model = _standard_spectrum((*range(1, m - 1), m - 1 if last is None else last))
-        x = _warm_eigenvalues(diag, offdiag, model)
-    if mass is None:
-        return x.T
-    p_prev, p = None, 1.0
+def _christoffel(x, d, off, last):
+    """sum_{k<m} p_k(x)^2 at the nodes x (r, J) of the order-major rows
+    d (m, J) and off (m-1, J), where beta_{k+1} p_{k+1} = (x - a_k) p_k -
+    beta_k p_{k-1}, p_0 = 1; the rows that are not ``last`` hold nodes of
+    the leading block and stop at p_{m-2}."""
+    m = d.shape[0]
     christoffel = np.ones_like(x)
+    sums, p_prev, p = christoffel, None, None
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(m - 1):
+            if k == m - 2:
+                x, sums = x[last], sums[last]
+                p_prev, p = (v[last] if isinstance(v, np.ndarray) else v for v in (p_prev, p))
             p_next = x - d[k]
-            p_next *= p
+            if k:
+                p_next *= p  # p_0 = 1 needs no product
             if k == 1:
                 p_next -= off[0]  # beta_1 p_0, with p_0 = 1
             elif k:
@@ -587,9 +573,57 @@ def _jacobi_batch(diag, offdiag, mass=None, last=None):
                 p_next -= p_prev
             p_next /= off[k]
             # from k = 2 on p_prev is spent and takes the square
-            christoffel += np.multiply(p_next, p_next, out=p_prev if k >= 2 else None)
+            sums += np.multiply(p_next, p_next, out=p_prev if k >= 2 else None)
             p_prev, p = p, p_next
-    return x.T, (mass.T / christoffel).T
+    return christoffel
+
+
+def _jacobi_batch(diag, offdiag, mass=None, last=None, nested=False):
+    """Stacked symmetric-tridiagonal eigenvalues; offdiag entries are the
+    already-square-rooted couplings beta_1..beta_{m-1}.  With ``nested`` the
+    leading block of each matrix is solved in the same pass, its
+    eigenvalues at the odd rows of the merged (J, 2m-1) result
+    (``_factor_rows``).  Each factor's solver is chosen by its order k
+    alone.  Orders <= 4 are solved in closed form
+    (``_small_jacobi_eigenvalues``).  From order 5 on the lanes within g/8
+    of c I + s T_std, (c, s) = (a_0, beta_1), take the first-order guess,
+    certified by Kato-Temple, or Newton steps that stop per lane
+    (``_newton_from_standard``), and the others go to one
+    ``numpy.linalg.eigvalsh`` call per factor (``_dense_eigenvalues``).
+    T_std is the model (``_standard_spectrum``) with the squared couplings
+    1, ..., k-2, last: a factor of the standard normal, Q_k for the leading
+    block and the default last = k - 1, and R_m for last = 2(m-1) + gamma.
+    Given ``mass`` (shape (J, 1)) it also returns the Gauss weights as
+    Christoffel numbers mass / sum_{k<m} p_k(x)^2 at every eigenvalue x
+    (``_christoffel``), the Golub-Welsch weights mass * (first eigenvector
+    components)^2 without eigenvectors.  The closed form and the recurrence
+    run order-major, on contiguous length-J rows of the transposed inputs;
+    nodes and weights come back as transposed views.  With a zero coupling
+    (a decoupled matrix) the eigenvalues are those of the diagonal blocks,
+    exactly from LAPACK and within about eps ||T||_F in closed form, and the
+    weights are undefined (0 or nan)."""
+    J, m = diag.shape
+    d, off = diag.T, offdiag.T
+    factors = tuple(zip(_factor_rows(2), (m - 1, m))) if nested else ((slice(None), m),)
+    x = np.empty((2 * m - 1 if nested else m, J))
+    models = []
+    for rows, k in factors:
+        if k <= 4:
+            _small_jacobi_eigenvalues(d[:k], off[: k - 1], x[rows])
+        else:
+            couplings = (*range(1, k - 1), k - 1 if k < m or last is None else last)
+            models.append(_standard_spectrum(couplings))
+    if models:
+        # lanes that the warm path does not accept go to LAPACK, per factor
+        warm = x if len(models) == 2 else x[factors[-1][0]]
+        _, accepted = _newton_from_standard(d, off, models, warm)
+        for rows, model, ok in zip(_factor_rows(len(models)), models, accepted):
+            if not ok.all():
+                k, cold = len(model[1]), ~ok
+                warm[rows][:, cold] = _dense_eigenvalues(diag[cold, :k], offdiag[cold, : k - 1]).T
+    if mass is None:
+        return x.T
+    return x.T, (mass.T / _christoffel(x, d, off, factors[-1][0])).T
 
 
 def gauss_quadrature(m, tol=None):

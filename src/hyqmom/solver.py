@@ -38,7 +38,8 @@ does, from the standard state's spectra (``_jacobi_batch``): by the
 closure's affine invariance a local Maxwellian at gamma = 1 has its
 eigenvalues at U + sqrt(theta) xi, with xi those of the standard normal.  Most lanes there stand as their
 first-order guess, which Kato-Temple certifies, and the others take
-Newton steps that stop per lane.  Each lane is filtered and solved on
+Newton steps that stop per lane; the eigen variant solves Q_n and R_{n+1}
+in one nested pass.  Each lane is filtered and solved on
 its own, so where the blocks end changes no bit.  The global dt follows
 from all speeds, reduced block by block.  The second pass scales the
 differences, adds the old cells, relaxes, and gates the new cells,
@@ -259,8 +260,7 @@ def _reconstruct_batch(a, b, gamma, variant):
     if variant == "gauss":
         diag, off = _extended_jacobi_rows(a, b, gamma, 1.0)
         return _jacobi_batch(diag.T, off.T, b[:, :1])
-    lam, om, _, _ = _spectral_batch(a, b, gamma)
-    return lam, om
+    return _spectral_batch(a, b, gamma)
 
 
 def _interface_fluxes(nodes, weights, right, left):
@@ -524,19 +524,18 @@ def validate_config(cfg):
         if not isinstance(seg, dict):
             raise ConfigError(f"initial[{i}]", "segment must be an object")
         ns = {}
-        for key in ("rho", "theta"):
+        for key, low in (("rho", 0), ("theta", 0), ("U", -np.inf)):
             val = seg.get(key)
-            if not _is_number(val) or not val > 0:
-                raise ConfigError(f"initial[{i}].{key}", "must be a positive number")
+            if not _is_number(val) or not low < val < np.inf:
+                what = "a finite number" if key == "U" else "a positive finite number"
+                raise ConfigError(f"initial[{i}].{key}", f"must be {what}")
             ns[key] = float(val)
-        if not _is_number(seg.get("U")):
-            raise ConfigError(f"initial[{i}].U", "must be a number")
-        ns["U"] = float(seg["U"])
         for key, maxlen in (("da", n), ("db", n + 1)):
             arr = seg.get(key, [])
-            if not isinstance(arr, list) or len(arr) > maxlen or not all(map(_is_number, arr)):
+            ok = isinstance(arr, list) and len(arr) <= maxlen
+            if not (ok and all(_is_number(x) and -np.inf < x < np.inf for x in arr)):
                 raise ConfigError(
-                    f"initial[{i}].{key}", f"must be a list of <= {maxlen} numbers"
+                    f"initial[{i}].{key}", f"must be a list of <= {maxlen} finite numbers"
                 )
             ns[key] = [float(x) for x in arr]
         if i < len(segments) - 1:

@@ -140,7 +140,7 @@ def test_criterion_1_strict_hyperbolicity():
     worst_rho = 0.0
     table = []
     for n, gamma, M in _criterion_1_cells():
-        lam, _, _, _ = _corpus_spectra(M, gamma)
+        lam, _ = _corpus_spectra(M, gamma)
         gaps = np.diff(lam, axis=1)
         radius = np.max(np.abs(lam), axis=1)
         interlaced = np.all(gaps > 0, axis=1)
@@ -190,7 +190,7 @@ def test_criterion_1_degenerate_limit_is_not_certified():
             continue
         limit = np.float64(-2 * n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam, _, _, _ = _corpus_spectra(M, limit)
+            lam, _ = _corpus_spectra(M, limit)
         margin, _ = _distinctness_margin(M, limit, lam)
         certified[n] = int(np.sum(margin > 1))
     assert not any(certified.values()), certified
@@ -222,7 +222,7 @@ def test_criterion_1_exact_separation_reference():
     smallest = np.inf
     with mpmath.workdps(60):
         for n, gamma, M in _criterion_1_cells():
-            lam, _, _, _ = _corpus_spectra(M, gamma)
+            lam, _ = _corpus_spectra(M, gamma)
             gaps = np.min(np.diff(lam, axis=1), axis=1)
             for j in np.argsort(gaps / np.max(np.abs(lam), axis=1))[:5]:
                 exact = _mp_separation(M[j], gamma, mpmath.mp)
@@ -265,7 +265,7 @@ def test_criterion_3_reconstruction_positivity():
     for n in N_RANGE:
         for gamma in (-n + 0.1, 0.0, 1.0, 5.0):
             M = _corpus(rng, n)
-            lam, om, _, _ = _corpus_spectra(M, gamma)
+            lam, om = _corpus_spectra(M, gamma)
             min_weight = min(min_weight, float(om.min()))
             assert np.all(om > 0), f"nonpositive weight at n={n}, gamma={gamma}"
             recon_err = 0.0

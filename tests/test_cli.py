@@ -291,7 +291,7 @@ class TestVerifyHyperbolicity:
 
         def failures(gamma):
             with np.errstate(divide="ignore", invalid="ignore"):
-                lam, om, _, _ = _spectral_batch(a, b, gamma)
+                lam, om = _spectral_batch(a, b, gamma)
             return _hyperbolicity_failures(
                 np.diff(lam, axis=1), _enclosure_radii(a, b, gamma), om, gamma, 0
             )

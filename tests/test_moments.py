@@ -265,6 +265,24 @@ class TestGaussianMoments:
         with pytest.raises(ValueError, match="theta must be positive"):
             hq.maxwellian_moments(1.0, 0.0, math.nan, 4)
 
+    @pytest.mark.parametrize(
+        "U, theta",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf),
+         (np.array([0.0, math.nan]), 1.0), (0.0, np.array([1.0, math.inf]))],
+    )
+    def test_non_finite_mean_or_temperature_refused(self, U, theta):
+        # gaussian_moments(4, nan, 1.0) returned [1, nan, nan, nan, nan]
+        what = "theta" if np.any(np.isinf(theta)) else "U"
+        with pytest.raises(ValueError, match=f"{what} must be"):
+            hq.gaussian_moments(4, U, theta)
+        with pytest.raises(ValueError, match=f"{what} must be"):
+            hq.maxwellian_moments(1.0, U, theta, 4)
+
+    def test_infinite_density_refused(self):
+        # maxwellian_moments(inf, 0.0, 1.0, 2) returned [inf, nan, inf]
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            hq.maxwellian_moments(math.inf, 0.0, 1.0, 2)
+
     def test_vector_broadcast(self):
         out = hq.gaussian_moments(4, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         assert out.shape == (2, 5)

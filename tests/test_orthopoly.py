@@ -5,8 +5,8 @@ import pytest
 
 import hyqmom as hq
 from hyqmom import cli, stability
-from hyqmom.closures import _spectral_batch
-from hyqmom.moments import _moments_from_recurrence_batch
+from hyqmom.closures import _extended_jacobi_rows, _spectral_batch
+from hyqmom.moments import _moments_from_recurrence_batch, _realizable_pivots_batch
 from hyqmom.orthopoly import (
     _jacobi_batch,
     _model,
@@ -14,9 +14,13 @@ from hyqmom.orthopoly import (
     _newton_from_standard,
     _standard_deviation,
     _standard_spectrum,
-    _warm_eigenvalues,
 )
-from corpus import random_coefficients, random_even_moments, random_odd_moments
+from corpus import (
+    random_coefficients,
+    random_even_moments,
+    random_odd_moments,
+    smooth_random_config,
+)
 from reference import mp_golub_welsch, mp_tridiagonal_eigenvalues, vandermonde_weights
 
 
@@ -413,6 +417,12 @@ def _worst_errors(diag, off, mass, nodes, weights, mp):
     return worst
 
 
+def _accepted(diag, off, standard):
+    """Which lanes of the Jacobi rows (J, m) the warm path accepts alone,
+    near the model ``standard``."""
+    return _newton_from_standard(diag.T, off.T, (standard,), np.empty(diag.T.shape))[1][0]
+
+
 def _kato_temple_edge(standard):
     """The deviation ||E||_inf, in units of g/8, at which the Kato-Temple
     bound 4 ||E||^2 / (3g) reaches eps times the spread of xi."""
@@ -462,9 +472,8 @@ class TestWarmStart:
             for name, (last, standard) in _factor_models(m).items():
                 diag, off = _near_standard_rows(rng, standard, self.SIZES)
                 mass = rng.uniform(0.5, 2.0, (len(self.SIZES), 1))
-                assert np.all(_standard_deviation(diag.T, off.T, standard[0]) < standard[2] / 8)
-                _, ok = _newton_from_standard(diag.T, off.T, standard)
-                assert ok.all(), name
+                assert np.all(_standard_deviation(diag.T, off.T, standard[0])[1] < standard[2] / 8)
+                assert _accepted(diag, off, standard).all(), name
                 nodes, weights = _jacobi_batch(diag, off, mass, last)
                 worst = np.maximum(worst, _worst_errors(diag, off, mass, nodes, weights, mpmath.mp))
         print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
@@ -489,7 +498,7 @@ class TestWarmStart:
                 edge = _kato_temple_edge(standard)
                 below = _near_standard_rows(rng, standard, np.geomspace(8e-16, 0.9 * edge, 8))
                 above = _near_standard_rows(rng, standard, [1.1 * edge, 2 * edge, 10 * edge])
-                dev = [_standard_deviation(d.T, o.T, beta) for d, o in (below, above)]
+                dev = [_standard_deviation(d.T, o.T, beta)[1] for d, o in (below, above)]
                 bound = 0.75 * eps * (xi[-1] - xi[0]) * gap
                 assert np.all(dev[0] ** 2 <= bound) and np.all(dev[1] ** 2 > bound), name
                 mass = rng.uniform(0.5, 2.0, (8, 1))
@@ -500,7 +509,7 @@ class TestWarmStart:
                 assert newton == [3] and lapack == [], name
                 moved = _model(beta, xi + gap, w)
                 assert not moved[4]
-                assert not _newton_from_standard(below[0].T, below[1].T, moved)[1].any()
+                assert not _accepted(*below, moved).any()
                 newton.clear()
         print(f"\nm={m}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
               f"worst relative weight error {worst[1]:.1e}")
@@ -519,7 +528,7 @@ class TestWarmStart:
         accepted = []
         for steps in range(4):
             monkeypatch.setattr(hq.orthopoly, "NEWTON_STEPS", steps)
-            accepted.append(_newton_from_standard(diag.T, off.T, standard)[1])
+            accepted.append(_accepted(diag, off, standard))
         kinds = {
             "Kato-Temple": accepted[0],
             "two steps": accepted[2] & ~accepted[1],
@@ -535,23 +544,25 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("m", [5, 7, 9])
-    def test_guesses_a_gap_off_are_never_accepted(self, rng, m, shift):
+    def test_guesses_a_gap_off_are_never_accepted(self, rng, m, shift, monkeypatch):
         # the model's spectrum moved by one smallest gap: its outermost
         # window holds no eigenvalue, so no lane is accepted and every lane
         # comes back exactly as eigvalsh solves it
-        for _, standard in _factor_models(m).values():
+        for last, standard in _factor_models(m).values():
             beta, xi, gap, w, _ = standard
             moved = _model(beta, xi + shift * gap, w)
             diag, off = _near_standard_rows(rng, standard, self.SIZES)
-            assert not _newton_from_standard(diag.T, off.T, moved)[1].any()
+            assert not _accepted(diag, off, moved).any()
             expected = np.linalg.eigvalsh(_dense(diag, off))
-            assert np.array_equal(_warm_eigenvalues(diag, off, moved).T, expected)
+            with monkeypatch.context() as patch:
+                patch.setattr(hq.orthopoly, "_standard_spectrum", lambda couplings: moved)
+                assert np.array_equal(_jacobi_batch(diag, off, None, last), expected)
 
     @pytest.mark.parametrize("m", [5, 7, 9])
     def test_rows_just_past_the_filter_go_to_lapack(self, rng, m):
         for last, standard in _factor_models(m).values():
             diag, off = _near_standard_rows(rng, standard, [1.001] * 6 + [2.0, 100.0])
-            assert np.all(_standard_deviation(diag.T, off.T, standard[0]) >= standard[2] / 8)
+            assert np.all(_standard_deviation(diag.T, off.T, standard[0])[1] >= standard[2] / 8)
             expected = np.linalg.eigvalsh(_dense(diag, off))
             assert np.array_equal(_jacobi_batch(diag, off, None, last), expected)
             nodes, _ = _jacobi_batch(diag, off, np.ones((len(diag), 1)), last)
@@ -577,9 +588,78 @@ class TestWarmStart:
         assert np.array_equal(x[far], expected)
 
 
+class TestNestedSolve:
+    """The Q_n Jacobi matrix is the leading block of the R_{n+1} one, and
+    ``_jacobi_batch(..., nested=True)`` solves the pair in one pass: one
+    filter, one Newton loop and one Christoffel pass, each factor with its
+    own admission, Kato-Temple threshold, stop, windows and ascending test."""
+
+    @staticmethod
+    def factor_rows(n, gamma, a, b):
+        """R_{n+1}'s Jacobi rows (J, n+1) and (J, n) of the recurrence rows
+        a, b, as ``_spectral_batch`` builds them."""
+        return tuple(x.T for x in _extended_jacobi_rows(a, b, gamma, (2 * n + gamma) / n))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_high_precision_reference(self, rng, n):
+        # lanes from the standard state out to the R_{n+1} filter's edge, and
+        # draws from the verify-hyperbolicity default ranges: both factors'
+        # nodes within (m+1) eps ||T||_F of the eigenvalues of the same
+        # double matrices at 60 digits, and the merged weights within 1e-12
+        # of their Golub-Welsch rules
+        mpmath = pytest.importorskip("mpmath")
+        worst = [0.0, 0.0]
+        with mpmath.workdps(60):
+            for gamma in (1.0, 0.0, -0.5):
+                last = float(2 * n + gamma)
+                standard = _standard_spectrum((*range(1, n), last))
+                near = _near_standard_rows(rng, standard, TestWarmStart.SIZES)
+                assert _accepted(*near, standard).all()
+                drawn = self.factor_rows(n, gamma, rng.uniform(-5.0, 5.0, (8, n)),
+                                         rng.uniform(0.1, 10.0, (8, n + 1)))
+                for diag, off in (near, drawn):
+                    mass = rng.uniform(0.5, 2.0, (len(diag), 1))
+                    nodes, weights = _jacobi_batch(diag, off, mass, last, nested=True)
+                    assert np.all(np.diff(nodes, axis=1) > 0)
+                    for rows, m in ((slice(0, None, 2), n + 1), (slice(1, None, 2), n)):
+                        worst = np.maximum(worst, _worst_errors(
+                            diag[:, :m], off[:, : m - 1], mass, nodes[:, rows], weights[:, rows],
+                            mpmath.mp,
+                        ))
+        print(f"\nn={n}: worst node error {worst[0]:.2f} x (m+1) eps ||T||_F, "
+              f"worst relative weight error {worst[1]:.1e}")
+        assert worst[0] <= 1.0
+        assert worst[1] <= 1e-12
+
+    @pytest.mark.parametrize("tau", [1e-6, 1e-2, 1.0])
+    def test_bitwise_two_separate_solves(self, tau):
+        # the stiff n = 6 corpus grid before and after 5 steps, where about
+        # 40 lanes pass one factor's filter and not the other's: the nested
+        # pass gives every lane the bits of two _jacobi_batch calls, Q_6 and
+        # R_7 solved apart, and _spectral_batch their merged, scaled rules
+        n, gamma = 6, 1.0
+        cfg = smooth_random_config(np.random.default_rng(20251019), n, tau)
+        grids = [hq.run(dict(cfg, t_final=steps * cfg["dt_max"])).grid for steps in (0, 5)]
+        _, a, b, _ = _realizable_pivots_batch(np.concatenate([g.cells for g in grids]))
+        diag, off = self.factor_rows(n, gamma, a, b)
+        last = float(2 * n + gamma)
+        models = _standard_spectrum(tuple(range(1, n))), _standard_spectrum((*range(1, n), last))
+        admitted = _standard_deviation(diag.T, off.T, models[1][0]) < [[m[2] / 8] for m in models]
+        assert np.any(admitted[0] != admitted[1])
+        q = _jacobi_batch(diag[:, :n], off[:, : n - 1], b[:, :1])
+        r = _jacobi_batch(diag, off, b[:, :1], last)
+        nodes, weights = _jacobi_batch(diag, off, b[:, :1], last, nested=True)
+        lam, om = _spectral_batch(a, b, gamma)
+        for rows, (x, w), scale in ((slice(1, None, 2), q, (n + gamma) / (2 * n + gamma)),
+                                    (slice(0, None, 2), r, n / (2 * n + gamma))):
+            assert np.array_equal(nodes[:, rows], x) and np.array_equal(weights[:, rows], w)
+            assert np.array_equal(lam[:, rows], x) and np.array_equal(om[:, rows], scale * w)
+
+
 class TestOnePolicy:
     """Every eigensolve of order m >= 5 filters its lanes against its own
-    standard-normal model, whichever entry point asks for it."""
+    standard-normal model, whichever entry point asks for it; the nested
+    pair Q_n in R_{n+1} is one eigensolve, with one filter for both."""
 
     ENTRY_POINTS = (
         "step eigen", "step gauss", "reconstruct_nodes eigen", "reconstruct_nodes gauss",
@@ -613,11 +693,16 @@ class TestOnePolicy:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("name", ENTRY_POINTS)
-    def test_one_filter_per_factor_of_order_five_and_more(self, name, n, tmp_path,
-                                                          count_calls):
-        filters = count_calls(hq.orthopoly, "_standard_deviation")
+    def test_one_pass_per_eigensolve_of_order_five_and_more(self, name, n, tmp_path,
+                                                            count_calls):
+        # one filter, at most one Newton loop and one Christoffel pass, also
+        # for the nested pair of the eigen variant
+        filters, newton, christoffel = (count_calls(hq.orthopoly, f) for f in (
+            "_standard_deviation", "_newton_steps", "_christoffel"))
         orders = self.call(name, n, tmp_path)
-        assert filters[0] == sum(m >= 5 for m in orders)
+        assert filters[0] == (max(orders) >= 5)
+        assert newton[0] <= filters[0]
+        assert christoffel[0] == 1
 
 
 class TestChristoffelWeights:

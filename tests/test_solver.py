@@ -39,7 +39,7 @@ def accepted_lanes(monkeypatch):
 
     def spy(*args):
         y, ok = newton(*args)
-        accepted.append(int(ok.sum()))
+        accepted.append(int(ok.sum()))  # over the lanes of every factor
         return y, ok
 
     monkeypatch.setattr(hq.orthopoly, "_newton_from_standard", spy)
@@ -620,7 +620,8 @@ class TestBlocks:
         assert blocks == 3
         # the input grid's gate, then the new cells' gate
         assert len(rows["wheeler"]) == 2 * blocks
-        assert len(rows["jacobi"]) == blocks * (1 if variant == "gauss" else 2)
+        # the eigen variant solves Q_n and R_{n+1} in one nested call
+        assert len(rows["jacobi"]) == blocks
         assert max(rows["wheeler"] + rows["jacobi"]) <= size
         new._gate()
         assert len(rows["wheeler"]) == 2 * blocks
@@ -668,15 +669,18 @@ class TestWarmStart:
 
     @staticmethod
     def lane_counter(monkeypatch):
-        """Counts of the m >= 5 lanes the run solves and of the matrices
-        eigvalsh gets."""
-        counts = {"lanes": 0, "lapack": 0}
+        """Counts of the eigensolves of order >= 5 the run makes, of the
+        lanes of their factors of order >= 5 (Q_n and R_{n+1} of one nested
+        call count apart), and of the matrices eigvalsh gets."""
+        counts = {"calls": 0, "lanes": 0, "lapack": 0}
         jacobi, eigvalsh = hq.closures._jacobi_batch, np.linalg.eigvalsh
 
-        def lanes(diag, *args):
-            if diag.shape[1] >= 5:
-                counts["lanes"] += diag.shape[0]
-            return jacobi(diag, *args)
+        def lanes(diag, *args, nested=False, **kwargs):
+            m = diag.shape[1]
+            factors = sum(k >= 5 for k in ((m - 1, m) if nested else (m,)))
+            counts["calls"] += factors > 0
+            counts["lanes"] += factors * diag.shape[0]
+            return jacobi(diag, *args, nested=nested, **kwargs)
 
         def lapack(A):
             counts["lapack"] += A.shape[0]
@@ -702,10 +706,11 @@ class TestWarmStart:
         with monkeypatch.context() as patch:
             counts = self.lane_counter(patch)
             warm = hq.run(cfg).grid.cells
-        assert counts["lanes"] == 60 * 2 * 402
+        # one nested eigensolve per step, of two factors on 402 lanes
+        assert counts["calls"] == 60 and counts["lanes"] == 60 * 2 * 402
         assert 0 < counts["lapack"] <= lapack_share * counts["lanes"]
-        monkeypatch.setattr(hq.orthopoly, "_newton_from_standard",
-                            lambda d, *args: (np.empty(d.shape), np.zeros(d.shape[1], bool)))
+        monkeypatch.setattr(hq.orthopoly, "_standard_deviation",
+                            lambda d, *args: np.full((2, d.shape[1]), np.inf))
         cold = hq.run(cfg).grid.cells
         assert len(np.unique(cold, axis=0)) == 400
         assert np.max(np.abs(warm - cold) / np.max(np.abs(cold), axis=0)) <= 1e-12
@@ -717,7 +722,7 @@ class TestWarmStart:
         accepted = accepted_lanes(monkeypatch)
         counts = self.lane_counter(monkeypatch)
         hq.step(grid, SPEC1, "eigen", dt_max=cfg["dt_max"])
-        assert len(accepted) == 2 and counts["lanes"] == 2 * 402
+        assert len(accepted) == 1 and counts["lanes"] == 2 * 402
         assert counts["lapack"] == counts["lanes"] - sum(accepted)
 
     def test_far_from_equilibrium_the_step_solves_from_scratch(self, rng, monkeypatch):
@@ -729,15 +734,16 @@ class TestWarmStart:
         admitted = []
         warm = hq.orthopoly._newton_from_standard
 
-        def spy(d, off, standard):
-            dev = hq.orthopoly._standard_deviation(d, off, standard[0])
-            admitted.append(np.count_nonzero(dev < standard[2] / 8))
-            return warm(d, off, standard)
+        def spy(d, off, models, x):
+            dev = hq.orthopoly._standard_deviation(d, off, models[-1][0])[-len(models):]
+            admitted.append(np.count_nonzero(dev < [[model[2] / 8] for model in models]))
+            return warm(d, off, models, x)
 
         monkeypatch.setattr(hq.orthopoly, "_newton_from_standard", spy)
         newton, lapack = newton_lanes(monkeypatch), lapack_lanes(monkeypatch)
         hq.run(cfg)
-        assert admitted == [0, 0] and newton == [] and lapack == [42, 42]
+        # one filter for Q_6 and R_7, then one eigvalsh call per factor
+        assert admitted == [0] and newton == [] and lapack == [42, 42]
 
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
     def test_single_cell_api_is_the_steps_reconstruction(self, stiff_smooth_config, variant,
@@ -765,19 +771,21 @@ class TestWarmStart:
             # row j + 1: the step's one block starts with a ghost cell
             assert np.array_equal(q.nodes, nodes[j + 1])
             assert np.array_equal(q.weights, weights[j + 1])
-        assert accepted == [1] * (6 if variant == "eigen" else 3)
+        # one warm solve per cell, of both factors for eigen
+        assert accepted == [2 if variant == "eigen" else 1] * 3
         if variant == "eigen":
             for j, cell in enumerate(grid.cells):
                 sd = hq.spectral_decomposition(cell, SPEC1)
                 assert np.array_equal(sd.eigenvalues, nodes[j + 1])
                 assert np.array_equal(sd.weights, weights[j + 1])
 
-    @pytest.mark.parametrize("variant, solves", [("eigen", 2), ("gauss", 1)])
-    def test_one_filter_per_eigensolve(self, stiff_smooth_config, variant, solves,
-                                       monkeypatch, count_calls):
-        # near equilibrium at n = 6 a step filters each lane once: one
-        # _standard_deviation call per m >= 5 eigensolve, that is per block
-        # two for eigen (Q_6 and R_7) and one for gauss (augmented Q_7)
+    @pytest.mark.parametrize("variant, factors", [("eigen", 2), ("gauss", 1)])
+    def test_one_pass_per_eigensolve(self, stiff_smooth_config, variant, factors,
+                                     monkeypatch, count_calls):
+        # near equilibrium at n = 6 a step makes one m >= 5 eigensolve per
+        # block, nested (Q_6 and R_7) for eigen and the augmented Q_7 for
+        # gauss, and each runs one _standard_deviation filter, at most one
+        # _newton_steps loop and one _christoffel pass over all its factors
         cfg = dict(stiff_smooth_config, flux_variant=variant,
                    t_final=2 * stiff_smooth_config["dt_max"])
         grid = hq.run(cfg).grid
@@ -786,14 +794,17 @@ class TestWarmStart:
         assert blocks == 6
         solves_seen = [count_calls(module, "_jacobi_batch") for module in (hq.solver, hq.closures)]
         # every module that binds the filter counts into one total
-        filters = [count_calls(module, "_standard_deviation")
-                   for module in (hq.solver, hq.closures, hq.orthopoly)
-                   if hasattr(module, "_standard_deviation")]
+        passes = {name: [count_calls(module, name)
+                         for module in (hq.solver, hq.closures, hq.orthopoly)
+                         if hasattr(module, name)]
+                  for name in ("_standard_deviation", "_newton_steps", "_christoffel")}
         accepted = accepted_lanes(monkeypatch)
         hq.step(grid, SPEC1, variant, dt_max=cfg["dt_max"])
-        assert sum(c[0] for c in solves_seen) == blocks * solves
-        assert sum(c[0] for c in filters) == blocks * solves
-        assert sum(accepted) >= 0.95 * solves * 400
+        calls = {name: sum(c[0] for c in counters) for name, counters in passes.items()}
+        assert sum(c[0] for c in solves_seen) == blocks
+        assert calls["_standard_deviation"] == calls["_christoffel"] == blocks
+        assert calls["_newton_steps"] <= blocks
+        assert sum(accepted) >= 0.95 * factors * 400
 
 
 class TestConfigValidation:
@@ -857,6 +868,19 @@ class TestConfigValidation:
         with pytest.raises(hq.ConfigError) as exc:
             hq.validate_config(cfg)
         assert exc.value.field == where
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["rho", "U", "theta", "da", "db"])
+    def test_non_finite_initial_state_refused(self, field, value):
+        # "U": Infinity (or an infinite da/db entry) passed, and the run
+        # failed at t = 0 with numpy warnings instead of naming the field
+        cfg = self.base()
+        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
+                          {"rho": 0.5, "U": 0.0, "theta": 1.0}]
+        cfg["initial"][1][field] = [0.0, value] if field in ("da", "db") else value
+        with pytest.raises(hq.ConfigError, match="finite") as exc:
+            hq.validate_config(cfg)
+        assert exc.value.field == f"initial[1].{field}"
 
     @pytest.mark.parametrize(
         "domain", [[1e16, 1e16 + 4], [-1e308, 1e308], [0.0, math.inf]],
