@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import marshal
 import re
 import sys
 import time as _time
@@ -99,7 +98,8 @@ def _dump(obj):
     _encode refuses goes to json.dumps, which encodes it or raises as
     before: a value whose type is not exactly str, int, float, bool, None,
     list, tuple or dict (numpy scalars and subclasses included), a key
-    that is not a str, and nesting too deep or cyclic.
+    that is not a str, and nesting too deep or cyclic.  _encode's memo is
+    keyed by identity, for the fields verify-stability's entries share.
     """
     try:
         return _encode(obj, "\n", {})
@@ -110,13 +110,11 @@ def _dump(obj):
 def _encode(obj, newline, memo):
     """JSON text of ``obj`` at the indentation that ``newline`` ends with.
 
-    ``memo`` maps a container's marshal bytes and depth to its text, so
-    equal containers at one depth, such as the fields that the certificates
-    of a stability report share, are encoded once.  On the exact types
-    taken here, marshal's format 2 writes each value with its type and
-    each float as its eight bytes, with no back-references, so equal bytes
-    mean equal text.  A container that marshal refuses holds a value that
-    _encode refuses too.
+    ``memo`` maps a container's identity and depth to its text, so a
+    container that the report holds more than once at one depth, such as
+    the D, residuals and conditions that verify-stability's certificates
+    share, is encoded once.  _dump's argument holds every container until
+    it returns, so an id names one object throughout.
     """
     cls = type(obj)
     if cls is float:
@@ -134,7 +132,7 @@ def _encode(obj, newline, memo):
         return int.__repr__(obj)
     if cls is not list and cls is not tuple and cls is not dict:
         raise TypeError(f"{cls.__name__} is not a plain JSON type")
-    key = (marshal.dumps(obj, 2), len(newline))
+    key = (id(obj), len(newline))
     if key in memo:
         return memo[key]
     inner = newline + "  "
@@ -443,11 +441,12 @@ def _cmd_verify_stability(args):
     # one call draws what scalar draws of rho, U, theta, state after state, gave
     low, high = zip(args.rho_range, args.u_range, args.theta_range)
     draws = np.random.default_rng(args.seed).uniform(low, high, (args.samples, 3))
-    certificates = []
-    for rho, U, theta in draws.tolist():
-        state = EquilibriumState(rho=rho, U=U, theta=theta)
-        certificates.append(certify(state, n).as_dict())
-    failed = [c for c in certificates if not c["passed"]]
+    # every draw is a valid state (_require_sampling) and the certificate
+    # depends on n alone: all entries share its fields but the state
+    shared = certify(EquilibriumState(*draws[0].tolist()), n).as_dict()
+    certificates = [{**shared, "state": {"rho": rho, "U": U, "theta": theta}}
+                    for rho, U, theta in draws.tolist()]
+    failures = 0 if shared["passed"] else args.samples
     report = {
         "n": n,
         "samples": args.samples,
@@ -457,16 +456,16 @@ def _cmd_verify_stability(args):
         "u_range": list(args.u_range),
         "theta_range": list(args.theta_range),
         "certificates": certificates,
-        "failures": len(failed),
-        "passed": not failed,
+        "failures": failures,
+        "passed": not failures,
     }
     text = _print_json(args, report)
     if text is None:
         print(
-            f"n={n}: {args.samples} certificates, {len(failed)} failure(s)"
+            f"n={n}: {args.samples} certificates, {failures} failure(s)"
         )
     _write_report(args, "stability_report.json", report, text)
-    return EXIT_OK if not failed else EXIT_CERTIFICATION
+    return EXIT_OK if not failures else EXIT_CERTIFICATION
 
 
 def _cmd_simulate(args):

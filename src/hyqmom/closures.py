@@ -35,7 +35,6 @@ import numpy as np
 
 from .moments import (
     _as_moment_array,
-    _wheeler_batch,
     affine_transform,
     moments_to_recurrence,
 )
@@ -180,14 +179,6 @@ def _characteristic_rows(a, b, variant, gamma):
         return c, {"Qn": qn}
     c[:, : 2 * n - 1] -= _row_products(qm, qm)
     return c, {"Qn": qn, "Qn_minus_1": qm}
-
-
-def _close_hyqmom_batch(M, gamma):
-    """Closed moments -<G[:-1], M> for a batch of odd-length rows; no
-    validation."""
-    a, b, _ = _wheeler_batch(M)
-    c, _ = _characteristic_rows(a, b, "hyqmom", gamma)
-    return -np.sum(c[:, :-1] * M, axis=1)
 
 
 def close(m, spec):

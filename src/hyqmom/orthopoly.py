@@ -454,7 +454,10 @@ def _newton_from_standard(d, off, models, x):
     model is trusted; the others take ``_newton_steps``, one loop for both
     factors.  A factor accepts a lane it admits when its iterates have
     stopped in their windows and ascend strictly.  Each factor keeps its
-    own threshold, stop and windows, so solving the pair changes no bit."""
+    own threshold, stop and windows, and takes its guess over exactly the
+    lanes it admits, so the pair's bits are those of two separate solves.
+    That guess, one BLAS product, is the one step that is not lane-local:
+    its last bits can depend on how many lanes the factor admits."""
     rows = _factor_rows(len(models))
     m, K = d.shape
     devs = _standard_deviation(d, off, models[-1][0])[-len(models):]

@@ -40,7 +40,10 @@ eigenvalues at U + sqrt(theta) xi, with xi those of the standard normal.  Most l
 first-order guess, which Kato-Temple certifies, and the others take
 Newton steps that stop per lane; the eigen variant solves Q_n and R_{n+1}
 in one nested pass.  Each lane is filtered and solved on
-its own, so where the blocks end changes no bit.  The global dt follows
+its own, except that each factor's first-order guess is one BLAS product
+over the lanes it admits, whose last bits can depend on how many there
+are: where the blocks end can move an accepted eigenvalue's last bits
+(``orthopoly._newton_from_standard``).  The global dt follows
 from all speeds, reduced block by block.  The second pass scales the
 differences, adds the old cells, relaxes, and gates the new cells,
 writing the gate rows in place: ``_realizable_pivots_batch`` and
@@ -48,7 +51,7 @@ writing the gate rows in place: ``_realizable_pivots_batch`` and
 read-only without a copy, and the gate as its memo.  Within a block every per-order update is a contiguous
 row operation, and every cell sees the same operations in the same order
 as in one block over the whole grid, so the results are bitwise those of
-an unblocked step.  Inputs in C order give the same values, only through
+an unblocked step, but for that guess.  Inputs in C order give the same values, only through
 strided rows.
 """
 
@@ -448,12 +451,23 @@ def _is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _float(field, val):
+    """float(val), refusing with a ConfigError a JSON integer beyond the
+    largest double, on which float() raises OverflowError."""
+    try:
+        return float(val)
+    except OverflowError:
+        raise ConfigError(field, "integer exceeds the largest double") from None
+
+
 def _require(cfg, key, types, check=None, what=""):
     if key not in cfg:
         raise ConfigError(key, "missing")
     val = cfg[key]
     if not isinstance(val, types) or isinstance(val, bool):
         raise ConfigError(key, f"expected {what or types}, got {val!r}")
+    if isinstance(val, int):
+        _float(key, val)
     if check is not None and not check(val):
         raise ConfigError(key, f"invalid value {val!r} ({what})")
     return val
@@ -481,12 +495,12 @@ def validate_config(cfg):
         tau = np.inf
     if not _is_number(tau) or not tau > 0:
         raise ConfigError("tau", f"expected positive number (or 'inf'), got {cfg.get('tau')!r}")
-    out["tau"] = float(tau)
+    out["tau"] = _float("tau", tau)
     dom = _require(cfg, "domain", list, lambda v: len(v) == 2, "[x0, x1]")
     try:
         x0, x1 = float(dom[0]), float(dom[1])
-    except (TypeError, ValueError):
-        raise ConfigError("domain", "entries must be numbers") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("domain", "entries must be numbers within double range") from None
     if not x1 > x0:
         raise ConfigError("domain", "need x1 > x0")
     out["domain"] = [x0, x1]
@@ -508,14 +522,14 @@ def validate_config(cfg):
     snap = cfg.get("snapshot_every", None)
     if snap is not None and (not _is_number(snap) or not snap > 0):
         raise ConfigError("snapshot_every", "must be a positive number or omitted")
-    out["snapshot_every"] = None if snap is None else float(snap)
+    out["snapshot_every"] = None if snap is None else _float("snapshot_every", snap)
     out["boundary"] = _require(
         cfg, "boundary", str, lambda v: v in BOUNDARIES, f"one of {BOUNDARIES}"
     )
     dt_max = cfg.get("dt_max", None)
     if dt_max is not None and (not _is_number(dt_max) or not dt_max > 0):
         raise ConfigError("dt_max", "must be a positive number or omitted")
-    out["dt_max"] = None if dt_max is None else float(dt_max)
+    out["dt_max"] = None if dt_max is None else _float("dt_max", dt_max)
 
     segments = _require(cfg, "initial", list, lambda v: len(v) >= 1, "nonempty list")
     n = out["n"]
@@ -529,7 +543,7 @@ def validate_config(cfg):
             if not _is_number(val) or not low < val < np.inf:
                 what = "a finite number" if key == "U" else "a positive finite number"
                 raise ConfigError(f"initial[{i}].{key}", f"must be {what}")
-            ns[key] = float(val)
+            ns[key] = _float(f"initial[{i}].{key}", val)
         for key, maxlen in (("da", n), ("db", n + 1)):
             arr = seg.get(key, [])
             ok = isinstance(arr, list) and len(arr) <= maxlen
@@ -537,7 +551,7 @@ def validate_config(cfg):
                 raise ConfigError(
                     f"initial[{i}].{key}", f"must be a list of <= {maxlen} finite numbers"
                 )
-            ns[key] = [float(x) for x in arr]
+            ns[key] = [_float(f"initial[{i}].{key}", x) for x in arr]
         if i < len(segments) - 1:
             xu = seg.get("x_until")
             if not _is_number(xu) or not (x0 < xu <= x1):

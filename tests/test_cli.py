@@ -169,10 +169,9 @@ def test_two_wheeler_sweeps_per_vector(args, capsys, count_calls):
     import hyqmom as hq
 
     sweeps = count_calls(hq.moments, "_wheeler_batch")
-    closure_sweeps = count_calls(hq.closures, "_wheeler_batch")
     code, _, _ = run_cli(args, capsys)
     assert code == 0
-    assert sweeps[0] + closure_sweeps[0] == 2
+    assert sweeps[0] == 2
 
 
 class TestVerifyHyperbolicity:
@@ -643,6 +642,25 @@ class TestVerifyStability:
         assert code == 0
         assert "trivial" in out
 
+    def test_one_certificate_per_call(self, capsys, count_calls):
+        # the certificate depends on n alone: one certify call, not one per draw
+        calls = count_calls(cli, "certify")
+        code, _, _ = run_cli(["verify-stability", "--n", "3", "--samples", "125"], capsys)
+        assert code == 0 and calls[0] == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_entries_are_the_library_certificates(self, n, capsys):
+        code, out, _ = run_cli(
+            ["verify-stability", "--n", str(n), "--samples", "20", "--seed", str(n),
+             "--format", "json"],
+            capsys,
+        )
+        entries = json.loads(out)["certificates"]
+        assert code == 0 and len(entries) == 20
+        for entry in entries:
+            state = stability.EquilibriumState(**entry["state"])
+            assert entry == stability.certify(state, n).as_dict()
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         args = ["verify-stability", "--n", "2", "--samples", "5", "--seed", "11"]
         run_cli(args + ["--output-dir", str(tmp_path / "a")], capsys)
@@ -701,6 +719,18 @@ class TestSimulate:
                                capsys)
         assert code == 1
         assert err.startswith("config error") and field in err
+
+    def test_integer_beyond_double_exit_1(self, capsys, tmp_path):
+        # float() raises OverflowError on a JSON integer beyond the largest
+        # double; the config error names the field instead of a traceback
+        cfg = json.loads((CONFIGS / "riemann_n2.json").read_text())
+        cfg["initial"][0]["rho"] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(cfg))
+        code, _, err = run_cli(["simulate", str(bad), "--output-dir", str(tmp_path / "out")],
+                               capsys)
+        assert code == 1
+        assert err.startswith("config error") and "initial[0].rho" in err
 
     def test_unparseable_json_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -837,7 +867,7 @@ class TestReportEncoding:
             {(1, 2): "tuple key"},
             {1: "a", "b": 2},
             [1j],
-            # marshal writes a float64 and any buffer of the same bytes alike
+            # alike in content, unlike in type: a memo keyed on content would merge them
             [[np.float64(1.0)], [np.array([1.0])]],
             [[np.str_("a")], [b"a\x00\x00\x00"]],
         ],

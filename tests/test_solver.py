@@ -612,7 +612,6 @@ class TestBlocks:
             monkeypatch.setattr(module, name, wrapper)
 
         spy(hq.moments, "_wheeler_batch", "wheeler")
-        spy(hq.closures, "_wheeler_batch", "wheeler")
         spy(hq.solver, "_jacobi_batch", "jacobi")
         spy(hq.closures, "_jacobi_batch", "jacobi")
         new = hq.step(grid, SPEC1, variant)
@@ -883,6 +882,25 @@ class TestConfigValidation:
         assert exc.value.field == f"initial[1].{field}"
 
     @pytest.mark.parametrize(
+        "field",
+        ["rho", "U", "theta", "da", "db", "cells", "t_final", "dt_max", "snapshot_every",
+         "domain", "gamma", "tau"],
+    )
+    def test_integer_beyond_double_refused(self, field):
+        # JSON integers are unbounded, every range check passes 10**400, and
+        # float() raises OverflowError on it
+        big = 10**400
+        cfg = self.base()
+        if field in ("rho", "U", "theta", "da", "db"):
+            cfg["initial"][0][field] = [0.0, big] if field in ("da", "db") else big
+            where = f"initial[0].{field}"
+        else:
+            cfg[field], where = ([0.0, big] if field == "domain" else big), field
+        with pytest.raises(hq.ConfigError, match="double") as exc:
+            hq.validate_config(json.loads(json.dumps(cfg)))
+        assert exc.value.field == where
+
+    @pytest.mark.parametrize(
         "domain", [[1e16, 1e16 + 4], [-1e308, 1e308], [0.0, math.inf]],
         ids=["below-double-spacing", "overflowing-width", "infinite"],
     )
@@ -1096,12 +1114,10 @@ class TestRun:
         path = Path(__file__).parents[1] / "demos" / "configs" / "riemann_n2.json"
         steps = count_calls(hq.solver, "step")
         sweeps = count_calls(hq.moments, "_wheeler_batch")
-        other = count_calls(hq.closures, "_wheeler_batch")
         result = hq.run(path, output_dir=tmp_path)
         assert len(result.files) == len(result.snapshots) + 1
         assert steps[0] == result.manifest["steps"]
         assert sweeps[0] == result.manifest["steps"] + 1
-        assert other[0] == 0
 
     def test_runs_are_deterministic(self, tmp_path):
         cfg = TestConfigValidation().base()
