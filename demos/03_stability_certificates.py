@@ -36,7 +36,8 @@ import hyqmom as hq
 # --- the fixed symmetrizer weights -------------------------------------------
 for n in (1, 2, 3):
     w = hq.symmetrizer_weights(n)
-    lam = hq.standard_eigenvalues(n)
+    standard = hq.gaussian_moments(2 * n, 0.0, 1.0)
+    lam = hq.spectral_decomposition(standard, hq.ClosureSpec("hyqmom", gamma=1.0)).eigenvalues
     print(f"n={n}: standard eigenvalues {np.round(lam, 6)}")
     print(f"      symmetrizer weights  {np.round(w, 6)} (sum = {w.sum():.3f})")
 

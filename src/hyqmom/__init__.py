@@ -15,16 +15,10 @@ from .moments import (
     RealizabilityCheck,
     RecurrenceCoefficients,
     affine_transform,
-    gaussian_moment,
-    gaussian_moment_u_derivative,
     gaussian_moments,
     hankel_matrix,
     is_strictly_realizable,
     maxwellian_moments,
-    moments_from_csv_row,
-    moments_from_json,
-    moments_to_csv_row,
-    moments_to_json,
     moments_to_recurrence,
     recurrence_to_moments,
 )
@@ -43,14 +37,7 @@ from .closures import (
     SpectralDecomposition,
     characteristic_polynomial,
     close,
-    close_hyqmom,
-    close_new,
-    close_qmom,
-    hyqmom_closure,
     jacobian_matrix,
-    new_hyperbolic_closure,
-    polynomial_closure,
-    qmom_closure,
     spectral_decomposition,
     verify_affine_invariance,
 )
@@ -61,7 +48,6 @@ from .stability import (
     certify,
     coupling_residuals,
     source_jacobian,
-    standard_eigenvalues,
     symmetrizer_weights,
     tail_polynomials,
 )

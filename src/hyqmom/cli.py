@@ -244,7 +244,7 @@ def _cmd_spectrum(args):
             "1e-8 x spectral radius)",
             file=sys.stderr,
         )
-    payload = json.loads(sd.to_json())
+    payload = sd.as_dict()
     payload["gamma"] = args.gamma
     payload["weights_positive"] = sd.weights_positive
     payload["near_degenerate"] = sd.near_degenerate

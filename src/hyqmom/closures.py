@@ -28,7 +28,6 @@ eigenvalues are the merged, interlacing roots of the two factors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,22 +65,6 @@ class ClosureSpec:
             raise ValueError("polynomial closure needs a callable builder")
 
 
-def hyqmom_closure(gamma=1.0):
-    return ClosureSpec("hyqmom", gamma=gamma)
-
-
-def qmom_closure():
-    return ClosureSpec("qmom")
-
-
-def new_hyperbolic_closure():
-    return ClosureSpec("new")
-
-
-def polynomial_closure(builder):
-    return ClosureSpec("polynomial", builder=builder)
-
-
 @dataclass
 class CharacteristicPolynomial:
     """Monic characteristic coefficients (low-to-high) plus exposed factors."""
@@ -108,18 +91,16 @@ class SpectralDecomposition:
     weights_positive: bool = True
     near_degenerate: bool = False
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "c": [float(x) for x in self.c],
-                "lambda": [float(x) for x in self.eigenvalues],
-                "omega": [float(x) for x in self.weights],
-                "factors": {
-                    "Qn": [float(x) for x in self.factors["Qn"]],
-                    "Rn1": [float(x) for x in self.factors["Rn1"]],
-                },
-            }
-        )
+    def as_dict(self):
+        return {
+            "c": [float(x) for x in self.c],
+            "lambda": [float(x) for x in self.eigenvalues],
+            "omega": [float(x) for x in self.weights],
+            "factors": {
+                "Qn": [float(x) for x in self.factors["Qn"]],
+                "Rn1": [float(x) for x in self.factors["Rn1"]],
+            },
+        }
 
 
 def _check_gamma(gamma, n):
@@ -185,23 +166,6 @@ def close(m, spec):
     """Closure named by ``spec``: M_{N+1} = -<G[:-1], M> with G the
     characteristic polynomial of the closed system."""
     return float(-np.dot(characteristic_polynomial(m, spec).c[:-1], m))
-
-
-def close_hyqmom(m, gamma=1.0):
-    """HyQMOM closure of (M_0..M_2n): the unique M_{2n+1} whose induced
-    a_n equals (gamma/n) * sum(a_0..a_{n-1})."""
-    return close(m, hyqmom_closure(gamma))
-
-
-def close_qmom(m):
-    """QMOM closure of (M_0..M_{2n-1}): M_2n = <X^2n - Q_n^2>, the boundary
-    value that makes <Q_n^2> of the augmented vector vanish."""
-    return close(m, qmom_closure())
-
-
-def close_new(m):
-    """Strictly hyperbolic even-length closure M_2n = <X^2n - Q_n^2 + Q_{n-1}^2>."""
-    return close(m, new_hyperbolic_closure())
 
 
 def _ladder_scales(m):

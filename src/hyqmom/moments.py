@@ -29,7 +29,6 @@ C-ordered one gives the same values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -215,11 +214,6 @@ def gaussian_moments(order, U, theta):
     return np.moveaxis(out, 0, -1)
 
 
-def gaussian_moment(k, U, theta):
-    """Single Gaussian moment Delta_k(U, theta)."""
-    return float(gaussian_moments(k, U, theta)[..., k])
-
-
 def _gaussian_u_derivatives(order, U, theta, jmax):
     """dU^j Delta_k = k!/(k-j)! Delta_{k-j}(U, theta) for j = 0..jmax and
     k = 0..order, stacked on a leading j axis; zero where j > k."""
@@ -229,16 +223,6 @@ def _gaussian_u_derivatives(order, U, theta, jmax):
         fall = np.array([math.perm(k, j) for k in range(j, order + 1)], dtype=float)
         out[j, ..., j:] = fall * delta[..., : order + 1 - j]
     return out
-
-
-def gaussian_moment_u_derivative(k, j, U, theta):
-    """j-th derivative of Delta_k with respect to the mean velocity.
-
-    Equals k!/(k-j)! * Delta_{k-j}(U, theta); zero when j > k.
-    """
-    if j < 0 or k < 0:
-        raise ValueError("orders must be nonnegative")
-    return float(_gaussian_u_derivatives(k, U, theta, j)[j, k])
 
 
 def maxwellian_moments(rho, U, theta, order):
@@ -440,23 +424,3 @@ def recurrence_to_moments(rc, length):
     if need_a == 0:
         a = np.zeros(1)
     return _moments_from_recurrence_batch(a[None, :], b[None, :], length)[0]
-
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON arrays and single-line CSV rows, shortest round-trip
-# decimal formatting so files reproduce bit-identically across platforms.
-
-def moments_to_json(m):
-    return json.dumps([float(x) for x in _as_moment_array(m)])
-
-
-def moments_from_json(text):
-    return _as_moment_array(json.loads(text))
-
-
-def moments_to_csv_row(m):
-    return ",".join(repr(float(x)) for x in _as_moment_array(m))
-
-
-def moments_from_csv_row(row):
-    return _as_moment_array([float(tok) for tok in row.strip().split(",")])

@@ -32,7 +32,6 @@ Polynomial deflation and companion matrices are never used.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +60,6 @@ class Quadrature:
     def power_sum(self, k):
         """Reconstructed moment sum_i w_i u_i^k."""
         return float(np.sum(self.weights * self.nodes**k))
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "nodes": [float(x) for x in self.nodes],
-                "weights": [float(w) for w in self.weights],
-            }
-        )
 
 
 def poly_eval(coeffs, x):

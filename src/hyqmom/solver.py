@@ -94,6 +94,11 @@ NEAR_BOUNDARY_FRACTION = 1e-10
 # time goes").
 BLOCK_VALUES = 40960
 
+# Most cells a config may ask for, 100 times the benchmark's largest grid:
+# one moment row is then 80 MB.  Far larger counts fail inside numpy's
+# allocations, which name no config field.
+MAX_CELLS = 10**7
+
 # Cells per chunk of a snapshot CSV, whose columns are formatted a chunk at
 # a time: a float's repr takes about three times the float's memory.  At
 # n = 6, J = 400 the traced peak is 275 KB with 64 cells, 611 KB with one
@@ -497,14 +502,15 @@ def validate_config(cfg):
         raise ConfigError("tau", f"expected positive number (or 'inf'), got {cfg.get('tau')!r}")
     out["tau"] = _float("tau", tau)
     dom = _require(cfg, "domain", list, lambda v: len(v) == 2, "[x0, x1]")
-    try:
-        x0, x1 = float(dom[0]), float(dom[1])
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("domain", "entries must be numbers within double range") from None
+    if not all(map(_is_number, dom)):
+        raise ConfigError("domain", f"entries must be numbers, got {dom!r}")
+    x0, x1 = _float("domain", dom[0]), _float("domain", dom[1])
     if not x1 > x0:
         raise ConfigError("domain", "need x1 > x0")
     out["domain"] = [x0, x1]
-    out["cells"] = int(_require(cfg, "cells", int, lambda v: v >= 2, "integer >= 2"))
+    out["cells"] = int(
+        _require(cfg, "cells", int, lambda v: 2 <= v <= MAX_CELLS, f"integer in 2..{MAX_CELLS}")
+    )
     with np.errstate(invalid="ignore"):  # an infinite domain or width makes inf - inf
         centers, dx = _cell_centers(x0, x1, out["cells"])
         ascending = x0 < centers[0] and centers[-1] <= x1 and np.all(centers[1:] > centers[:-1])

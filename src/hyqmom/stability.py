@@ -42,7 +42,6 @@ roughly (1 + |U|/sqrt(theta))^{2n}.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import types
 from dataclasses import dataclass
@@ -84,9 +83,6 @@ class StabilityCertificate:
     residuals: dict
     conditions: dict
     passed: bool
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def as_dict(self):
         return {
@@ -167,11 +163,6 @@ def tail_polynomials(state, n):
         h=[H[j, : N + 1 - j] for j in range(3)],
         char_coeffs=c,
     )
-
-
-def standard_eigenvalues(n, gamma=1.0):
-    """Eigenvalues of the closed system at the standard state (U=0, theta=1)."""
-    return _equilibrium_spectrum(n, 0.0, 1.0, gamma)[0]
 
 
 @functools.cache

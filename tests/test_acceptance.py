@@ -309,10 +309,10 @@ def test_criterion_4_affine_invariance():
         m = _moments_from_recurrence_batch(a[None], b[None], 2 * n + 1)[0]
         u = rng.uniform(-3, 3)
         s = rng.uniform(0.5, 2)
-        res_affine[i] = hq.verify_affine_invariance(m, hq.hyqmom_closure(1.0), u, s)
+        res_affine[i] = hq.verify_affine_invariance(m, hq.ClosureSpec("hyqmom", gamma=1.0), u, s)
         for g in (0.0, 2.0):
             res_broken[g][i] = hq.verify_affine_invariance(
-                m, hq.hyqmom_closure(g), u, s
+                m, hq.ClosureSpec("hyqmom", gamma=g), u, s
             )
     fractions = {g: float(np.mean(r > 1e-4)) for g, r in res_broken.items()}
     passed = res_affine.max() < 1e-9 and all(f >= 0.95 for f in fractions.values())
@@ -368,7 +368,7 @@ def test_criterion_6_realizability_preservation():
     """Randomized Riemann problems: no realizability loss and conservation
     of the collision invariants to 1e-12 relative per step."""
     rng = np.random.default_rng(SEED)
-    spec = hq.hyqmom_closure(1.0)
+    spec = hq.ClosureSpec("hyqmom", gamma=1.0)
     cells_count = 200
     total_steps = 0
     worst_cons = 0.0
@@ -417,7 +417,7 @@ def test_criterion_6_realizability_preservation():
 def test_criterion_7_relaxation_exactness():
     """Homogeneous runs follow the scalar semi-implicit decay recurrence to
     1e-13 per component per step."""
-    spec = hq.hyqmom_closure(1.0)
+    spec = hq.ClosureSpec("hyqmom", gamma=1.0)
     worst = 0.0
     for n, tau in ((2, 0.05), (3, 0.8)):
         m = hq.recurrence_to_moments(
@@ -484,7 +484,7 @@ def test_criterion_8_degenerate_versus_hyperbolic_closures():
         # the probe closes exactly like the library operation
         for j in range(0, SAMPLES, 250):
             assert close_rows(M[j : j + 1])[0] == pytest.approx(
-                hq.close_qmom(M[j]), rel=1e-12
+                hq.close(M[j], hq.ClosureSpec("qmom")), rel=1e-12
             )
 
         cfd = _complex_step_coefficients(M, close_rows, 2 * n)
@@ -502,7 +502,7 @@ def test_criterion_8_degenerate_versus_hyperbolic_closures():
             roots = hq.jacobi_roots(aa[j][:n], bb[j][1:n])
             radius = np.max(np.abs(roots))
             assert np.min(np.diff(roots)) > 1e-9 * radius if n > 1 else True
-            A = hq.jacobian_matrix(M[j], hq.qmom_closure())
+            A = hq.jacobian_matrix(M[j], hq.ClosureSpec("qmom"))
             ev = np.linalg.eigvals(A)
             ev = ev[np.argsort(ev.real)]
             pair_gap = np.max(np.abs(ev.reshape(n, 2)[:, 0] - ev.reshape(n, 2)[:, 1]))
@@ -525,7 +525,7 @@ def test_criterion_8_degenerate_versus_hyperbolic_closures():
             assert np.all(g_at_qm > 0)
         if n >= 2:
             j = int(rng.integers(0, SAMPLES))
-            A = hq.jacobian_matrix(M[j], hq.new_hyperbolic_closure())
+            A = hq.jacobian_matrix(M[j], hq.ClosureSpec("new"))
             ev = np.sort(np.linalg.eigvals(A).real)
             min_new_gap = min(min_new_gap, float(np.min(np.diff(ev)) / np.max(np.abs(ev))))
 

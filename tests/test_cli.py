@@ -98,7 +98,7 @@ class TestClose:
 
     def test_gate_agrees_with_library_near_boundary(self, capsys):
         # last pivot 1.44e-12 x M_0, just above the floor: the gate and
-        # close_hyqmom share one realizability predicate, so both accept
+        # close share one realizability predicate, so both accept
         import hyqmom as hq
 
         row = (
@@ -106,7 +106,8 @@ class TestClose:
             "27.82357296912319,73.6377332983277,198.11466826731376,"
             "535.15663728695,1453.6503989887415"
         )
-        expected = hq.close_hyqmom([float(x) for x in row.split(",")])
+        m = [float(x) for x in row.split(",")]
+        expected = hq.close(m, hq.ClosureSpec("hyqmom", gamma=1.0))
         code, out, _ = run_cli(["close", "--hyqmom", "--moments", row], capsys)
         assert code == 0
         assert out.splitlines()[0] == f"M_9 = {expected!r}"
@@ -878,6 +879,10 @@ class TestReportEncoding:
         with pytest.raises(TypeError) as theirs:
             self.reference(obj)
         assert str(mine.value) == str(theirs.value)
+
+    def test_extreme_magnitudes_round_trip(self):
+        m = [1e-200, 1.0 + 2**-52, -3.7e150, 0.1]
+        assert json.loads(_dump(m)) == m
 
     def test_cycle_raises_as_json_does(self):
         cycle = []

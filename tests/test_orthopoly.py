@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -148,12 +146,6 @@ class TestGaussQuadrature:
         with pytest.raises(hq.NotRealizableError):
             hq.gauss_quadrature([1, 0, 1, 0, 1, 0])
 
-    def test_json(self):
-        q = hq.gauss_quadrature([1, 0, 1, 0])
-        data = json.loads(q.to_json())
-        assert np.allclose(data["nodes"], [-1.0, 1.0])
-        assert np.allclose(data["weights"], [0.5, 0.5])
-
 
 def _recurrence_row(rng, m, case):
     """Recurrence rows a (m,) and b (m,) of a Gaussian-like measure: a_k
@@ -265,7 +257,7 @@ class TestSmallOrderEigenvalues:
             cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 2 * n), (40, 1))
             cells[20:] = hq.maxwellian_moments(0.125, 0.3, 0.8, 2 * n)
             grid = hq.GridState(cells=cells, dx=np.full(40, 1 / 40), tau=1.0)
-            hq.step(grid, hq.hyqmom_closure(1.0), "gauss")
+            hq.step(grid, hq.ClosureSpec("hyqmom", gamma=1.0), "gauss")
         assert calls[0] == 0
 
     def test_one_lapack_call_per_batch_from_order_five(self, rng, count_calls):
@@ -671,7 +663,7 @@ class TestOnePolicy:
     def call(name, n, tmp_path):
         """Runs the entry point once at half order n and returns the orders
         of the Jacobi matrices it solves."""
-        spec = hq.hyqmom_closure(1.0)
+        spec = hq.ClosureSpec("hyqmom", gamma=1.0)
         m = hq.maxwellian_moments(0.8, 0.3, 1.2, 2 * n)
         if name.startswith("step"):
             grid = hq.GridState(cells=np.tile(m, (40, 1)), dx=np.full(40, 1 / 40), tau=1.0)

@@ -18,7 +18,7 @@ from hyqmom.solver import (
 from corpus import random_odd_moments, smooth_random_config
 from reference import kinetic_flux
 
-SPEC1 = hq.hyqmom_closure(1.0)
+SPEC1 = hq.ClosureSpec("hyqmom", gamma=1.0)
 
 
 def hankel_positive_definite(m):
@@ -122,7 +122,7 @@ class TestReconstructNodes:
 
     def test_eigen_gamma_restriction(self):
         with pytest.raises(ValueError, match="gamma"):
-            hq.reconstruct_nodes([1, 0, 1], hq.hyqmom_closure(-1.5), "eigen")
+            hq.reconstruct_nodes([1, 0, 1], hq.ClosureSpec("hyqmom", gamma=-1.5), "eigen")
 
     def test_batch_matches_scalar(self, rng):
         # independent references: the Gauss rule of the vector augmented by
@@ -134,7 +134,7 @@ class TestReconstructNodes:
             nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
             for j in range(10):
                 if variant == "gauss":
-                    q = hq.gauss_quadrature(np.append(cells[j], hq.close_hyqmom(cells[j], 1.0)))
+                    q = hq.gauss_quadrature(np.append(cells[j], hq.close(cells[j], SPEC1)))
                 else:
                     sd = hq.spectral_decomposition(cells[j], SPEC1)
                     q = hq.Quadrature(nodes=sd.eigenvalues, weights=sd.weights)
@@ -573,22 +573,27 @@ class TestBlocks:
     def test_loss_after_the_step_names_the_first_bad_cell(self, block_cells, monkeypatch):
         # a relaxation target with M_2 < 0 at cells 37 and 45 and a stiff
         # relaxation leave those stepped cells unrealizable; the gate the
-        # step builds block by block must name cell 37
+        # step builds block by block must name cell 37.  The blocks relax in
+        # order, so a cell is found by its column in its block plus the
+        # cells relaxed before it, whichever state the target is taken from
         if block_cells:
             monkeypatch.setattr(hq.solver, "BLOCK_VALUES", block_cells * 5)
         cells = np.tile(hq.maxwellian_moments(1.0, 0.0, 1.0, 4), (50, 1))
-        cells[[37, 45]] = hq.maxwellian_moments(1.0, 0.7, 1.0, 4)
         grid = hq.GridState(cells=cells, dx=np.full(50, 0.02), tau=1e-9)
         target = hq.solver.gaussian_moments
+        relaxed = [0]
 
         def broken(order, U, theta):
             out = np.array(target(order, U, theta))
-            out[U == 0.7, 2] = -1.0
+            cell = relaxed[0] + np.arange(len(out))
+            relaxed[0] += len(out)
+            out[np.isin(cell, [37, 45]), 2] = -1.0
             return out
 
         monkeypatch.setattr(hq.solver, "gaussian_moments", broken)
         with pytest.raises(hq.RealizabilityLossError, match="lost strict") as exc:
             hq.step(grid, SPEC1, "gauss")
+        assert relaxed == [50]
         assert exc.value.cell == 37
 
     @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
@@ -840,6 +845,11 @@ class TestConfigValidation:
             ("boundary", "reflecting"),
             ("gamma", math.inf),
             ("t_final", math.inf),
+            # float() read these as [0.0, 1.0]
+            ("domain", ["0", "1e0"]),
+            ("domain", [False, True]),
+            # numpy failed on it inside the run, naming no field
+            ("cells", 10**20),
         ],
     )
     def test_bad_fields(self, field, value):
@@ -1031,6 +1041,18 @@ class TestRun:
         row = [float(tok) for tok in lines[1].split(",")]
         assert row[-1] == 1.0  # realizable flag
         assert row[1:6] == list(hq.maxwellian_moments(1.0, 0.0, 1.0, 4))
+
+    def test_snapshot_csv_extreme_magnitudes_round_trip(self):
+        # each value is written as its shortest round-trip repr, so the
+        # moments read back bit for bit at any magnitude
+        cells = np.array([hq.maxwellian_moments(rho, U, 1.0, 4) for rho, U in
+                          ((1e-200, 0.0), (1.0 + 2**-52, 0.0), (3.7e150, -1.0), (1.0, 0.1))])
+        assert {1e-200, 1.0 + 2**-52, -3.7e150, 0.1} <= set(cells.ravel().tolist())
+        grid = hq.GridState(cells=cells, dx=np.full(4, 0.25), tau=1.0)
+        _, U, theta = hq.solver._flagged_cells(grid)
+        lines = hq.solver._snapshot_csv_lines(grid, U, theta, "header", ["0.0"] * 4)
+        parsed = np.array([[float(tok) for tok in line.split(",")[1:6]] for line in lines[1:]])
+        assert np.array_equal(parsed, cells)
 
     @pytest.mark.parametrize("rows", [7, hq.solver.CSV_ROWS])
     @pytest.mark.parametrize("config", ["riemann_n2.json", "relaxation_homogeneous.json"])
