@@ -34,7 +34,7 @@ from .moments import (
     _realizability,
 )
 from .orthopoly import check_interlacing
-from .solver import ConfigError, RealizabilityLossError, _blocks, run
+from .solver import MAX_CELLS, ConfigError, RealizabilityLossError, _blocks, run
 from .stability import EquilibriumState, certify
 
 EXIT_OK = 0
@@ -327,14 +327,18 @@ _SAMPLING_RANGES = {
 
 
 def _require_sampling(args):
-    """Refuse an order outside 1..MAX_HALF_ORDER, no samples, or a sampling
-    range that is not finite with low <= high (low > 0 where required)."""
+    """Refuse an order outside 1..MAX_HALF_ORDER, a sample count outside
+    1..solver.MAX_CELLS, or a sampling range that is not finite with
+    low <= high (low > 0 where required).  Far larger counts would fail
+    inside numpy's allocation of the draws, which names no flag."""
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.n > MAX_HALF_ORDER:
         raise ValueError(f"n={args.n} exceeds the supported cap n={MAX_HALF_ORDER}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples > MAX_CELLS:
+        raise ValueError(f"--samples must be <= {MAX_CELLS}, got {args.samples}")
     for name, positive in _SAMPLING_RANGES.items():
         if not hasattr(args, name):
             continue

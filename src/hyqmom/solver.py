@@ -27,12 +27,16 @@ A step runs over contiguous blocks of cells (``_blocks``), each holding
 about ``BLOCK_VALUES`` moment values, so that one block's rows and the
 temporaries built from them stay in cache.  The first pass gates,
 reconstructs, takes each cell's CFL speed and writes its split power sums,
-the two halves of its interface fluxes, into block-local rows.  Each block
-reconstructs one ghost cell beyond either end, a neighbour's rows or, at
-the grid's ends, rows taken by the boundary rule, so its faces and flux
-differences come from its own rows: nothing carries over from one block to
-the next, and no table spans the grid's interfaces.  The differences go
-straight into the (2n+1, J) buffer of the new cells.  Near equilibrium the
+the two halves of its interface fluxes, into block-local rows: one running
+power per order, whose weighted terms the node signs mask into the two
+halves.  Those masked sums skip only zero terms of the clipped powers
+max(x, 0)^(k+1) and min(x, 0)^(k+1), so their bits are the clipped sums'
+(``_interface_fluxes``).  Each block reconstructs one ghost cell beyond
+either end, a neighbour's rows or, at the grid's ends, rows taken by the
+boundary rule, so its faces and flux differences come from its own rows:
+nothing carries over from one block to the next, and no table spans the
+grid's interfaces.  The differences go straight into the (2n+1, J)
+buffer of the new cells.  Near equilibrium the
 reconstruction's eigensolves of order >= 5 start, as every such eigensolve
 does, from the standard state's spectra (``_jacobi_batch``): by the
 closure's affine invariance a local Maxwellian at gamma = 1 has its
@@ -94,9 +98,10 @@ NEAR_BOUNDARY_FRACTION = 1e-10
 # time goes").
 BLOCK_VALUES = 40960
 
-# Most cells a config may ask for, 100 times the benchmark's largest grid:
-# one moment row is then 80 MB.  Far larger counts fail inside numpy's
-# allocations, which name no config field.
+# Most cells a config may ask for, and most --samples a verify command
+# draws, 100 times the benchmark's largest grid: one moment row is then
+# 80 MB.  Far larger counts fail inside numpy's allocations, which name no
+# config field or flag.
 MAX_CELLS = 10**7
 
 # Cells per chunk of a snapshot CSV, whose columns are formatted a chunk at
@@ -280,22 +285,34 @@ def _interface_fluxes(nodes, weights, right, left):
     the cell sends through its right interface, and row k of ``left`` the
     same sum over its nonpositive nodes, sent through its left interface;
     the flux of an interface is the right half of the cell before it plus
-    the left half of the cell after it.  The two running powers
-    max(x, 0)^(k+1) and min(x, 0)^(k+1) are kept order-major and updated in
-    place, and each weighted sum goes through one scratch buffer straight
-    into its row.
+    the left half of the cell after it.  One running power x^(k+1) is kept
+    order-major and updated in place; per order its weighted terms go
+    through one buffer, and the two halves are its sums masked by the
+    node's sign, node after node, straight into their rows.
+
+    These are bitwise the sums of w max(x, 0)^(k+1) and w min(x, 0)^(k+1)
+    over all nodes: each clipped power is x's own chain of products where
+    the sign matches and a zero elsewhere, and a masked sum skips exactly
+    those zero terms, in the same node order.  Both sums start from +0.0,
+    and a sum that starts there is never -0.0 (x + y is -0.0 only if both
+    are), so the zero terms the masks skip would change no partial sum, not
+    even a zero one's sign.  A NaN node, which is not positive, lands in the
+    left half only.  numpy's masked sums test the mask element by element:
+    they are fast where neighbouring cells share their node signs, as in a
+    smooth solution, and slower than the clipped sums where the signs are
+    random from cell to cell.
     """
     X, W = nodes.T, weights.T
-    pos = np.maximum(X, 0.0, out=np.empty(X.shape))
-    neg = np.minimum(X, 0.0, out=np.empty(X.shape))
-    scratch = np.empty(X.shape)
+    powers = X.copy()
+    positive = powers > 0.0
+    nonpositive = ~positive
+    weighted = np.empty(X.shape)
     for k in range(right.shape[0]):
         if k:
-            # each power is zero where its sign does not match, and stays so
-            pos *= X
-            neg *= X
-        np.sum(np.multiply(W, pos, out=scratch), axis=0, out=right[k])
-        np.sum(np.multiply(W, neg, out=scratch), axis=0, out=left[k])
+            powers *= X
+        np.multiply(W, powers, out=weighted)
+        np.add.reduce(weighted, axis=0, where=positive, out=right[k])
+        np.add.reduce(weighted, axis=0, where=nonpositive, out=left[k])
 
 
 def _flux_differences(grid, a, b, gamma, variant, blocks):

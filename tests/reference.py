@@ -43,6 +43,23 @@ def kinetic_flux(left, right, k):
     )
 
 
+def clipped_power_sums(nodes, weights, right, left):
+    """The split power sums of a block of (B, N) rules into (K, B) rows,
+    from two running clipped powers: row k of ``right`` is the node-ordered
+    sum of w max(x, 0)^(k+1), row k of ``left`` that of w min(x, 0)^(k+1),
+    each over all N nodes."""
+    X, W = nodes.T, weights.T
+    pos = np.maximum(X, 0.0, out=np.empty(X.shape))
+    neg = np.minimum(X, 0.0, out=np.empty(X.shape))
+    scratch = np.empty(X.shape)
+    for k in range(right.shape[0]):
+        if k:
+            pos *= X
+            neg *= X
+        np.sum(np.multiply(W, pos, out=scratch), axis=0, out=right[k])
+        np.sum(np.multiply(W, neg, out=scratch), axis=0, out=left[k])
+
+
 def mp_recurrence(m):
     """Wheeler (a, b) of a moment list, odd or even length."""
     L, n = len(m), len(m) // 2

@@ -504,6 +504,23 @@ class TestSamplingRanges:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("samples", [10**20, solver.MAX_CELLS + 1])
+    @pytest.mark.parametrize("command", ["verify-hyperbolicity", "verify-stability"])
+    def test_too_many_samples_refused(self, command, samples, capsys, tmp_path, monkeypatch):
+        # refused before anything is drawn, naming the flag, where numpy's
+        # refusal of the draws' shape names none
+        def no_draws(*args):
+            raise AssertionError("samples drawn past the cap")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        code, _, err = run_cli(
+            [command, "--n", "2", "--samples", str(samples), "--output-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert f"--samples must be <= {solver.MAX_CELLS}, got {samples}" in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "command, flag, low, plain",
         [

@@ -16,7 +16,7 @@ from hyqmom.solver import (
     build_initial_grid,
 )
 from corpus import random_odd_moments, smooth_random_config
-from reference import kinetic_flux
+from reference import clipped_power_sums, kinetic_flux
 
 SPEC1 = hq.ClosureSpec("hyqmom", gamma=1.0)
 
@@ -211,8 +211,9 @@ class TestKineticFlux:
             assert np.array_equal(blocked[1], np.zeros((5, 1)))
 
     def test_peak_memory(self, rng):
-        # the two running powers and one scratch buffer, each the size of
-        # the nodes, are all a block's split sums allocate
+        # one running power and one buffer of weighted terms, each the size
+        # of the nodes, and two sign masks an eighth of it each, are all a
+        # block's split sums allocate: 2.25 * nodes.nbytes + 1944 B measured
         cells = random_odd_moments(rng, 2, count=10_000)
         _, a, b, _ = _realizable_pivots_batch(cells)
         nodes, weights = _reconstruct_batch(a, b, 1.0, "gauss")
@@ -223,7 +224,91 @@ class TestKineticFlux:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * nodes.nbytes + 4096
+        assert peak <= 2.25 * nodes.nbytes + 4096
+
+    @staticmethod
+    def split_sums(nodes, weights, orders):
+        """The kernel's halves, (2, orders, B), after checking that the rules
+        C- and F-ordered give the clipped reference's bits and zero signs."""
+        for order in ("C", "F"):
+            x, w = np.array(nodes, order=order), np.array(weights, order=order)
+            mine, clipped = np.empty((2, 2, orders, len(x)))
+            _interface_fluxes(x, w, *mine)
+            clipped_power_sums(x, w, *clipped)
+            assert np.array_equal(mine, clipped)
+            assert np.array_equal(np.signbit(mine), np.signbit(clipped))
+        return mine
+
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_halves_are_the_clipped_sums(self, rng, n, variant):
+        # up to 21 nodes and 21 orders, nodes of both signs in most cells
+        cells = random_odd_moments(rng, n, count=64, a_range=(-1, 1), b_range=(0.5, 2))
+        ok, a, b, _ = _realizable_pivots_batch(cells)
+        assert np.all(ok)
+        nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
+        assert nodes.shape == (64, n + 1 if variant == "gauss" else 2 * n + 1)
+        mixed = np.any(nodes > 0, axis=1) & np.any(nodes <= 0, axis=1)
+        assert mixed.sum() >= 32
+        self.split_sums(nodes, weights, 2 * n + 1)
+
+    def test_zero_nodes_and_one_signed_cells(self):
+        # exact zeros of either sign are nonpositive: their terms go to the
+        # left half and vanish there; a half with no node of its sign is
+        # +0.0, as the clipped sums give it
+        nodes = np.array([
+            [1.0, 2.0, 3.0],
+            [-3.0, -2.0, -1.0],
+            [-0.0, 0.0, 1.0],
+            [-0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0],
+            [-1.0, -0.0, 2.0],
+        ])
+        weights = np.tile([0.5, 0.25, 2.0], (6, 1))
+        right, left = self.split_sums(nodes, weights, 5)
+        p = np.arange(1, 6)
+        # every term and partial sum is exact in doubles
+        expect_right = [
+            0.5 + 0.25 * 2.0**p + 2.0 * 3.0**p,
+            np.zeros(5),
+            np.full(5, 2.0),
+            np.zeros(5),
+            np.zeros(5),
+            2.0 * 2.0**p,
+        ]
+        expect_left = [
+            np.zeros(5),
+            0.5 * (-3.0) ** p + 0.25 * (-2.0) ** p + 2.0 * (-1.0) ** p,
+            np.zeros(5),
+            np.zeros(5),
+            np.zeros(5),
+            0.5 * (-1.0) ** p,
+        ]
+        assert np.array_equal(right, np.transpose(expect_right))
+        assert np.array_equal(left, np.transpose(expect_left))
+        assert not np.any(np.signbit(right[right == 0]))
+        assert not np.any(np.signbit(left[left == 0]))
+
+    @pytest.mark.parametrize("variant", hq.solver.FLUX_VARIANTS)
+    def test_nan_node_fails_the_step(self, rng, variant, monkeypatch):
+        # a NaN node of cell 4 lands in its left half, so the face between
+        # cells 3 and 4 and both their differences are NaN; the post-step
+        # check names the first of them
+        cells = random_odd_moments(rng, 2, count=8, a_range=(-1, 1), b_range=(0.5, 2))
+        grid = hq.GridState(cells=cells, dx=np.full(8, 1 / 8), tau=1.0, boundary="zero-gradient")
+        reconstruct = hq.solver._reconstruct_batch
+
+        def nan_node(*args):
+            nodes, weights = reconstruct(*args)
+            nodes = nodes.copy()
+            # one block: row 0 is the ghost cell before cell 0
+            nodes[5, 1] = np.nan
+            return nodes, weights
+
+        monkeypatch.setattr(hq.solver, "_reconstruct_batch", nan_node)
+        with pytest.raises(hq.RealizabilityLossError, match="lost strict realizability") as exc:
+            hq.step(grid, SPEC1, variant)
+        assert exc.value.cell == 3
 
     def test_full_upwind_from_left(self):
         left = hq.Quadrature(nodes=np.array([0.5, 2.0]), weights=np.array([1.0, 0.5]))
