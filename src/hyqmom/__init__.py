@@ -28,7 +28,6 @@ from .orthopoly import (
     gauss_quadrature,
     jacobi_roots,
     poly_eval,
-    poly_mul,
 )
 from .closures import (
     CharacteristicPolynomial,

@@ -14,7 +14,6 @@ import json
 import re
 import sys
 import time as _time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,11 @@ EXIT_CERTIFICATION = 3
 EXIT_REALIZABILITY_LOSS = 4
 
 PRNG_NAME = "PCG64"
+
+# verify-stability's --samples cap: each sampled state has a report entry of
+# its own, 0.42 KB of text; with the report written, about 2 KB of memory
+# per state at n = 2 (the entry, the text and the copies made in writing it)
+MAX_CERTIFICATES = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,92 +91,30 @@ def _parse_moments(text):
     return np.array(vals)
 
 
-_FLOAT_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dump(obj):
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
-
-    With ``indent`` set json always runs its pure-Python encoder, a chain
-    of generators per nesting level; _encode joins strings instead.  What
-    _encode refuses goes to json.dumps, which encodes it or raises as
-    before: a value whose type is not exactly str, int, float, bool, None,
-    list, tuple or dict (numpy scalars and subclasses included), a key
-    that is not a str, and nesting too deep or cyclic.  _encode's memo is
-    keyed by identity, for the fields verify-stability's entries share.
-    """
-    try:
-        return _encode(obj, "\n", {})
-    except (TypeError, ValueError, RecursionError):
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _encode(obj, newline, memo):
-    """JSON text of ``obj`` at the indentation that ``newline`` ends with.
-
-    ``memo`` maps a container's identity and depth to its text, so a
-    container that the report holds more than once at one depth, such as
-    the D, residuals and conditions that verify-stability's certificates
-    share, is encoded once.  _dump's argument holds every container until
-    it returns, so an id names one object throughout.
-    """
-    cls = type(obj)
-    if cls is float:
-        text = float.__repr__(obj)
-        return _FLOAT_SPELLING.get(text, text)
-    if cls is str:
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if cls is int:
-        return int.__repr__(obj)
-    if cls is not list and cls is not tuple and cls is not dict:
-        raise TypeError(f"{cls.__name__} is not a plain JSON type")
-    key = (id(obj), len(newline))
-    if key in memo:
-        return memo[key]
-    inner = newline + "  "
-    if cls is dict:
-        parts = []
-        for name, value in sorted(obj.items()):
-            if type(name) is not str:
-                raise TypeError(f"key {name!r} is not a str")
-            parts.append(encode_basestring_ascii(name) + ": " + _encode(value, inner, memo))
-        brackets = "{}"
-    else:
-        parts = [_encode(value, inner, memo) for value in obj]
-        brackets = "[]"
-    if parts:
-        text = brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
-    else:
-        text = brackets
-    memo[key] = text
-    return text
-
-
 def _print_json(args, payload):
     """Print the report under --format json and return its text, for
-    _write_report to reuse; None under the other formats."""
+    _write_report to reuse; None under the other formats.  Every JSON file
+    the package writes is json.dumps(payload, sort_keys=True): one line,
+    written by json's C encoder, which ``indent`` would turn off."""
     if args.format != "json":
         return None
-    text = _dump(payload)
+    text = json.dumps(payload, sort_keys=True)
     print(text)
     return text
 
 
 def _write_report(args, name, payload, text=None):
-    """Write the report and a manifest under --output-dir; ``text`` is the
-    report's JSON if it was already encoded for stdout."""
+    """Write the report and a manifest under --output-dir, each in
+    _print_json's layout; ``text`` is the report's JSON if it was already
+    encoded for stdout."""
     if args.output_dir is None:
         return []
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / name
-    report_path.write_text((_dump(payload) if text is None else text) + "\n")
+    if text is None:
+        text = json.dumps(payload, sort_keys=True)
+    report_path.write_text(text + "\n")
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -185,7 +127,7 @@ def _write_report(args, name, payload, text=None):
         "wall_clock_s": _time.time() - args._started,
     }
     man_path = out / "manifest.json"
-    man_path.write_text(_dump(manifest) + "\n")
+    man_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
     return [str(report_path), str(man_path)]
 
 
@@ -326,19 +268,19 @@ _SAMPLING_RANGES = {
 }
 
 
-def _require_sampling(args):
+def _require_sampling(args, cap):
     """Refuse an order outside 1..MAX_HALF_ORDER, a sample count outside
-    1..solver.MAX_CELLS, or a sampling range that is not finite with
-    low <= high (low > 0 where required).  Far larger counts would fail
-    inside numpy's allocation of the draws, which names no flag."""
+    1..cap, or a sampling range that is not finite with low <= high
+    (low > 0 where required).  Far larger counts would fail inside numpy's
+    allocation of the draws, which names no flag."""
     if args.n < 1:
         raise ValueError("n must be >= 1")
     if args.n > MAX_HALF_ORDER:
         raise ValueError(f"n={args.n} exceeds the supported cap n={MAX_HALF_ORDER}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.samples > MAX_CELLS:
-        raise ValueError(f"--samples must be <= {MAX_CELLS}, got {args.samples}")
+    if args.samples > cap:
+        raise ValueError(f"--samples must be <= {cap}, got {args.samples}")
     for name, positive in _SAMPLING_RANGES.items():
         if not hasattr(args, name):
             continue
@@ -369,7 +311,7 @@ def _cmd_verify_hyperbolicity(args):
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
     n, gamma = args.n, args.gamma
-    _require_sampling(args)
+    _require_sampling(args, MAX_CELLS)
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
     if gamma <= -2 * n:
@@ -426,7 +368,7 @@ def _cmd_verify_hyperbolicity(args):
 
 def _cmd_verify_stability(args):
     n = args.n
-    _require_sampling(args)
+    _require_sampling(args, MAX_CERTIFICATES)
     if n == 1:
         report = {
             "n": n,

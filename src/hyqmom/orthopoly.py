@@ -71,10 +71,6 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_mul(p, q):
-    return np.convolve(p, q)
-
-
 def _monic_pair_batch(a, b, deg):
     """Batched monic (Q_deg, Q_{deg-1}) coefficient rows (low-to-high) from
     the recursion Q_{k+1} = (X - a_k) Q_k - b_k Q_{k-1}, which reads

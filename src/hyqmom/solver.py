@@ -738,6 +738,6 @@ def run(config, output_dir=None):
     manifest["wall_clock_s"] = _time.time() - started
     if out is not None:
         man_path = out / "run_manifest.json"
-        man_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        man_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
         files.append(str(man_path))
     return RunResult(snapshots=snapshots, manifest=manifest, grid=grid, files=files)
