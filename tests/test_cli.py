@@ -1,10 +1,13 @@
+import argparse
 import collections
+import enum
 import json
 import json.encoder
 import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -510,7 +513,15 @@ class TestSamplingRanges:
             ("verify-hyperbolicity", 10**20, solver.MAX_CELLS),
             ("verify-hyperbolicity", solver.MAX_CELLS + 1, solver.MAX_CELLS),
             ("verify-stability", 10**20, cli.MAX_CERTIFICATES),
+            ("verify-stability", solver.MAX_CELLS + 1, cli.MAX_CERTIFICATES),
             ("verify-stability", cli.MAX_CERTIFICATES + 1, cli.MAX_CERTIFICATES),
+        ],
+        ids=[
+            "verify-hyperbolicity-100000000000000000000",
+            "verify-hyperbolicity-10000001",
+            "verify-stability-100000000000000000000",
+            "verify-stability-10000001",
+            "verify-stability-1000001",
         ],
     )
     def test_too_many_samples_refused(self, command, samples, cap, capsys, tmp_path,
@@ -828,6 +839,71 @@ def test_manifest_arguments_are_the_parser_options(argv, capsys, tmp_path):
 class TestReportEncoding:
     """Every JSON file the package writes is json.dumps(obj, sort_keys=True)
     on one line, written by json's C encoder."""
+
+    @staticmethod
+    def write(obj, tmp_path):
+        """What _write_report puts in the report file for ``obj``; raises
+        what json raises for a value it refuses."""
+        args = argparse.Namespace(command="close", output_dir=str(tmp_path),
+                                  _started=time.time())
+        cli._write_report(args, "report.json", obj)
+        return (tmp_path / "report.json").read_text()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {2: "b", 1: [1]},
+            {"a": {3: None, 2.5: 1}},
+            {"a": {True: 1, False: [2]}},
+            [[np.float64(0.1)], [0.1], [np.float64(0.1)]],
+            {np.str_("k"): [np.str_("é")], "j": [np.str_("é")]},
+            [[enum.IntEnum("E", "A")(1)], [1]],
+            collections.OrderedDict([("b", 1), ("a", [2])]),
+        ],
+    )
+    def test_keys_and_subclasses_that_json_takes(self, obj, tmp_path):
+        assert self.write(obj, tmp_path) == json.dumps(obj, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [np.float32(1.0)],
+            {"a": np.int64(1)},
+            {"a": {1, 2}},
+            [b"bytes"],
+            {"a": [np.bool_(True)]},
+            {(1, 2): "tuple key"},
+            {1: "a", "b": 2},
+            [1j],
+            [[np.float64(1.0)], [np.array([1.0])]],
+            [[np.str_("a")], [b"a\x00\x00\x00"]],
+        ],
+    )
+    def test_refused_values_raise_type_error(self, obj, tmp_path):
+        # refused before anything is written: no report and no manifest
+        with pytest.raises(TypeError) as mine:
+            self.write(obj, tmp_path)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(obj, sort_keys=True)
+        assert str(mine.value) == str(theirs.value)
+        assert not any(tmp_path.iterdir())
+
+    def test_extreme_magnitudes_round_trip(self, tmp_path):
+        m = [1e-200, 1.0 + 2**-52, -3.7e150, 0.1, 5e-324, -0.0]
+        back = json.loads(self.write(m, tmp_path))
+        assert back == m
+        assert [np.signbit(x) for x in back] == [np.signbit(x) for x in m]
+
+    def test_non_finite_floats_keep_json_spelling(self, tmp_path):
+        text = self.write([float("nan"), float("inf"), -float("inf")], tmp_path)
+        assert text == "[NaN, Infinity, -Infinity]\n"
+
+    def test_cycle_raises_as_json_does(self, tmp_path):
+        cycle = []
+        cycle.append(cycle)
+        with pytest.raises(ValueError, match="Circular reference"):
+            self.write({"a": cycle}, tmp_path)
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv, names",
