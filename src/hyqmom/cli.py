@@ -45,8 +45,8 @@ EXIT_REALIZABILITY_LOSS = 4
 PRNG_NAME = "PCG64"
 
 # verify-stability's --samples cap: each sampled state has a report entry of
-# its own, 0.42 KB of text; with the report written, about 2 KB of memory
-# per state at n = 2 (the entry, the text and the copies made in writing it)
+# its own, 0.42 KB of text; with the report written, about 1.4 KB of memory
+# per state at n = 2 (the entry, the text and the bytes written from it)
 MAX_CERTIFICATES = 10**6
 
 
@@ -91,30 +91,24 @@ def _parse_moments(text):
     return np.array(vals)
 
 
-def _print_json(args, payload):
-    """Print the report under --format json and return its text, for
-    _write_report to reuse; None under the other formats.  Every JSON file
-    the package writes is json.dumps(payload, sort_keys=True): one line,
-    written by json's C encoder, which ``indent`` would turn off."""
-    if args.format != "json":
-        return None
-    text = json.dumps(payload, sort_keys=True)
-    print(text)
-    return text
-
-
-def _write_report(args, name, payload, text=None):
-    """Write the report and a manifest under --output-dir, each in
-    _print_json's layout; ``text`` is the report's JSON if it was already
-    encoded for stdout."""
+def _report(args, name, payload, lines):
+    """The end of a command: print the report's JSON under --format json,
+    else ``lines``, and under --output-dir write the report and a manifest.
+    Every JSON file the package writes is json.dumps(payload, sort_keys=True):
+    one line, written by json's C encoder, which ``indent`` would turn off.
+    The report is encoded at most once, before any file is written, and
+    each file gets its text and then a newline, with no copy joining them."""
+    text = json.dumps(payload, sort_keys=True) if args.format == "json" else None
+    for line in lines if text is None else [text]:
+        print(line)
     if args.output_dir is None:
-        return []
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / name
+        return
     if text is None:
         text = json.dumps(payload, sort_keys=True)
-    report_path.write_text(text + "\n")
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w") as f:
+        print(text, file=f)
     manifest = {
         "command": args.command,
         "version": __version__,
@@ -126,9 +120,8 @@ def _write_report(args, name, payload, text=None):
         "outputs": [name],
         "wall_clock_s": _time.time() - args._started,
     }
-    man_path = out / "manifest.json"
-    man_path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
-    return [str(report_path), str(man_path)]
+    with open(out / "manifest.json", "w") as f:
+        print(json.dumps(manifest, sort_keys=True), file=f)
 
 
 def _check_realizable(m, tol):
@@ -164,15 +157,16 @@ def _cmd_close(args):
         "condition_estimate": check.condition_estimate,
         "realizable": True,
     }
-    text = _print_json(args, detail)
     if args.format == "csv":
-        print(",".join(repr(float(x)) for x in list(m) + [closed]))
-    elif text is None:
-        print(f"M_{len(m)} = {closed!r}")
-        print(f"a = {[float(x) for x in a]}")
-        print(f"b = {[float(x) for x in b]}")
-        print(f"pivots = {[float(x) for x in check.pivots]} (all above threshold)")
-    _write_report(args, "close.json", detail, text)
+        lines = [",".join(repr(x) for x in detail["moments"] + [closed])]
+    else:
+        lines = [
+            f"M_{len(m)} = {closed!r}",
+            f"a = {detail['a']}",
+            f"b = {detail['b']}",
+            f"pivots = {detail['pivots']} (all above threshold)",
+        ]
+    _report(args, "close.json", detail, lines)
     return EXIT_OK
 
 
@@ -194,18 +188,15 @@ def _cmd_spectrum(args):
         payload["interlacing"] = check_interlacing(
             sd.eigenvalues[1::2], sd.eigenvalues[0::2]
         )
-    text = _print_json(args, payload)
+    pairs = [(float(lam), float(om)) for lam, om in zip(sd.eigenvalues, sd.weights)]
     if args.format == "csv":
-        print("lambda,omega")
-        for lam, om in zip(sd.eigenvalues, sd.weights):
-            print(f"{float(lam)!r},{float(om)!r}")
-    elif text is None:
-        print(f"{'i':>3} {'lambda':>24} {'omega':>24}")
-        for i, (lam, om) in enumerate(zip(sd.eigenvalues, sd.weights)):
-            print(f"{i:>3} {float(lam)!r:>24} {float(om)!r:>24}")
+        lines = ["lambda,omega"] + [f"{lam!r},{om!r}" for lam, om in pairs]
+    else:
+        lines = [f"{'i':>3} {'lambda':>24} {'omega':>24}"]
+        lines += [f"{i:>3} {lam!r:>24} {om!r:>24}" for i, (lam, om) in enumerate(pairs)]
         if args.check_interlacing:
-            print(f"interlacing: {'OK' if payload['interlacing'] else 'FAILED'}")
-    _write_report(args, "spectrum.json", payload, text)
+            lines.append(f"interlacing: {'OK' if payload['interlacing'] else 'FAILED'}")
+    _report(args, "spectrum.json", payload, lines)
     return EXIT_OK
 
 
@@ -354,15 +345,13 @@ def _cmd_verify_hyperbolicity(args):
         "failures": failures,
         "passed": not failures,
     }
-    text = _print_json(args, report)
-    if text is None:
-        print(
-            f"n={n} gamma={gamma}: {args.samples} samples, "
-            f"min separation {report['min_separation']!r}, "
-            f"{report['near_degenerate']} near-degenerate (separation <= {tol!r}), "
-            f"{len(failures)} failure(s)"
-        )
-    _write_report(args, "hyperbolicity_report.json", report, text)
+    lines = [
+        f"n={n} gamma={gamma}: {args.samples} samples, "
+        f"min separation {report['min_separation']!r}, "
+        f"{near_degenerate} near-degenerate (separation <= {tol!r}), "
+        f"{len(failures)} failure(s)"
+    ]
+    _report(args, "hyperbolicity_report.json", report, lines)
     return EXIT_OK if not failures else EXIT_CERTIFICATION
 
 
@@ -379,39 +368,32 @@ def _cmd_verify_stability(args):
             "note": "Condition (I)/(III) trivial: no relaxing block",
             "passed": True,
         }
-        text = _print_json(args, report)
-        if text is None:
-            print(report["note"])
-        _write_report(args, "stability_report.json", report, text)
-        return EXIT_OK
-    # one call draws what scalar draws of rho, U, theta, state after state, gave
-    low, high = zip(args.rho_range, args.u_range, args.theta_range)
-    draws = np.random.default_rng(args.seed).uniform(low, high, (args.samples, 3))
-    # every draw is a valid state (_require_sampling) and the certificate
-    # depends on n alone: all entries share its fields but the state
-    shared = certify(EquilibriumState(*draws[0].tolist()), n).as_dict()
-    certificates = [{**shared, "state": {"rho": rho, "U": U, "theta": theta}}
-                    for rho, U, theta in draws.tolist()]
-    failures = 0 if shared["passed"] else args.samples
-    report = {
-        "n": n,
-        "samples": args.samples,
-        "seed": args.seed,
-        "prng": PRNG_NAME,
-        "rho_range": list(args.rho_range),
-        "u_range": list(args.u_range),
-        "theta_range": list(args.theta_range),
-        "certificates": certificates,
-        "failures": failures,
-        "passed": not failures,
-    }
-    text = _print_json(args, report)
-    if text is None:
-        print(
-            f"n={n}: {args.samples} certificates, {failures} failure(s)"
-        )
-    _write_report(args, "stability_report.json", report, text)
-    return EXIT_OK if not failures else EXIT_CERTIFICATION
+        lines = [report["note"]]
+    else:
+        # one call draws what scalar draws of rho, U, theta, state after state, gave
+        low, high = zip(args.rho_range, args.u_range, args.theta_range)
+        draws = np.random.default_rng(args.seed).uniform(low, high, (args.samples, 3))
+        # every draw is a valid state (_require_sampling) and the certificate
+        # depends on n alone: all entries share its fields but the state
+        shared = certify(EquilibriumState(*draws[0].tolist()), n).as_dict()
+        certificates = [{**shared, "state": {"rho": rho, "U": U, "theta": theta}}
+                        for rho, U, theta in draws.tolist()]
+        failures = 0 if shared["passed"] else args.samples
+        report = {
+            "n": n,
+            "samples": args.samples,
+            "seed": args.seed,
+            "prng": PRNG_NAME,
+            "rho_range": list(args.rho_range),
+            "u_range": list(args.u_range),
+            "theta_range": list(args.theta_range),
+            "certificates": certificates,
+            "failures": failures,
+            "passed": not failures,
+        }
+        lines = [f"n={n}: {args.samples} certificates, {failures} failure(s)"]
+    _report(args, "stability_report.json", report, lines)
+    return EXIT_OK if report["passed"] else EXIT_CERTIFICATION
 
 
 def _cmd_simulate(args):

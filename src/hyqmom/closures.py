@@ -127,18 +127,6 @@ def _hyqmom_an(a, gamma):
     return gamma / a.shape[1] * np.sum(a, axis=1)
 
 
-def _hyqmom_factor_rows(a, b, gamma):
-    """Batched (a_n, Qn, Qn-1, Rn1) for odd-length inputs; dtype generic."""
-    n = a.shape[1]
-    an = _hyqmom_an(a, gamma)
-    qn, qm = _monic_pair_batch(a, b, n)
-    rn1 = np.zeros((a.shape[0], n + 2), dtype=qn.dtype)
-    rn1[:, 1:] = qn
-    rn1[:, : n + 1] -= an[:, None] * qn
-    rn1[:, :n] -= ((2 * n + gamma) / n) * b[:, n:] * qm
-    return an, qn, qm, rn1
-
-
 def _row_products(p, q):
     """Row-wise polynomial products of coefficient rows p and q."""
     out = np.zeros((p.shape[0], p.shape[1] + q.shape[1] - 1), dtype=np.result_type(p, q))
@@ -149,12 +137,16 @@ def _row_products(p, q):
 
 def _characteristic_rows(a, b, variant, gamma):
     """Characteristic coefficient rows (low-to-high) and factor rows of the
-    hyqmom, qmom or new closure from Wheeler rows (a, b); dtype generic."""
-    if variant == "hyqmom":
-        _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
-        return _row_products(qn, rn1), {"Qn": qn, "Rn1": rn1}
+    hyqmom, qmom or new closure from Wheeler rows (a, b); dtype generic.
+    For hyqmom, R_{n+1} = (x - a_n) Q_n - ((2n + gamma)/n) b_n Q_{n-1}."""
     n = a.shape[1]
     qn, qm = _monic_pair_batch(a, b, n)
+    if variant == "hyqmom":
+        rn1 = np.zeros((a.shape[0], n + 2), dtype=qn.dtype)
+        rn1[:, 1:] = qn
+        rn1[:, : n + 1] -= _hyqmom_an(a, gamma)[:, None] * qn
+        rn1[:, :n] -= ((2 * n + gamma) / n) * b[:, n:] * qm
+        return _row_products(qn, rn1), {"Qn": qn, "Rn1": rn1}
     c = _row_products(qn, qn)
     if variant == "qmom":
         return c, {"Qn": qn}

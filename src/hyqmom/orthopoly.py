@@ -616,7 +616,7 @@ def _jacobi_batch(diag, offdiag, mass=None, last=None, nested=False):
     return x.T, (mass.T / _christoffel(x, d, off, factors[-1][0])).T
 
 
-def gauss_quadrature(m, tol=None):
+def gauss_quadrature(m):
     """n-point Gauss rule of an even-length (2n) strictly realizable vector.
 
     The nodes are the zeros of Q_n and the rule reproduces M_0..M_{2n-1}.
@@ -625,8 +625,7 @@ def gauss_quadrature(m, tol=None):
     m = _as_moment_array(m)
     if len(m) % 2:
         raise ValueError("gauss_quadrature expects an even-length moment vector")
-    kwargs = {} if tol is None else {"tol": tol}
-    a, b = moments_to_recurrence(m, **kwargs)
+    a, b = moments_to_recurrence(m)
     n = len(m) // 2
     nodes, weights = _jacobi_batch(a[None, :n], np.sqrt(b[None, 1:n]), b[None, :1])
     return Quadrature(nodes=nodes[0], weights=weights[0])

@@ -26,8 +26,9 @@ buffer, so ``cells[:, k]`` is one contiguous row per moment order.
 A step runs over contiguous blocks of cells (``_blocks``), each holding
 about ``BLOCK_VALUES`` moment values, so that one block's rows and the
 temporaries built from them stay in cache.  The first pass gates,
-reconstructs, takes each cell's CFL speed and writes its split power sums,
-the two halves of its interface fluxes, into block-local rows: one running
+reconstructs, reduces the block's CFL speeds s = max|node| to the smallest
+dx / s and the largest s / dx, and writes each cell's split power sums, the
+two halves of its interface fluxes, into block-local rows: one running
 power per order, whose weighted terms the node signs mask into the two
 halves.  Those masked sums skip only zero terms of the clipped powers
 max(x, 0)^(k+1) and min(x, 0)^(k+1), so their bits are the clipped sums'
@@ -47,8 +48,8 @@ in one nested pass.  Each lane is filtered and solved on
 its own, except that each factor's first-order guess is one BLAS product
 over the lanes it admits, whose last bits can depend on how many there
 are: where the blocks end can move an accepted eigenvalue's last bits
-(``orthopoly._newton_from_standard``).  The global dt follows
-from all speeds, reduced block by block.  The second pass scales the
+(``orthopoly._newton_from_standard``).  The global dt and its CFL
+check follow from those two numbers per block.  The second pass scales the
 differences, adds the old cells, relaxes, and gates the new cells,
 writing the gate rows in place: ``_realizable_pivots_batch`` and
 ``_wheeler_batch`` take them as ``out=``.  The new grid takes the buffer
@@ -317,9 +318,10 @@ def _interface_fluxes(nodes, weights, right, left):
 
 def _flux_differences(grid, a, b, gamma, variant, blocks):
     """First pass of a step: per block the reconstruction, the CFL speed
-    max|node| of each cell and its split power sums, ending in flux
-    differences.  Returns the speeds (J,) and an (L, J) buffer whose column
-    j is flux_j - flux_(j+1), where the flux of face i is the right half of
+    s = max|node| of each cell and its split power sums, ending in flux
+    differences.  Returns the smallest dx / s over the cells with s > 0
+    (inf if none), the largest s / dx, and an (L, J) buffer whose column j
+    is flux_j - flux_(j+1), where the flux of face i is the right half of
     cell i-1 plus the left half of cell i.
 
     Each block reconstructs its B cells plus one neighbour on either side,
@@ -329,35 +331,36 @@ def _flux_differences(grid, a, b, gamma, variant, blocks):
     for zero-gradient ones, order-major like the gate's."""
     J, L = grid.cells.shape
     mode = "wrap" if grid.boundary == "periodic" else "clip"
-    smax, diff = np.empty(J), np.empty((L, J))
-    for blk in blocks:
+    diff = np.empty((L, J))
+    # each block's two reductions, and the row of its quotients
+    low, high = np.empty((2, len(blocks)))
+    scratch = np.empty(max(blk.stop - blk.start for blk in blocks))
+    for i, blk in enumerate(blocks):
         lo, hi = blk.start - 1, blk.stop + 1
         if 0 <= lo and hi <= J:
             rows = a[lo:hi], b[lo:hi]
         else:
             rows = [np.take(x.T, np.arange(lo, hi), axis=1, mode=mode).T for x in (a, b)]
         nodes, weights = _reconstruct_batch(*rows, gamma, variant)
-        np.max(np.abs(nodes.T[:, 1:-1]), axis=0, out=smax[blk])
+        dx, part = grid.dx[blk], scratch[: blk.stop - blk.start]
+        speeds = np.max(np.abs(nodes.T[:, 1:-1]), axis=0)
+        part.fill(np.inf)
+        low[i] = np.divide(dx, speeds, out=part, where=speeds > 0).min()
+        high[i] = np.divide(speeds, dx, out=part).max()
+        del speeds  # before the next block's temporaries
         right, left = np.empty((2, L, hi - lo))
         _interface_fluxes(nodes, weights, right, left)
         # column i of faces is face blk.start + i, the left face of cell i
         faces = np.add(right[:, :-1], left[:, 1:], out=left[:, 1:])
         np.subtract(faces[:, :-1], faces[:, 1:], out=diff[:, blk])
-    return smax, diff
+    return float(low.min()), float(high.max()), diff
 
 
-def _time_step(grid, smax, blocks, cfl, dt, dt_max):
-    """dt from the CFL speeds, or the explicit dt, capped by dt_max, after
-    checking that every convex-update factor stays nonnegative.  Both
-    reductions run block by block through one scratch row, which leaves
-    their results exact and makes no grid-sized temporary."""
-    low, high = np.empty((2, len(blocks)))
-    row = np.empty(max(blk.stop - blk.start for blk in blocks))
-    for i, blk in enumerate(blocks):
-        speeds, part = smax[blk], row[: blk.stop - blk.start]
-        part.fill(np.inf)
-        low[i] = np.divide(grid.dx[blk], speeds, out=part, where=speeds > 0).min()
-    dt_cfl = cfl * low.min()
+def _time_step(low, high, cfl, dt, dt_max):
+    """dt from the CFL bound cfl * low, low the smallest dx / s of the
+    first pass, or the explicit dt, capped by dt_max, after checking that
+    every convex-update factor stays nonnegative."""
+    dt_cfl = cfl * low
     if not np.isfinite(dt_cfl):
         dt_cfl = dt_max if dt_max is not None else 1.0
     step_dt = float(dt_cfl) if dt is None else float(dt)
@@ -366,12 +369,8 @@ def _time_step(grid, smax, blocks, cfl, dt, dt_max):
     if step_dt <= 0:
         raise ValueError("time step must be positive")
 
-    # the smallest convex-update factor 1 - dt |x| / dx sits at each cell's
-    # largest |x|, and rounding is monotone, so it is read off smax
-    for i, blk in enumerate(blocks):
-        part = np.multiply(step_dt, smax[blk], out=row[: blk.stop - blk.start])
-        high[i] = np.divide(part, grid.dx[blk], out=part).max()
-    factor = 1.0 - high.max()
+    # the smallest convex-update factor 1 - dt |x| / dx is at the largest s / dx
+    factor = 1.0 - step_dt * high
     if factor < -1e-12:
         raise RuntimeError(
             "CFL violated: a convex-update factor went negative "
@@ -388,10 +387,8 @@ def _advance(grid, a, b, gamma, variant, cfl, dt, dt_max):
     a copy, and the gate as its memo."""
     J, L = grid.cells.shape
     blocks = _blocks(J, L)
-    smax, new = _flux_differences(grid, a, b, gamma, variant, blocks)
-    step_dt = _time_step(grid, smax, blocks, cfl, dt, dt_max)
-    # the speeds go before the new grid's gate is allocated
-    del smax
+    low, high, new = _flux_differences(grid, a, b, gamma, variant, blocks)
+    step_dt = _time_step(low, high, cfl, dt, dt_max)
 
     gate = _empty_gate(J, L)
     r = step_dt / grid.tau

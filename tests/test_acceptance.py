@@ -14,7 +14,6 @@ import pytest
 import hyqmom as hq
 from hyqmom.closures import (
     _characteristic_rows,
-    _hyqmom_factor_rows,
     _monic_pair_batch,
     _spectral_batch,
 )
@@ -250,7 +249,8 @@ def test_criterion_2_factorization():
         for gamma in gamma_values(n):
             M = _corpus(rng, n)
             a, b, _ = _wheeler_batch(M)
-            _, qn, _, rn1 = _hyqmom_factor_rows(a, b, gamma)
+            _, factors = _characteristic_rows(a, b, "hyqmom", gamma)
+            qn, rn1 = factors["Qn"], factors["Rn1"]
             c = np.array([np.convolve(qn[j], rn1[j]) for j in range(len(M))])
             cfd = _complex_step_coefficients(M, lambda rows: _close_rows(rows, gamma), 2 * n + 1)
             err = np.max(

@@ -841,12 +841,15 @@ class TestReportEncoding:
     on one line, written by json's C encoder."""
 
     @staticmethod
-    def write(obj, tmp_path):
-        """What _write_report puts in the report file for ``obj``; raises
-        what json raises for a value it refuses."""
-        args = argparse.Namespace(command="close", output_dir=str(tmp_path),
+    def args(tmp_path):
+        return argparse.Namespace(command="close", format="text", output_dir=str(tmp_path),
                                   _started=time.time())
-        cli._write_report(args, "report.json", obj)
+
+    @classmethod
+    def write(cls, obj, tmp_path):
+        """What _report puts in the report file for ``obj``; raises what
+        json raises for a value it refuses."""
+        cli._report(cls.args(tmp_path), "report.json", obj, [])
         return (tmp_path / "report.json").read_text()
 
     @pytest.mark.parametrize(
@@ -904,6 +907,23 @@ class TestReportEncoding:
         with pytest.raises(ValueError, match="Circular reference"):
             self.write({"a": cycle}, tmp_path)
         assert not any(tmp_path.iterdir())
+
+    def test_report_write_holds_the_text_once(self, monkeypatch, tmp_path):
+        # with the report's text already encoded, writing it allocates one
+        # encoded copy of the text at most, not a joined copy besides
+        payload = {"certificates": list(range(10**5))}
+        text = json.dumps(payload, sort_keys=True)
+        dumps = json.dumps
+        monkeypatch.setattr(cli.json, "dumps",
+                            lambda obj, **kw: text if obj is payload else dumps(obj, **kw))
+        tracemalloc.start()
+        try:
+            cli._report(self.args(tmp_path), "report.json", payload, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.json").read_text() == text + "\n"
+        assert peak <= len(text) + 64 * 1024
 
     @pytest.mark.parametrize(
         "argv, names",

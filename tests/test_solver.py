@@ -163,10 +163,12 @@ class TestKineticFlux:
         _, a, b = grid._gate()
         blocks = _blocks(6, 5)
         assert len(blocks) == 3
-        smax, diff = _flux_differences(grid, a, b, 1.0, variant, blocks)
+        low, high, diff = _flux_differences(grid, a, b, 1.0, variant, blocks)
         assert diff.shape == (5, 6)
         nodes, weights = _reconstruct_batch(a, b, 1.0, variant)
-        assert np.array_equal(smax, np.max(np.abs(nodes), axis=1))
+        speeds = np.max(np.abs(nodes), axis=1)
+        assert np.all(speeds > 0)
+        assert (low, high) == (np.min(grid.dx / speeds), np.max(speeds / grid.dx))
         # the same rules C- and F-ordered give the same halves
         halves = []
         for order in ("C", "F"):
@@ -205,10 +207,12 @@ class TestKineticFlux:
         blocked = _flux_differences(grid, a, b, 1.0, variant, _blocks(J, 5))
         for mine, theirs in zip(blocked, one_block):
             assert np.array_equal(mine, theirs)
+        speeds = np.max(np.abs(_reconstruct_batch(a, b, 1.0, variant)[0]), axis=1)
+        assert blocked[:2] == (np.min(grid.dx / speeds), np.max(speeds / grid.dx))
         assert np.array_equal(hq.step(grid, SPEC1, variant).cells, stepped.cells)
         if J == 1:
             # both ends are the same face: nothing flows in or out
-            assert np.array_equal(blocked[1], np.zeros((5, 1)))
+            assert np.array_equal(blocked[2], np.zeros((5, 1)))
 
     def test_peak_memory(self, rng):
         # one running power and one buffer of weighted terms, each the size
@@ -605,7 +609,6 @@ class TestBlocks:
         grid = hq.GridState(cells=cells, dx=np.full(J, 1 / J), tau=0.5)
         grid._gate()
         hq.step(grid, SPEC1, variant)  # warm numpy's caches
-        speeds = 8 * J
         new_cells = 8 * L * J
         gate = J + 8 * L * J  # ok, a (n, J) and b (n+1, J)
         block = 8 * L * B  # one (L, B) array of a block
@@ -626,14 +629,14 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         first, second = peaks
-        # measured: 9.5 (gauss) and 11.1 (eigen) blocks over the kept
-        # arrays in the first pass, whose end blocks copy their gate rows
-        # with the ghost cells, and 6.8 in the second, after the speeds are
-        # freed: the gate's three tables of mixed moments and its pivots
-        # (3.6), and numpy's iterator buffers for the strided rows of a
-        # block (3.3, two of np.getbufsize() values); the second bound
+        # measured: 9.67 (gauss) and 12.00 (eigen) blocks over the new
+        # cells in the first pass, whose end blocks copy their gate rows
+        # with the ghost cells and which keeps no row of speeds, and 6.8 in
+        # the second: the gate's three tables of mixed moments and its
+        # pivots (3.6), and numpy's iterator buffers for the strided rows of
+        # a block (3.3, two of np.getbufsize() values); the second bound
         # leaves 0.7 block of margin
-        assert first <= speeds + new_cells + 12 * block
+        assert first <= new_cells + 12.5 * block
         assert second <= new_cells + gate + 7.5 * block
 
     def test_blocks_cover_the_cells_in_near_equal_lengths(self, monkeypatch):
