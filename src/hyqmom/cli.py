@@ -173,7 +173,12 @@ def _cmd_close(args):
 def _cmd_spectrum(args):
     m = _parse_moments(args.moments)
     _check_realizable(m, args.tol)
-    sd = spectral_decomposition(m, ClosureSpec("hyqmom", gamma=args.gamma))
+    try:
+        sd = spectral_decomposition(m, ClosureSpec("hyqmom", gamma=args.gamma))
+    except RuntimeError as exc:
+        # a gated vector whose computed roots tie or whose weights fail
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATION
     if sd.near_degenerate:
         print(
             "warning: near-degenerate spectrum (two roots closer than "

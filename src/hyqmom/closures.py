@@ -296,10 +296,11 @@ def spectral_decomposition(m, spec):
     c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
     lam, om = _spectral_batch(a, b, spec.gamma)
     lam, om = lam[0], om[0]
-    if not np.all(np.diff(lam) > 0):
+    gap = float(np.min(np.diff(lam)))
+    if not gap > 0:
         raise RuntimeError(
-            "interlacing of Q_n and R_{n+1} roots failed; input sits on the "
-            "realizability boundary or an internal invariant is broken"
+            f"interlacing of Q_n and R_{{n+1}} roots failed (smallest gap {gap!r}); input "
+            "sits on the realizability boundary or an internal invariant is broken"
         )
     positive = bool(np.min(om) > 0)
     if spec.gamma > -n and not positive:
@@ -308,7 +309,7 @@ def spectral_decomposition(m, spec):
             "internal consistency violated"
         )
     radius = np.max(np.abs(lam))
-    near = bool(np.min(np.diff(lam)) < NEAR_DEGENERACY_RTOL * radius)
+    near = bool(gap < NEAR_DEGENERACY_RTOL * radius)
     return SpectralDecomposition(
         c=c[0],
         eigenvalues=lam,

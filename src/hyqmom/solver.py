@@ -63,6 +63,7 @@ strided rows.
 from __future__ import annotations
 
 import json
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -464,142 +465,126 @@ def _flagged_cells(grid):
 # Config-driven runs
 
 
-def _is_number(val):
-    """An int or float that is not a bool: JSON's true and false load as
-    Python bools, which are ints."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _float(field, val):
-    """float(val), refusing with a ConfigError a JSON integer beyond the
-    largest double, on which float() raises OverflowError."""
+def _number(field, value, ok, what, kind=float, optional=False):
+    """kind(value), or a ConfigError naming field if value is None (missing
+    or null; None is returned if optional), not a number, a bool (JSON true
+    and false load as ints), an integer beyond the largest double, or fails
+    ok, whose comparisons NaN fails.  kind=int takes integers only."""
+    if value is None:
+        if optional:
+            return None
+        raise ConfigError(field, "missing")
+    if not isinstance(value, (int, kind)) or isinstance(value, bool):
+        raise ConfigError(field, f"expected {what}, got {value!r}")
     try:
-        return float(val)
+        float(value)
     except OverflowError:
         raise ConfigError(field, "integer exceeds the largest double") from None
+    if not ok(value):
+        raise ConfigError(field, f"expected {what}, got {value!r}")
+    return kind(value)
 
 
-def _require(cfg, key, types, check=None, what=""):
-    if key not in cfg:
-        raise ConfigError(key, "missing")
-    val = cfg[key]
-    if not isinstance(val, types) or isinstance(val, bool):
-        raise ConfigError(key, f"expected {what or types}, got {val!r}")
-    if isinstance(val, int):
-        _float(key, val)
-    if check is not None and not check(val):
-        raise ConfigError(key, f"invalid value {val!r} ({what})")
-    return val
+def _choice(field, value, options):
+    """value if it is one of the strings options, else a ConfigError."""
+    if not (isinstance(value, str) and value in options):
+        why = "missing" if value is None else f"expected one of {options}, got {value!r}"
+        raise ConfigError(field, why)
+    return value
 
 
 def validate_config(cfg):
     """Normalize and validate a simulation config, raising ConfigError with
-    the offending field on any problem."""
+    the offending field on any problem: every number goes through _number,
+    flux_variant and boundary through _choice, and a key it does not read
+    is refused."""
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    out = {}
-    cap = MAX_HALF_ORDER
-    out["n"] = int(_require(cfg, "n", int, lambda v: 1 <= v <= cap, f"integer in 1..{cap}"))
-    out["gamma"] = float(_require(
-        cfg, "gamma", (int, float), lambda v: -2 * cfg.get("n", 1) < v < np.inf, "finite, > -2n"
-    ))
-    out["flux_variant"] = _require(
-        cfg, "flux_variant", str, lambda v: v in FLUX_VARIANTS, f"one of {FLUX_VARIANTS}"
-    )
-    if out["flux_variant"] == "eigen" and out["gamma"] <= -out["n"]:
+    get, cap = cfg.get, MAX_HALF_ORDER
+    n = _number("n", get("n"), lambda v: 1 <= v <= cap, f"an integer in 1..{cap}", int)
+    out = {"n": n}
+    out["gamma"] = _number("gamma", get("gamma"), lambda v: -2 * n < v < np.inf, "finite, > -2n")
+    out["flux_variant"] = _choice("flux_variant", get("flux_variant"), FLUX_VARIANTS)
+    if out["flux_variant"] == "eigen" and out["gamma"] <= -n:
         raise ConfigError("flux_variant", "eigen nodes need gamma > -n")
-    out["cfl"] = float(_require(cfg, "cfl", (int, float), lambda v: 0 < v <= 1, "in (0, 1]"))
-    tau = cfg.get("tau", None)
+    out["cfl"] = _number("cfl", get("cfl"), lambda v: 0 < v <= 1, "a number in (0, 1]")
+    tau = get("tau")
     if isinstance(tau, str) and tau.lower() in ("inf", "infinity"):
         tau = np.inf
-    if not _is_number(tau) or not tau > 0:
-        raise ConfigError("tau", f"expected positive number (or 'inf'), got {cfg.get('tau')!r}")
-    out["tau"] = _float("tau", tau)
-    dom = _require(cfg, "domain", list, lambda v: len(v) == 2, "[x0, x1]")
-    if not all(map(_is_number, dom)):
-        raise ConfigError("domain", f"entries must be numbers, got {dom!r}")
-    x0, x1 = _float("domain", dom[0]), _float("domain", dom[1])
-    if not x1 > x0:
-        raise ConfigError("domain", "need x1 > x0")
+    out["tau"] = _number("tau", tau, lambda v: v > 0, "a positive number (or 'inf')")
+    dom = get("domain")
+    if not (isinstance(dom, list) and len(dom) == 2):
+        raise ConfigError("domain", f"expected [x0, x1], got {dom!r}")
+    x0 = _number("domain", dom[0], lambda v: -np.inf <= v <= np.inf, "a number")
+    x1 = _number("domain", dom[1], lambda v: v > x0, f"a number > x0 = {x0!r}")
     out["domain"] = [x0, x1]
-    out["cells"] = int(
-        _require(cfg, "cells", int, lambda v: 2 <= v <= MAX_CELLS, f"integer in 2..{MAX_CELLS}")
-    )
+    J = out["cells"] = _number("cells", get("cells"), lambda v: 2 <= v <= MAX_CELLS,
+                               f"an integer in 2..{MAX_CELLS}", int)
     with np.errstate(invalid="ignore"):  # an infinite domain or width makes inf - inf
-        centers, dx = _cell_centers(x0, x1, out["cells"])
+        centers, dx = _cell_centers(x0, x1, J)
         ascending = x0 < centers[0] and centers[-1] <= x1 and np.all(centers[1:] > centers[:-1])
     if not ascending:
         # a centre rounded onto x0 or onto its neighbour would own no cell
-        raise ConfigError(
-            "domain",
-            f"the centres of {out['cells']} cells of width {dx!r} are not strictly "
-            f"increasing inside ({x0!r}, {x1!r}] in double precision",
-        )
+        raise ConfigError("domain", f"the centres of {J} cells of width {dx!r} are not strictly "
+                          f"increasing inside ({x0!r}, {x1!r}] in double precision")
     # an infinite t_final would run forever
-    out["t_final"] = float(
-        _require(cfg, "t_final", (int, float), lambda v: 0 <= v < np.inf, "finite, nonnegative")
-    )
-    snap = cfg.get("snapshot_every", None)
-    if snap is not None and (not _is_number(snap) or not snap > 0):
-        raise ConfigError("snapshot_every", "must be a positive number or omitted")
-    out["snapshot_every"] = None if snap is None else _float("snapshot_every", snap)
-    out["boundary"] = _require(
-        cfg, "boundary", str, lambda v: v in BOUNDARIES, f"one of {BOUNDARIES}"
-    )
-    dt_max = cfg.get("dt_max", None)
-    if dt_max is not None and (not _is_number(dt_max) or not dt_max > 0):
-        raise ConfigError("dt_max", "must be a positive number or omitted")
-    out["dt_max"] = None if dt_max is None else _float("dt_max", dt_max)
+    out["t_final"] = _number("t_final", get("t_final"), lambda v: 0 <= v < np.inf, "finite, >= 0")
+    out["snapshot_every"] = _number("snapshot_every", get("snapshot_every"), lambda v: v > 0,
+                                    "a positive number or omitted", optional=True)
+    out["boundary"] = _choice("boundary", get("boundary"), BOUNDARIES)
+    out["dt_max"] = _number("dt_max", get("dt_max"), lambda v: v > 0,
+                            "a positive number or omitted", optional=True)
 
-    segments = _require(cfg, "initial", list, lambda v: len(v) >= 1, "nonempty list")
-    n = out["n"]
-    norm_segments = []
+    segments = get("initial")
+    if not (isinstance(segments, list) and segments):
+        raise ConfigError("initial", f"expected a nonempty list of segments, got {segments!r}")
+    out["initial"] = []
     for i, seg in enumerate(segments):
         if not isinstance(seg, dict):
             raise ConfigError(f"initial[{i}]", "segment must be an object")
-        ns = {}
-        for key, low in (("rho", 0), ("theta", 0), ("U", -np.inf)):
-            val = seg.get(key)
-            if not _is_number(val) or not low < val < np.inf:
-                what = "a finite number" if key == "U" else "a positive finite number"
-                raise ConfigError(f"initial[{i}].{key}", f"must be {what}")
-            ns[key] = _float(f"initial[{i}].{key}", val)
-        for key, maxlen in (("da", n), ("db", n + 1)):
+        at = f"initial[{i}]."
+        ns = {key: _number(at + key, seg.get(key), ok, what) for key, ok, what in (
+            ("rho", lambda v: 0 < v < np.inf, "a positive finite number"),
+            ("theta", lambda v: 0 < v < np.inf, "a positive finite number"),
+            ("U", math.isfinite, "a finite number"),
+        )}
+        for key, most in (("da", n), ("db", n + 1)):
             arr = seg.get(key, [])
-            ok = isinstance(arr, list) and len(arr) <= maxlen
-            if not (ok and all(_is_number(x) and -np.inf < x < np.inf for x in arr)):
-                raise ConfigError(
-                    f"initial[{i}].{key}", f"must be a list of <= {maxlen} finite numbers"
-                )
-            ns[key] = [_float(f"initial[{i}].{key}", x) for x in arr]
-        if i < len(segments) - 1:
-            xu = seg.get("x_until")
-            if not _is_number(xu) or not (x0 < xu <= x1):
-                raise ConfigError(
-                    f"initial[{i}].x_until", f"must be a number in ({x0}, {x1}]"
-                )
-            ns["x_until"] = float(xu)
-        ns["x_until"] = ns.get("x_until", x1)
-        norm_segments.append(ns)
-    if any(
-        norm_segments[i]["x_until"] > norm_segments[i + 1]["x_until"]
-        for i in range(len(norm_segments) - 1)
-    ):
+            if not (isinstance(arr, list) and len(arr) <= most):
+                raise ConfigError(at + key, f"expected a list of <= {most} finite numbers")
+            ns[key] = [_number(at + key, x, math.isfinite, "finite entries") for x in arr]
+        ns["x_until"] = x1 if i == len(segments) - 1 else _number(
+            at + "x_until", seg.get("x_until"), lambda v: x0 < v <= x1, f"a number in ({x0}, {x1}]"
+        )
+        out["initial"].append(ns)
+    bounds = [ns["x_until"] for ns in out["initial"]]
+    if any(lo > hi for lo, hi in zip(bounds, bounds[1:])):
         raise ConfigError("initial", "segment x_until values must be nondecreasing")
-    out["initial"] = norm_segments
+
+    # the refusals below come last, so that on a config with more than one
+    # fault the checks above name the field they always named
+    _number(f"initial[{len(segments) - 1}].x_until", segments[-1].get("x_until"),
+            lambda v: v == x1, f"x1 = {x1!r} on the last segment, or omitted", optional=True)
+    unknown = [key for key in cfg if key not in out]
+    for i, (seg, ns) in enumerate(zip(segments, out["initial"])):
+        with np.errstate(over="ignore"):  # k theta may round to inf, which is positive
+            b = _segment_coefficients(ns, n)[1][0].tolist()
+        for k, b_k in enumerate(b):
+            if not b_k > 0:
+                raise ConfigError(f"initial[{i}].db", f"perturbed b_{k} = {b_k!r} is not positive")
+        unknown += [f"initial[{i}].{key}" for key in seg if key not in ns]
+    if unknown:
+        raise ConfigError(unknown[0], "unknown field")
     return out
 
 
 def _segment_coefficients(seg, n):
     """Recurrence rows (1, n) and (1, n+1) of one initial segment: the
-    Maxwellian rows plus the optional additive perturbations; positivity
-    of b is enforced so every built cell is realizable by construction."""
+    Maxwellian rows plus the optional additive perturbations, whose b
+    validate_config has checked to be positive."""
     a, b = _maxwellian_recurrence(seg["rho"], seg["U"], seg["theta"], n)
     a[0, : len(seg["da"])] += seg["da"]
     b[0, : len(seg["db"])] += seg["db"]
-    if np.any(b <= 0):
-        k = int(np.flatnonzero(b[0] <= 0)[0])
-        raise ConfigError("initial", f"perturbed b_{k} = {b[0, k]!r} is not positive")
     return a, b
 
 

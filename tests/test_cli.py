@@ -156,6 +156,22 @@ class TestSpectrum:
         assert code == 0
         assert "near-degenerate" in err
 
+    def test_tied_roots_exit_3_without_report(self, tmp_path, capsys):
+        # n = 4, pivots down to 4.1e-12: the vector passes the gate, and its
+        # first two computed roots come out 8.9e-16 apart in the wrong order
+        m = ("1.0,-2.871983325263498,8.248310962049224,-23.689044753128073,68.03473005893987,"
+             "-195.39486568917746,561.172411859489,-1611.679725598294,4628.73122056811")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["spectrum", "--moments", m, "--output-dir", str(out_dir)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert float(re.search(r"smallest gap (\S+)\)", err).group(1)) <= 0
+        assert "Traceback" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
 
 @pytest.mark.parametrize(
     "args",

@@ -938,6 +938,8 @@ class TestConfigValidation:
             ("domain", [False, True]),
             # numpy failed on it inside the run, naming no field
             ("cells", 10**20),
+            # validated, and the run took no interval snapshots
+            ("snapshot_evry", 0.01),
         ],
     )
     def test_bad_fields(self, field, value):
@@ -947,56 +949,48 @@ class TestConfigValidation:
             hq.validate_config(cfg)
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("value", [True, False])
-    @pytest.mark.parametrize(
-        "field", ["tau", "snapshot_every", "dt_max", "rho", "U", "theta", "x_until", "da", "db"]
-    )
-    def test_booleans_refused(self, field, value):
-        # JSON true and false load as bools, which are ints: "tau": true ran
-        # with tau = 1 and "U": false with U = 0
+    # the JSON path of every number a config holds, with the field that its
+    # refusal names; the paths where Infinity is valid; the values refused
+    # on every path but those
+    NUMBERS = {
+        ("n",): "n", ("gamma",): "gamma", ("cfl",): "cfl", ("tau",): "tau",
+        ("domain", 0): "domain", ("domain", 1): "domain", ("cells",): "cells",
+        ("t_final",): "t_final", ("snapshot_every",): "snapshot_every", ("dt_max",): "dt_max",
+        **{("initial", 0, key): f"initial[0].{key}" for key in ("rho", "U", "theta", "x_until")},
+        ("initial", 0, "da", 1): "initial[0].da", ("initial", 0, "db", 1): "initial[0].db",
+        ("initial", 1, "x_until"): "initial[1].x_until",
+    }
+    INFINITY_VALID = {("tau",), ("snapshot_every",), ("dt_max",)}
+    # JSON true and false load as bools, which are ints: "tau": true ran
+    # with tau = 1; "U": Infinity passed and failed at t = 0 with numpy
+    # warnings; float() raised OverflowError on 10**400, which every range
+    # check passes; float() read "1" as 1.0
+    REFUSED = {"true": True, "false": False, "NaN": math.nan, "Infinity": math.inf,
+               "-Infinity": -math.inf, "1e400": 10**400, "string": "1"}
+
+    @pytest.mark.parametrize("name", REFUSED)
+    @pytest.mark.parametrize("path", NUMBERS, ids=lambda path: ".".join(map(str, path)))
+    def test_numeric_field_refusals(self, path, name):
         cfg = self.base()
-        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
-                          {"rho": 0.5, "U": 0.0, "theta": 1.0}]
-        if field in ("tau", "snapshot_every", "dt_max"):
-            cfg[field], where = value, field
-        else:
-            cfg["initial"][0][field] = [value] if field in ("da", "db") else value
-            where = f"initial[0].{field}"
+        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5,
+                           "da": [0.0, 0.0], "db": [0.0, 0.0]},
+                          {"rho": 0.5, "U": 0.0, "theta": 1.0, "x_until": 1.0}]
+        *head, last = path
+        target = cfg
+        for key in head:
+            target = target[key]
+        target[last] = self.REFUSED[name]
+        cfg = json.loads(json.dumps(cfg))  # as a JSON file would give it
+        if name == "Infinity" and path in self.INFINITY_VALID:
+            assert hq.validate_config(cfg)[last] == math.inf
+            return
         with pytest.raises(hq.ConfigError) as exc:
             hq.validate_config(cfg)
-        assert exc.value.field == where
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["rho", "U", "theta", "da", "db"])
-    def test_non_finite_initial_state_refused(self, field, value):
-        # "U": Infinity (or an infinite da/db entry) passed, and the run
-        # failed at t = 0 with numpy warnings instead of naming the field
-        cfg = self.base()
-        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
-                          {"rho": 0.5, "U": 0.0, "theta": 1.0}]
-        cfg["initial"][1][field] = [0.0, value] if field in ("da", "db") else value
-        with pytest.raises(hq.ConfigError, match="finite") as exc:
-            hq.validate_config(cfg)
-        assert exc.value.field == f"initial[1].{field}"
-
-    @pytest.mark.parametrize(
-        "field",
-        ["rho", "U", "theta", "da", "db", "cells", "t_final", "dt_max", "snapshot_every",
-         "domain", "gamma", "tau"],
-    )
-    def test_integer_beyond_double_refused(self, field):
-        # JSON integers are unbounded, every range check passes 10**400, and
-        # float() raises OverflowError on it
-        big = 10**400
-        cfg = self.base()
-        if field in ("rho", "U", "theta", "da", "db"):
-            cfg["initial"][0][field] = [0.0, big] if field in ("da", "db") else big
-            where = f"initial[0].{field}"
-        else:
-            cfg[field], where = ([0.0, big] if field == "domain" else big), field
-        with pytest.raises(hq.ConfigError, match="double") as exc:
-            hq.validate_config(json.loads(json.dumps(cfg)))
-        assert exc.value.field == where
+        assert exc.value.field == self.NUMBERS[path]
+        if name == "1e400":
+            assert "double" in str(exc.value)
+        elif name in ("NaN", "Infinity", "-Infinity") and path[0] == "initial":
+            assert "finite" in str(exc.value) or path[2] == "x_until"
 
     @pytest.mark.parametrize(
         "domain", [[1e16, 1e16 + 4], [-1e308, 1e308], [0.0, math.inf]],
@@ -1022,17 +1016,43 @@ class TestConfigValidation:
         with pytest.raises(hq.ConfigError, match="cells"):
             hq.validate_config(cfg)
 
-    def test_bad_segment_reported_with_path(self):
+    @pytest.mark.parametrize("segment, field", [
+        ({"rho": -1.0, "U": 0.0, "theta": 1.0}, "rho"),
+        ({"rho": 1.0, "U": 0.0, "theta": 1.0, "thetta": 2.0}, "thetta"),  # an unknown key
+    ])
+    def test_bad_segment_reported_with_path(self, segment, field):
         cfg = self.base()
-        cfg["initial"] = [{"rho": -1.0, "U": 0.0, "theta": 1.0}]
-        with pytest.raises(hq.ConfigError, match=r"initial\[0\].rho"):
+        cfg["initial"] = [segment]
+        with pytest.raises(hq.ConfigError, match=rf"initial\[0\].{field}") as exc:
             hq.validate_config(cfg)
+        assert exc.value.field == f"initial[0].{field}"
 
-    def test_perturbation_positivity_enforced(self):
+    @pytest.mark.parametrize("owner", [True, False], ids=["owns-cells", "owns-none"])
+    def test_perturbation_positivity_enforced(self, owner):
+        # validate_config accepted a negative perturbed b that the build then
+        # refused as 'initial', printing np.float64(-1.0), and never checked a
+        # segment that owns no cell
         cfg = self.base()
-        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "db": [0.0, -2.0]}]
-        with pytest.raises(hq.ConfigError, match="positive"):
-            build_initial_grid(hq.validate_config(cfg))
+        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
+                          {"rho": 1.0, "U": 0.0, "theta": 1.0, "db": [0.0, -2.0],
+                           "x_until": 0.75 if owner else 0.5},
+                          {"rho": 1.0, "U": 0.0, "theta": 1.0}]
+        with pytest.raises(hq.ConfigError) as exc:
+            hq.validate_config(cfg)
+        assert exc.value.field == "initial[1].db"
+        assert str(exc.value).endswith("perturbed b_1 = -1.0 is not positive")
+
+    @pytest.mark.parametrize("x_until", [0.7, 1.0 - 2**-53, 1.5])
+    def test_last_segment_x_until_must_be_x1(self, x_until):
+        # 0.7 on the last segment silently became 1.0
+        cfg = self.base()
+        cfg["initial"] = [{"rho": 1.0, "U": 0.0, "theta": 1.0, "x_until": 0.5},
+                          {"rho": 0.5, "U": 0.0, "theta": 1.0, "x_until": x_until}]
+        with pytest.raises(hq.ConfigError) as exc:
+            hq.validate_config(cfg)
+        assert exc.value.field == "initial[1].x_until"
+        cfg["initial"][1]["x_until"] = 1.0
+        assert hq.validate_config(cfg)["initial"][1]["x_until"] == 1.0
 
     def test_infinite_tau_accepted(self):
         cfg = self.base()
