@@ -35,8 +35,7 @@ print(f"  factor R_n+1: {cp.factors['Rn1']}")
 sd = hq.spectral_decomposition(m, hyqmom)
 print(f"eigenvalues: {sd.eigenvalues}")
 print(f"weights    : {sd.weights}")
-print(f"interlacing of the factor roots: "
-      f"{hq.check_interlacing(sd.eigenvalues[1::2], sd.eigenvalues[0::2])}")
+print(f"near-degenerate: {sd.near_degenerate}")
 
 # --- the qmom system is degenerate ------------------------------------------
 A = hq.jacobian_matrix([1, 0, 1, 0], hq.ClosureSpec("qmom"))

@@ -24,7 +24,6 @@ from .moments import (
 )
 from .orthopoly import (
     Quadrature,
-    check_interlacing,
     gauss_quadrature,
     jacobi_roots,
     poly_eval,

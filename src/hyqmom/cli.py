@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 usage/config error, 2 non-realizable input,
 3 certification failure, 4 realizability loss during a run.  All commands
 are deterministic for fixed flags and seed; random sampling uses numpy's
 PCG64 generator and the seed is recorded in every report.
+
+``spectrum`` and ``verify-hyperbolicity`` certify a spectrum by the one
+rule of ``closures._spectral_verdicts``; this module only reports it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from . import __version__
 from .closures import (
     ClosureSpec,
-    _hyqmom_an,
     _spectral_batch,
+    _spectral_verdicts,
     close,
     spectral_decomposition,
 )
@@ -32,7 +35,7 @@ from .moments import (
     NotRealizableError,
     _realizability,
 )
-from .orthopoly import check_interlacing
+from .orthopoly import NEAR_DEGENERACY_RTOL
 from .solver import MAX_CELLS, ConfigError, RealizabilityLossError, _blocks, run
 from .stability import EquilibriumState, certify
 
@@ -176,81 +179,39 @@ def _cmd_spectrum(args):
     try:
         sd = spectral_decomposition(m, ClosureSpec("hyqmom", gamma=args.gamma))
     except RuntimeError as exc:
-        # a gated vector whose computed roots tie or whose weights fail
+        # a gated vector whose computed spectrum fails a verdict rule
         print(f"certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     if sd.near_degenerate:
         print(
             "warning: near-degenerate spectrum (two roots closer than "
-            "1e-8 x spectral radius)",
+            f"{NEAR_DEGENERACY_RTOL!r} x spectral radius)",
             file=sys.stderr,
         )
     payload = sd.as_dict()
     payload["gamma"] = args.gamma
     payload["weights_positive"] = sd.weights_positive
     payload["near_degenerate"] = sd.near_degenerate
-    if args.check_interlacing:
-        payload["interlacing"] = check_interlacing(
-            sd.eigenvalues[1::2], sd.eigenvalues[0::2]
-        )
     pairs = [(float(lam), float(om)) for lam, om in zip(sd.eigenvalues, sd.weights)]
     if args.format == "csv":
         lines = ["lambda,omega"] + [f"{lam!r},{om!r}" for lam, om in pairs]
     else:
         lines = [f"{'i':>3} {'lambda':>24} {'omega':>24}"]
         lines += [f"{i:>3} {lam!r:>24} {om!r:>24}" for i, (lam, om) in enumerate(pairs)]
-        if args.check_interlacing:
-            lines.append(f"interlacing: {'OK' if payload['interlacing'] else 'FAILED'}")
     _report(args, "spectrum.json", payload, lines)
     return EXIT_OK
 
 
-def _enclosure_radii(a, b, gamma):
-    """Per draw, the eigenvalue enclosure radius (m+1) eps ||T||_F of T_Q
-    (order n) plus that of T_R (order n+1), with ||T||_F taken from the
-    drawn rows a (J, n) and b (J, n+1); inf where ||T||_F^2 overflows."""
-    n = a.shape[1]
-    tq = np.sum(a**2, axis=1) + 2 * np.sum(b[:, 1:n], axis=1)
-    tr = tq + _hyqmom_an(a, gamma) ** 2 + 2 * (2 * n + gamma) / n * b[:, n]
-    return np.finfo(float).eps * ((n + 1) * np.sqrt(tq) + (n + 2) * np.sqrt(tr))
-
-
-def _hyperbolicity_failures(gaps, enclosure, om, gamma, start):
-    """Failure records of the draws whose merged spectra have the gaps
-    np.diff(lam) (J, 2n), the enclosure radii ``_enclosure_radii`` and the
-    weights om (J, 2n+1) at this gamma; draw i is sample start + i.
-
-    A draw fails when its Q_n and R_{n+1} roots do not interlace strictly,
-    when two adjacent eigenvalue enclosures overlap, or (for gamma > -n) on
-    a weight that is not positive.  The spectra are those of the drawn
-    rows themselves, the Jacobi matrices T_Q and T_R of the two factors,
-    and each computed eigenvalue of a symmetric tridiagonal T of order m is
-    enclosed with the radius (m+1) eps ||T||_F.  For the m >= 5 lanes
-    that go to ``eigvalsh`` that is LAPACK's backward-error bound.  For the
-    closed-form orders m <= 4, and for the m >= 5 lanes near the standard
-    normal's factors that the warm path accepts, it is a measured bound,
-    not a proof: checked against 60-digit eigenvalues in the tests (worst
-    error 0.36 of the radius for the closed forms, close and near-degenerate
-    pairs included, and 0.08 for the warm path up to its filter's edge).
-    Interlaced eigenvalues alternate between the two, so
-    disjoint adjacent enclosures prove 2n+1 distinct eigenvalues; a small
-    gap alone fails nothing, as the theorem gives no lower bound on it.
-    """
-    n = gaps.shape[1] // 2
-    not_interlaced = ~np.all(gaps > 0, axis=1)
-    overlap = ~(np.min(gaps, axis=1) > enclosure)
-    bad_weight = ~(np.min(om, axis=1) > 0) if gamma > -n else np.zeros_like(overlap)
-    failures = []
-    for i in np.flatnonzero(not_interlaced | overlap | bad_weight):
-        reasons = []
-        if not_interlaced[i]:
-            reasons.append("interlacing")
-        if overlap[i]:
-            reasons.append(f"enclosures overlap (gap {float(np.min(gaps[i]))!r})")
-        if bad_weight[i]:
-            reasons.append("nonpositive weight")
-        failures.append({"sample": start + int(i), "reasons": reasons})
-    return failures
+def _failure_records(failed, gap, start):
+    """verify-hyperbolicity's failure records of the lanes that fail a rule
+    of ``_spectral_verdicts`` (its masks ``failed`` and smallest gaps
+    ``gap``); lane i is sample start + i."""
+    records = []
+    for i in np.flatnonzero(np.logical_or.reduce(list(failed.values()))):
+        reasons = [f"{rule} (gap {float(gap[i])!r})" if rule == "enclosures overlap" else rule
+                   for rule, mask in failed.items() if mask[i]]
+        records.append({"sample": start + int(i), "reasons": reasons})
+    return records
 
 
 # sampling ranges of the verify commands, and whether their low end must be
@@ -295,8 +256,8 @@ def _require_sampling(args, cap):
 
 def _cmd_verify_hyperbolicity(args):
     """Sample recurrence rows (a, b), close them at gamma and certify the
-    spectra of the drawn rows themselves (_hyperbolicity_failures), with no
-    moments built from them.  The draws are made whole, so the PCG64
+    spectra of the drawn rows themselves (closures._spectral_verdicts), with
+    no moments built from them.  The draws are made whole, so the PCG64
     stream does not depend on blocking, and then run in the solver's
     blocks (solver._blocks over 2n+1 moments per draw): only the running
     minimum separation, the near-degenerate count and the failure records,
@@ -321,11 +282,9 @@ def _cmd_verify_hyperbolicity(args):
         a_blk, b_blk = np.asfortranarray(a[blk]), np.asfortranarray(b[blk])
         with np.errstate(over="ignore", invalid="ignore"):
             lam, om = _spectral_batch(a_blk, b_blk, gamma)
-            enclosure = _enclosure_radii(a_blk, b_blk, gamma)
-            gaps = np.diff(lam, axis=1)
-            # 0/0 where every eigenvalue is 0: the couplings underflowed
-            separation = np.min(gaps, axis=1) / np.max(np.abs(lam), axis=1)
-        finite = np.isfinite(enclosure + separation) & np.all(np.isfinite(lam), axis=1)
+        # separation 0/0 where every eigenvalue is 0: the couplings underflowed
+        failed, gap, separation, radius = _spectral_verdicts(a_blk, b_blk, gamma, lam, om)
+        finite = np.isfinite(radius + separation) & np.all(np.isfinite(lam), axis=1)
         if not finite.all():
             raise ValueError(
                 f"sample {blk.start + int(np.argmin(finite))} has a non-finite eigenvalue, "
@@ -335,7 +294,7 @@ def _cmd_verify_hyperbolicity(args):
             )
         min_separation = min(min_separation, float(separation.min()))
         near_degenerate += int(np.sum(separation <= tol))
-        failures += _hyperbolicity_failures(gaps, enclosure, om, gamma, blk.start)
+        failures += _failure_records(failed, gap, blk.start)
     report = {
         "n": n,
         "gamma": gamma,
@@ -433,7 +392,6 @@ def build_parser():
     p = sub.add_parser("spectrum", help="eigenvalues and weights of the closed system")
     p.add_argument("--moments", required=True)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--check-interlacing", action="store_true")
     _add_common(p, ("json", "csv"), tol_help=_PIVOT_TOL_HELP)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -24,6 +24,10 @@ For hyqmom, <Q_n R_{n+1}> = <(X - a_n) Q_n^2> - ((2n+gamma)/n) b_n
 <Q_n Q_{n-1}>, and the last term vanishes by orthogonality: the closure is
 the unique M_{2n+1} whose induced a_n is the prescribed one.  The system
 eigenvalues are the merged, interlacing roots of the two factors.
+
+Whether a computed hyqmom spectrum is certified is decided here and only
+here, by ``_spectral_verdicts``: ``spectral_decomposition`` (and with it
+``hyqmom spectrum``) and ``hyqmom verify-hyperbolicity`` read its masks.
 """
 
 from __future__ import annotations
@@ -283,41 +287,82 @@ def _spectral_batch(a, b, gamma):
     return lam, om
 
 
+def _enclosure_radii(a, b, gamma):
+    """Per lane, the eigenvalue enclosure radius (m+1) eps ||T||_F of T_Q
+    (order n) plus that of T_R (order n+1), with ||T||_F taken from the
+    rows a (J, n) and b (J, n+1); inf where ||T||_F^2 overflows."""
+    n = a.shape[1]
+    tq = np.sum(a**2, axis=1) + 2 * np.sum(b[:, 1:n], axis=1)
+    tr = tq + _hyqmom_an(a, gamma) ** 2 + 2 * (2 * n + gamma) / n * b[:, n]
+    return np.finfo(float).eps * ((n + 1) * np.sqrt(tq) + (n + 2) * np.sqrt(tr))
+
+
+def _spectral_verdicts(a, b, gamma, lam, om):
+    """The certification of the merged spectra (lam, om) that
+    ``_spectral_batch`` gives for the rows a (J, n) and b (J, n+1): returns
+    (failed, gap, separation, radius), where failed maps each rule a lane
+    can fail to its (J,) mask, gap is the smallest eigenvalue gap,
+    separation is gap / max|lam| and radius the enclosure radius.
+
+    The rules, in this order: ``interlacing`` -- the Q_n and R_{n+1} roots
+    do not interlace strictly; ``enclosures overlap`` -- the smallest gap is
+    not above the enclosure radius; ``nonpositive weight`` -- a weight is
+    not positive, a rule only for gamma > -n, where the theorem gives
+    positive weights.  The spectra are those of the rows themselves, the
+    Jacobi matrices T_Q and T_R of the two factors, and each computed
+    eigenvalue of a symmetric tridiagonal T of order m is enclosed with the
+    radius (m+1) eps ||T||_F (``_enclosure_radii``).  For the m >= 5 lanes
+    that go to ``eigvalsh`` that is LAPACK's backward-error bound.  For the
+    closed-form orders m <= 4, and for the m >= 5 lanes near the standard
+    normal's factors that the warm path accepts, it is a measured bound,
+    not a proof: checked against 60-digit eigenvalues in the tests (worst
+    error 0.36 of the radius for the closed forms, close and near-degenerate
+    pairs included, and 0.08 for the warm path up to its filter's edge).
+    Interlaced eigenvalues alternate between the two, so disjoint adjacent
+    enclosures prove 2n+1 distinct eigenvalues; a small gap alone fails
+    nothing, as the theorem gives no lower bound on it.  A radius that
+    overflows is inf, and a separation of all-zero eigenvalues NaN.
+    """
+    n = a.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(lam, axis=1)
+        gap = np.min(gaps, axis=1)
+        radius = _enclosure_radii(a, b, gamma)
+        separation = gap / np.max(np.abs(lam), axis=1)
+    failed = {"interlacing": ~np.all(gaps > 0, axis=1), "enclosures overlap": ~(gap > radius)}
+    if gamma > -n:
+        failed["nonpositive weight"] = ~(np.min(om, axis=1) > 0)
+    return failed, gap, separation, radius
+
+
 def spectral_decomposition(m, spec):
     """Full eigenstructure (characteristic coefficients, eigenvalues,
-    weights, factors) of a closed hyqmom system."""
+    weights, factors) of a closed hyqmom system: the J = 1 view of
+    ``_spectral_batch`` and ``_spectral_verdicts``, raising RuntimeError
+    that names every rule the spectrum fails."""
     if spec.variant != "hyqmom":
         raise ValueError(
             "spectral_decomposition is defined for the hyqmom closure; "
             "other variants expose only their characteristic polynomial"
         )
     a, b = _recurrence_rows(m, spec)
-    n = a.shape[1]
     c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
     lam, om = _spectral_batch(a, b, spec.gamma)
-    lam, om = lam[0], om[0]
-    gap = float(np.min(np.diff(lam)))
-    if not gap > 0:
+    failed, gap, separation, _ = _spectral_verdicts(a, b, spec.gamma, lam, om)
+    reasons = [rule for rule, mask in failed.items() if mask[0]]
+    if reasons:
         raise RuntimeError(
-            f"interlacing of Q_n and R_{{n+1}} roots failed (smallest gap {gap!r}); input "
-            "sits on the realizability boundary or an internal invariant is broken"
+            f"hyqmom spectrum fails {', '.join(reasons)} (smallest gap {float(gap[0])!r}); the "
+            "input sits on the realizability boundary or an internal invariant is broken"
         )
-    positive = bool(np.min(om) > 0)
-    if spec.gamma > -n and not positive:
-        raise RuntimeError(
-            "eigenvalue weights must be positive for gamma > -n; "
-            "internal consistency violated"
-        )
-    radius = np.max(np.abs(lam))
-    near = bool(gap < NEAR_DEGENERACY_RTOL * radius)
     return SpectralDecomposition(
         c=c[0],
-        eigenvalues=lam,
-        weights=om,
+        eigenvalues=lam[0],
+        weights=om[0],
         factors={k: f[0] for k, f in factors.items()},
         gamma=spec.gamma,
-        weights_positive=positive,
-        near_degenerate=near,
+        weights_positive=bool(np.min(om) > 0),
+        near_degenerate=bool(separation[0] < NEAR_DEGENERACY_RTOL),
     )
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class RealizabilityCheck:
         return self.realizable
 
 
-@dataclass
-class RecurrenceCoefficients:
+class RecurrenceCoefficients(NamedTuple):
     """Three-term recurrence coefficients (a_k, b_k); b_k > 0 on the cone.
 
     For a moment vector of odd length 2n+1 the bijection yields
@@ -78,9 +78,6 @@ class RecurrenceCoefficients:
 
     a: np.ndarray
     b: np.ndarray
-
-    def __iter__(self):
-        return iter((self.a, self.b))
 
 
 @dataclass
@@ -356,13 +353,6 @@ def moments_to_recurrence(m, tol=DEFAULT_REALIZABILITY_TOL):
     return RecurrenceCoefficients(a=a, b=b)
 
 
-def _coeff_arrays(rc):
-    if isinstance(rc, RecurrenceCoefficients):
-        return np.asarray(rc.a, dtype=float), np.asarray(rc.b, dtype=float)
-    a, b = rc
-    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-
-
 def _moments_from_recurrence_batch(a, b, length):
     """Forward sweep of the mixed moments sigma(k, l) = <Q_k X^l>.
 
@@ -405,7 +395,8 @@ def recurrence_to_moments(rc, length):
     Non-finite coefficients are refused (a NaN would pass the positivity
     check).
     """
-    a, b = _coeff_arrays(rc)
+    a, b = rc
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("recurrence coefficients must be finite")
     if length < 1:

@@ -26,7 +26,9 @@ solver by its order m alone:
   eigenvalues or with a spread large enough to overflow the closed form,
   which LAPACK scales.
 
-Polynomial deflation and companion matrices are never used.
+Polynomial deflation and companion matrices are never used.  Whether the
+merged hyqmom roots interlace, with disjoint enclosures and positive
+weights, is decided in ``closures._spectral_verdicts``, not here.
 """
 
 from __future__ import annotations
@@ -629,16 +631,3 @@ def gauss_quadrature(m):
     n = len(m) // 2
     nodes, weights = _jacobi_batch(a[None, :n], np.sqrt(b[None, 1:n]), b[None, :1])
     return Quadrature(nodes=nodes[0], weights=weights[0])
-
-
-def check_interlacing(inner, outer):
-    """Strict interlacing outer_0 < inner_0 < outer_1 < ... < outer_k."""
-    inner = np.asarray(inner, dtype=float)
-    outer = np.asarray(outer, dtype=float)
-    if len(outer) != len(inner) + 1:
-        raise ValueError("need len(outer) == len(inner) + 1")
-    merged = np.empty(len(inner) + len(outer))
-    merged[0::2] = outer
-    merged[1::2] = inner
-    return bool(np.all(np.diff(merged) > 0))
-

@@ -496,8 +496,9 @@ def _choice(field, value, options):
 def validate_config(cfg):
     """Normalize and validate a simulation config, raising ConfigError with
     the offending field on any problem: every number goes through _number,
-    flux_variant and boundary through _choice, and a key it does not read
-    is refused."""
+    flux_variant and boundary through _choice, a key it does not read is
+    refused, and so is a segment whose moment row overflows or fails the
+    realizability gate."""
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     get, cap = cfg.get, MAX_HALF_ORDER
@@ -566,15 +567,26 @@ def validate_config(cfg):
     _number(f"initial[{len(segments) - 1}].x_until", segments[-1].get("x_until"),
             lambda v: v == x1, f"x1 = {x1!r} on the last segment, or omitted", optional=True)
     unknown = [key for key in cfg if key not in out]
+    # each segment's moment row, built and gated once for all segments; k
+    # theta and the moments may round to inf, which the checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = (np.concatenate(parts) for parts in
+                zip(*(_segment_coefficients(ns, n) for ns in out["initial"])))
+        rows = _moments_from_recurrence_batch(a, b, 2 * n + 1)
+        ok = _realizable_pivots_batch(rows)[0]
     for i, (seg, ns) in enumerate(zip(segments, out["initial"])):
-        with np.errstate(over="ignore"):  # k theta may round to inf, which is positive
-            b = _segment_coefficients(ns, n)[1][0].tolist()
-        for k, b_k in enumerate(b):
+        for k, b_k in enumerate(b[i].tolist()):
             if not b_k > 0:
                 raise ConfigError(f"initial[{i}].db", f"perturbed b_{k} = {b_k!r} is not positive")
         unknown += [f"initial[{i}].{key}" for key in seg if key not in ns]
     if unknown:
         raise ConfigError(unknown[0], "unknown field")
+    for i, row in enumerate(rows.tolist()):
+        for k, m_k in enumerate(row):
+            if not math.isfinite(m_k):
+                raise ConfigError(f"initial[{i}]", f"M_{k} = {m_k!r} exceeds double precision")
+        if not ok[i]:
+            raise ConfigError(f"initial[{i}]", "the moment row fails the realizability gate")
     return out
 
 

@@ -518,7 +518,9 @@ def test_criterion_8_degenerate_versus_hyperbolic_closures():
                 assert g_at_q < 0
                 continue
             qmroots = hq.jacobi_roots(aa[j][: n - 1], bb[j][1 : n - 1])
-            assert hq.check_interlacing(qmroots, qroots)
+            merged = np.empty(2 * n - 1)
+            merged[0::2], merged[1::2] = qroots, qmroots
+            assert np.all(np.diff(merged) > 0)
             g_at_q = -hq.poly_eval(qm[j][:n], qroots) ** 2
             g_at_qm = hq.poly_eval(qn[j], qmroots) ** 2
             assert np.all(g_at_q < 0)

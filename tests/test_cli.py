@@ -9,16 +9,31 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hyqmom import cli, closures, moments, solver, stability
-from hyqmom.cli import _enclosure_radii, _hyperbolicity_failures, build_parser, main
-from hyqmom.closures import _spectral_batch
+from hyqmom.cli import _failure_records, build_parser, main
+from hyqmom.closures import _spectral_batch, _spectral_verdicts
+from hyqmom.orthopoly import NEAR_DEGENERACY_RTOL
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
+
+# n = 3, drawn with a_k in [-300, 300]: lambda_0 and lambda_1 come out 8e-13
+# apart, in order but closer than their enclosure radius
+OVERLAPPING = ("1.0,-283.04030032352114,80116.67357340563,-22676961.130200434,"
+               "6418786181.099769,-1816845602944.8518,514262138256634.9")
+
+
+def verdicts(m, gamma=1.0):
+    """_spectral_verdicts on the Wheeler rows of the moment vector m."""
+    a, b = moments.moments_to_recurrence(m)
+    a, b = a[None, :], b[None, :]
+    lam, om = _spectral_batch(a, b, gamma)
+    return _spectral_verdicts(a, b, gamma, lam, om)
 
 
 def run_cli(args, capsys):
@@ -122,11 +137,8 @@ class TestClose:
 
 class TestSpectrum:
     def test_table(self, capsys):
-        code, out, _ = run_cli(
-            ["spectrum", "--moments", "1,0,1", "--check-interlacing"], capsys
-        )
+        code, out, _ = run_cli(["spectrum", "--moments", "1,0,1"], capsys)
         assert code == 0
-        assert "interlacing: OK" in out
         assert "1.7320508075688772" in out
 
     def test_json(self, capsys):
@@ -150,11 +162,29 @@ class TestSpectrum:
         import hyqmom as hq
 
         m = hq.recurrence_to_moments(([0.0, 0.0], [1.0, 1.0, 1e-9]), 5)
+        assert verdicts(m)[2][0] < NEAR_DEGENERACY_RTOL
         code, _, err = run_cli(
             ["spectrum", "--moments", ",".join(repr(float(x)) for x in m)], capsys
         )
         assert code == 0
         assert "near-degenerate" in err
+        assert f"closer than {NEAR_DEGENERACY_RTOL!r} x spectral radius" in err
+
+    def test_overlapping_enclosures_exit_3(self, capsys):
+        # the roots are distinct and in order, so the interlacing rule alone
+        # passes them; verify-hyperbolicity's overlap rule fails them, and so
+        # does spectrum
+        m = [float(x) for x in OVERLAPPING.split(",")]
+        failed = verdicts(m)[0]
+        assert {rule: bool(mask[0]) for rule, mask in failed.items()} == {
+            "interlacing": False, "enclosures overlap": True, "nonpositive weight": False,
+        }
+        code, out, err = run_cli(["spectrum", "--moments", OVERLAPPING], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "enclosures overlap" in err
+        with pytest.raises(RuntimeError, match="enclosures overlap"):
+            closures.spectral_decomposition(m, closures.ClosureSpec())
 
     def test_tied_roots_exit_3_without_report(self, tmp_path, capsys):
         # n = 4, pivots down to 4.1e-12: the vector passes the gate, and its
@@ -311,9 +341,8 @@ class TestVerifyHyperbolicity:
         def failures(gamma):
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam, om = _spectral_batch(a, b, gamma)
-            return _hyperbolicity_failures(
-                np.diff(lam, axis=1), _enclosure_radii(a, b, gamma), om, gamma, 0
-            )
+            failed, gap, _, _ = _spectral_verdicts(a, b, gamma, lam, om)
+            return _failure_records(failed, gap, 0)
 
         records = failures(gamma)
         assert [f["sample"] for f in records] == list(range(20))
@@ -322,6 +351,32 @@ class TestVerifyHyperbolicity:
         )
         # the same draws at gamma = 1 are certified
         assert failures(1.0) == []
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_library_agrees_with_the_verify_rule(self, n):
+        # draws as verify-hyperbolicity --a-range -300 300 makes them; for
+        # each vector that passes the gate, spectral_decomposition raises
+        # exactly when the verify records of its own Wheeler rows fail it
+        rng = np.random.default_rng(0)
+        drawn = zip(rng.uniform(-300.0, 300.0, (2000, n)), rng.uniform(0.1, 10.0, (2000, n + 1)))
+        rows, raised = [], []
+        for rc in drawn:
+            m = moments.recurrence_to_moments(rc, 2 * n + 1)
+            try:
+                rows.append(moments.moments_to_recurrence(m))
+            except moments.NotRealizableError:
+                continue
+            try:
+                closures.spectral_decomposition(m, closures.ClosureSpec())
+                raised.append(False)
+            except RuntimeError:
+                raised.append(True)
+        a, b = (np.asfortranarray(np.array(r)) for r in zip(*rows))
+        lam, om = _spectral_batch(a, b, 1.0)
+        failed, gap, _, _ = _spectral_verdicts(a, b, 1.0, lam, om)
+        records = _failure_records(failed, gap, 0)
+        assert [f["sample"] for f in records] == np.flatnonzero(raised).tolist()
+        assert 0 < len(records) < len(rows)
 
     def test_drawn_rows_are_certified_without_moments(self, monkeypatch, capsys):
         # the spectra are those of the drawn (a, b): no moments are built
@@ -786,6 +841,29 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("config error") and "initial[0].rho" in err
 
+    @pytest.mark.parametrize("theta, why", [
+        ("1e200", "M_4 = inf exceeds double precision"),
+        ("1e-200", "the moment row fails the realizability gate"),
+    ])
+    def test_unrepresentable_initial_moments_exit_1(self, theta, why, capsys, tmp_path):
+        # n = 2: M_4 = 3 rho theta^2 overflows at theta = 1e200, and at
+        # 1e-200 it and the pivot b_0 b_1 b_2 underflow to 0; the config is
+        # refused before any grid is built, not reported as realizability
+        # loss at t = 0
+        cfg = json.loads((CONFIGS / "riemann_n2.json").read_text())
+        cfg["initial"][1]["theta"] = float(theta)
+        bad = tmp_path / "unrepresentable.json"
+        bad.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["simulate", str(bad), "--output-dir", str(tmp_path / "out")], capsys
+            )
+        assert code == 1
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("config error: config field 'initial[1]'") and why in err
+        assert not (tmp_path / "out").exists()
+
     def test_unparseable_json_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -946,7 +1024,7 @@ class TestReportEncoding:
         [
             (["close", "--hyqmom", "--moments", "1,0,1,0,3", "--format", "json"],
              ["close.json", "manifest.json"]),
-            (["spectrum", "--moments", "1,0,1,0,3", "--check-interlacing", "--format", "json"],
+            (["spectrum", "--moments", "1,0,1,0,3", "--format", "json"],
              ["spectrum.json", "manifest.json"]),
             (["verify-hyperbolicity", "--n", "2", "--samples", "300", "--format", "json"],
              ["hyperbolicity_report.json", "manifest.json"]),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
+from hyqmom.closures import _spectral_batch, _spectral_verdicts
 from hyqmom.moments import _wheeler_batch
-from hyqmom.orthopoly import _monic_pair_batch
+from hyqmom.orthopoly import NEAR_DEGENERACY_RTOL, _monic_pair_batch
 from corpus import random_even_moments, random_odd_moments
 from reference import mp_mul, mp_recurrence, vandermonde_weights
 
@@ -319,7 +320,8 @@ class TestSpectralDecomposition:
         assert np.allclose(
             sd.eigenvalues, [-np.sqrt(6), -1, 0, 1, np.sqrt(6)], atol=1e-13
         )
-        assert hq.check_interlacing(sd.eigenvalues[1::2], sd.eigenvalues[0::2])
+        # merged order: R_{n+1} roots at even indices, Q_n roots at odd ones
+        assert np.all(np.diff(sd.eigenvalues) > 0)
 
     def test_odd_entries_are_polynomial_roots(self, rng):
         m = random_odd_moments(rng, 3)[0]
@@ -387,11 +389,17 @@ class TestSpectralDecomposition:
     def test_near_degenerate_flagged_not_fatal(self):
         # a vanishing top recurrence weight pulls roots of the two factors
         # together; flagged as a diagnostic, still a valid decomposition
+        def separation(m):
+            a, b = (r[None, :] for r in hq.moments_to_recurrence(m))
+            return _spectral_verdicts(a, b, 1.0, *_spectral_batch(a, b, 1.0))[2][0]
+
         m = hq.recurrence_to_moments(([0.0, 0.0], [1.0, 1.0, 1e-9]), 5)
         sd = hq.spectral_decomposition(m, HYQMOM)
+        assert separation(m) < NEAR_DEGENERACY_RTOL
         assert sd.near_degenerate
         assert np.all(np.diff(sd.eigenvalues) > 0)
         clean = hq.spectral_decomposition([1, 0, 1, 0, 3], HYQMOM)
+        assert not separation([1, 0, 1, 0, 3]) < NEAR_DEGENERACY_RTOL
         assert not clean.near_degenerate
 
     def test_json_keys(self):

@@ -1122,13 +1122,15 @@ class TestRun:
 
     def test_snapshot_times_are_exact_multiples(self, count_calls):
         # the k-th snapshot sits at k * snapshot_every exactly rather than at
-        # a sum of step sizes, and pinning the time costs no Wheeler sweep
+        # a sum of step sizes, and pinning the time costs no Wheeler sweep:
+        # validate_config's gate of the initial rows, the first step's gate
+        # and one per step
         path = Path(__file__).parents[1] / "demos" / "configs" / "relaxation_homogeneous.json"
         sweeps = count_calls(hq.moments, "_wheeler_batch")
         result = hq.run(path)
         assert [s.time for s in result.snapshots] == [k * 0.1 for k in range(6)]
         assert result.manifest["final_time"] == 0.5
-        assert sweeps[0] == result.manifest["steps"] + 1
+        assert sweeps[0] == result.manifest["steps"] + 2
 
     def test_snapshot_x_column_is_the_cell_centres(self):
         # x0 + (j + 1/2) dx, the centres build_initial_grid fills the cells
@@ -1240,14 +1242,15 @@ class TestRun:
     def test_one_step_call_and_one_sweep_per_step(self, tmp_path, count_calls):
         # the post-step check is the next step's gate, no step is recomputed
         # to land on a snapshot time or t_final, and each snapshot CSV reads
-        # the live grid's gate
+        # the live grid's gate; validate_config gates the initial segments'
+        # rows in one more sweep
         path = Path(__file__).parents[1] / "demos" / "configs" / "riemann_n2.json"
         steps = count_calls(hq.solver, "step")
         sweeps = count_calls(hq.moments, "_wheeler_batch")
         result = hq.run(path, output_dir=tmp_path)
         assert len(result.files) == len(result.snapshots) + 1
         assert steps[0] == result.manifest["steps"]
-        assert sweeps[0] == result.manifest["steps"] + 1
+        assert sweeps[0] == result.manifest["steps"] + 2
 
     def test_runs_are_deterministic(self, tmp_path):
         cfg = TestConfigValidation().base()
