@@ -26,6 +26,14 @@ solver by its order m alone:
   eigenvalues or with a spread large enough to overflow the closed form,
   which LAPACK scales.
 
+A stacked ``eigvalsh`` call of 2 * ``SPLIT_VALUES`` matrix entries or more
+is cut into contiguous parts of ``SPLIT_VALUES`` entries or more on
+average, at most one per CPU of the process's affinity mask, which run at
+the same time: the first in the calling thread, the others on daemon
+helper threads that start at the first such call and do nothing but
+``eigvalsh``.  LAPACK solves each matrix on its own, so the eigenvalues do
+not depend on the cut or on the CPU count.
+
 Polynomial deflation and companion matrices are never used.  Whether the
 merged hyqmom roots interlace, with disjoint enclosures and positive
 weights, is decided in ``closures._spectral_verdicts``, not here.
@@ -34,6 +42,8 @@ weights, is decided in ``closures._spectral_verdicts``, not here.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +60,13 @@ NEAR_DEGENERACY_RTOL = 1e-8
 # on the stiff n = 6 benchmark run about 95% of the lanes need no step
 # (Kato-Temple) and nearly every other lane stops after two.
 NEWTON_STEPS = 3
+
+# Matrix entries per part of a split ``eigvalsh`` call, at least on average
+# (``_dense_eigenvalues``).  It is the break-even on a 2-CPU host: split in
+# two, 200 matrices of order 5 took 1.23x as long and 400 took 0.60x; at
+# order 7, 100 and 200 took 1.13x and 0.63x; at order 11, 50 and 100 took
+# 1.27x and 0.63x (medians of 201 calls).
+SPLIT_VALUES = 8192
 
 
 @dataclass
@@ -357,14 +374,95 @@ def _newton_step(x, d, s, rows):
 
 def _dense_eigenvalues(diag, offdiag):
     """``numpy.linalg.eigvalsh`` of the dense (J, m, m) Jacobi matrices,
-    filled through strided views of their diagonals; (J, m) ascending."""
+    filled through strided views of their diagonals; (J, m) ascending.
+
+    With ``count`` = min(CPUs, J m^2 // ``SPLIT_VALUES``) >= 2 the matrices
+    are cut into ``count`` contiguous parts: the first is solved here, the
+    others by the helper threads (``_helper_tasks``), and each part's
+    eigenvalues overwrite row 0 of its own solved matrices, so the result is
+    a view of the matrices and needs no other buffer.  An error of any part
+    is raised after every part has finished."""
     J, m = diag.shape
     A = np.zeros((J, m, m))
     flat = A.reshape(J, m * m)
     flat[:, :: m + 1] = diag
     flat[:, 1 :: m + 1] = offdiag
     flat[:, m :: m + 1] = offdiag
-    return np.linalg.eigvalsh(A)
+    count = J * m * m // SPLIT_VALUES
+    if count > 1:
+        count = min(count, _cpu_count())
+    if count <= 1:
+        return np.linalg.eigvalsh(A)
+    tasks, done = _helper_tasks(count - 1)
+    edges = [J * i // count for i in range(count + 1)]
+    for lo, hi in zip(edges[1:-1], edges[2:]):
+        tasks.put((A[lo:hi], done))
+    head = A[: edges[1]]
+    try:
+        head[:, 0] = np.linalg.eigvalsh(head)
+    finally:
+        errors = [done.get() for _ in range(count - 1)]
+    for error in errors:
+        if error is not None:
+            raise error
+    return A[:, 0]
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# The helpers' task queue, their count and the lock that starts them; a
+# forked child has no helper thread, so it starts afresh (``_no_helpers``)
+_helpers = {"tasks": None, "count": 0, "lock": threading.Lock()}
+
+
+def _helper_tasks(count):
+    """The queue that feeds at least ``count`` helper threads, started on
+    first use, and a new queue for one call's completions.  ``queue`` is
+    imported here, so that an import of hyqmom starts no thread and loads
+    no queue module."""
+    import queue
+
+    with _helpers["lock"]:
+        if _helpers["tasks"] is None:
+            _helpers["tasks"] = queue.SimpleQueue()
+        tasks = _helpers["tasks"]
+        while _helpers["count"] < count:
+            threading.Thread(
+                target=_serve, args=(tasks,), name="hyqmom-eigvalsh", daemon=True
+            ).start()
+            _helpers["count"] += 1
+    return tasks, queue.SimpleQueue()
+
+
+def _serve(tasks):
+    """Body of a helper thread: solve each queued part in place and put its
+    error, or None, on the part's completion queue.  It drops the part
+    before it reports and the completion queue after, so that no array of
+    the caller outlives the call."""
+    while True:
+        part, done = tasks.get()
+        try:
+            part[:, 0] = np.linalg.eigvalsh(part)
+            error = None
+        except Exception as exc:  # raised in the calling thread
+            error = exc
+        del part
+        done.put(error)
+        del done, error
+
+
+def _no_helpers():
+    _helpers.update(tasks=None, count=0, lock=threading.Lock())
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_no_helpers)
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyqmom import cli, closures, moments, solver, stability
+from hyqmom import cli, closures, moments, orthopoly, solver, stability
 from hyqmom.cli import _failure_records, build_parser, main
 from hyqmom.closures import _spectral_batch, _spectral_verdicts
 from hyqmom.orthopoly import NEAR_DEGENERACY_RTOL
@@ -437,16 +437,23 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_far_draws_all_go_to_lapack(self, n, monkeypatch, capsys, tmp_path):
         # the default draws lie far from the standard normal's factors, so
-        # the filter admits none of them: one eigvalsh call per factor of
-        # order >= 5 (R_{n+1}, and Q_n from n = 5 on) per block, on every draw
-        matrices = []
-        eigvalsh = np.linalg.eigvalsh
+        # the filter admits none of them: one dense solve per factor of
+        # order >= 5 (R_{n+1}, and Q_n from n = 5 on) per block, on every
+        # draw, whatever the number of parts eigvalsh is called on
+        solves, matrices = [], []
+        dense, eigvalsh = orthopoly._dense_eigenvalues, np.linalg.eigvalsh
+
+        def dense_spy(diag, offdiag):
+            if diag.shape[1] >= 5:
+                solves.append(diag.shape[0])
+            return dense(diag, offdiag)
 
         def spy(A):
             if A.shape[-1] >= 5:
                 matrices.append(A.shape[0])
             return eigvalsh(A)
 
+        monkeypatch.setattr(orthopoly, "_dense_eigenvalues", dense_spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         samples = 7000
         blocks = solver._blocks(samples, 2 * n + 1)
@@ -454,8 +461,8 @@ class TestDrawBlocks:
         run_cli(["verify-hyperbolicity", "--n", str(n), "--samples", str(samples),
                  "--output-dir", str(tmp_path)], capsys)
         factors = 1 if n == 4 else 2
-        assert len(matrices) == factors * len(blocks)
-        assert sum(matrices) == factors * samples
+        assert len(solves) == factors * len(blocks)
+        assert sum(solves) == sum(matrices) == factors * samples
 
     def test_failures_carry_global_ascending_indices(self, monkeypatch, capsys, tmp_path):
         # gamma just above -2n: two of the 20000 default draws fail
@@ -522,6 +529,32 @@ class TestUnresolvedRanges:
             report = json.loads(out, parse_constant=pytest.fail)
             assert len(report["failures"]) == 5 and report["min_separation"] == 0.0
             assert (tmp_path / "hyperbolicity_report.json").read_text() == out
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [["--n", "4", "--b-range", "1e300", "1.7e308"], ["--n", "6", "--a-range", "-1e300", "1e300"]],
+    )
+    def test_refusal_with_split_solves(self, ranges, monkeypatch, capsys, tmp_path):
+        # 3000 draws are one block, whose eigvalsh calls are split into 4
+        # parts; np.errstate holds per thread, yet the refusal is the same
+        # one line, with no RuntimeWarning from a helper
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: 4)
+        parts = collections.Counter()
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(A):
+            parts[A.shape[-1]] += 1
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        argv = ["verify-hyperbolicity", "--samples", "3000", *ranges, "--output-dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert parts[int(ranges[1]) + 1] == 4
+        assert code == 1 and out == "" and not any(tmp_path.iterdir())
+        assert err.count("\n") == 1
+        assert err.startswith("error: sample 0 has a non-finite eigenvalue, enclosure radius or")
 
 
 @pytest.mark.parametrize(
@@ -900,6 +933,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_starts_no_thread(self, package_env):
+        # the eigvalsh helper threads start, and queue is imported, at the
+        # first split solve; concurrent.futures is never imported
+        modules = ("queue", "concurrent.futures")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, threading, hyqmom; "
+             f"print(threading.active_count(), [m for m in {modules} if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+            env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1 []"
 
     def test_usage_error_exit_1(self, package_env):
         proc = subprocess.run(

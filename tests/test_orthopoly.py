@@ -1,11 +1,19 @@
+import multiprocessing
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom import cli, stability
+from hyqmom import cli, orthopoly, stability
 from hyqmom.closures import _extended_jacobi_rows, _spectral_batch
 from hyqmom.moments import _moments_from_recurrence_batch, _realizable_pivots_batch
 from hyqmom.orthopoly import (
+    SPLIT_VALUES,
+    _dense_eigenvalues,
     _jacobi_batch,
     _model,
     _monic_pair_batch,
@@ -791,3 +799,131 @@ class TestVandermondeWeights:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             vandermonde_weights([0.0, 1.0], [1.0])
+
+
+def _solve_in_child(diag, off, expected):
+    """Body of a forked child: a split solve, exit code 0 if it is exact."""
+    assert np.array_equal(_dense_eigenvalues(diag, off), expected)
+
+
+class TestSplitEigenvalues:
+    """``_dense_eigenvalues`` cuts a stacked eigvalsh call into parts that
+    run at the same time; the CPU count is patched to force 1-4 parts."""
+
+    @staticmethod
+    def rows(rng, J, m):
+        return rng.normal(size=(J, m)), rng.uniform(0.1, 2.0, size=(J, m - 1))
+
+    @staticmethod
+    def split_threshold(m):
+        """The fewest matrices of order m that are split in two."""
+        return -(-2 * SPLIT_VALUES // (m * m))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [5, 6, 7, 11])
+    def test_bitwise_equal_to_one_call(self, m, cpus, rng, monkeypatch):
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: cpus)
+        eigvalsh, parts = np.linalg.eigvalsh, []
+
+        def spy(A):
+            parts.append(len(A))
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        edge = self.split_threshold(m)
+        for J in (edge - 1, edge, 4 * edge + 1, 4 * edge + 2):
+            diag, off = self.rows(rng, J, m)
+            expected = eigvalsh(_dense(diag, off))
+            parts.clear()
+            assert np.array_equal(_dense_eigenvalues(diag, off), expected)
+            # parts one matrix apart in length, of SPLIT_VALUES entries or
+            # more on average; 4 edge + 1 and + 2 are odd or 2 mod 4
+            assert len(parts) == max(1, min(cpus, J * m * m // SPLIT_VALUES))
+            assert sum(parts) == J and max(parts) - min(parts) <= 1
+            assert len(parts) == 1 or J * m * m >= len(parts) * SPLIT_VALUES
+
+    def test_error_in_the_last_part(self, rng, monkeypatch):
+        # a NaN matrix makes LAPACK fail: the split call raises what the one
+        # call raises, after the other parts have finished
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: 4)
+        m = 5
+        diag, off = self.rows(rng, 4 * self.split_threshold(m) + 1, m)
+        diag[-1], off[-1] = np.nan, np.nan
+        with pytest.raises(np.linalg.LinAlgError) as single:
+            np.linalg.eigvalsh(_dense(diag, off))
+        with pytest.raises(np.linalg.LinAlgError) as split:
+            _dense_eigenvalues(diag, off)
+        assert str(split.value) == str(single.value)
+        # the helpers serve the next call
+        good = self.rows(rng, len(diag), m)
+        assert np.array_equal(_dense_eigenvalues(*good), np.linalg.eigvalsh(_dense(*good)))
+
+    def test_no_array_outlives_the_call(self, rng, monkeypatch):
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: 4)
+        m = 7
+        diag, off = self.rows(rng, 4 * self.split_threshold(m), m)
+        _dense_eigenvalues(diag, off)  # start the helpers
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = _dense_eigenvalues(diag, off)
+            assert x.base.nbytes == diag.size * m * 8
+            del x
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a helper may still hold an empty completion queue for a moment,
+        # but no part of the matrices, 131 KB each
+        assert after - before < 1024
+
+    def test_callers_on_many_threads(self, rng, monkeypatch):
+        # 6 threads split at once, with a thread switch every microsecond:
+        # each gets its own bits, and exactly 3 helpers start for them
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: 4)
+        fresh = {"tasks": None, "count": 0, "lock": threading.Lock()}
+        monkeypatch.setattr(orthopoly, "_helpers", fresh)
+        m = 6
+        inputs = [self.rows(rng, 4 * self.split_threshold(m) + k, m) for k in range(6)]
+        expected = [np.linalg.eigvalsh(_dense(*rows)) for rows in inputs]
+        got = [None] * len(inputs)
+
+        def solve(i):
+            for _ in range(5):
+                got[i] = _dense_eigenvalues(*inputs[i])
+
+        helpers = sum(t.name == "hyqmom-eigvalsh" for t in threading.enumerate())
+        callers = [threading.Thread(target=solve, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        assert fresh["count"] == 3
+        assert sum(t.name == "hyqmom-eigvalsh" for t in threading.enumerate()) == helpers + 3
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+    # Python 3.12 warns of any fork in a process with threads; this child
+    # runs only numpy and the helpers it starts itself
+    @pytest.mark.filterwarnings("ignore:.*multi-threaded.*:DeprecationWarning")
+    def test_forked_child_starts_its_own_helpers(self, rng, monkeypatch):
+        monkeypatch.setattr(orthopoly, "_cpu_count", lambda: 2)
+        m = 5
+        diag, off = self.rows(rng, 2 * self.split_threshold(m), m)
+        expected = np.linalg.eigvalsh(_dense(diag, off))
+        assert np.array_equal(_dense_eigenvalues(diag, off), expected)  # helpers run
+        child = multiprocessing.get_context("fork").Process(
+            target=_solve_in_child, args=(diag, off, expected)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child waited on helpers that it does not have")
+        assert child.exitcode == 0
