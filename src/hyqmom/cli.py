@@ -23,19 +23,15 @@ import numpy as np
 
 from . import __version__
 from .closures import (
+    NEAR_DEGENERACY_RTOL,
     ClosureSpec,
+    _refusal,
     _spectral_batch,
     _spectral_verdicts,
     close,
     spectral_decomposition,
 )
-from .moments import (
-    DEFAULT_REALIZABILITY_TOL,
-    MAX_HALF_ORDER,
-    NotRealizableError,
-    _realizability,
-)
-from .orthopoly import NEAR_DEGENERACY_RTOL
+from .moments import DEFAULT_REALIZABILITY_TOL, NotRealizableError, _realizability
 from .solver import MAX_CELLS, ConfigError, RealizabilityLossError, _blocks, run
 from .stability import EquilibriumState, certify
 
@@ -85,13 +81,19 @@ def _add_common(p, formats=(), seed=False, tol_help=None):
 
 
 def _parse_moments(text):
-    try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse moment list {text!r}") from None
-    if not vals:
-        raise ValueError("empty moment list")
-    return np.array(vals)
+    """M_0..M_N from comma-separated numbers, one trailing comma allowed.  A
+    field that is not a number is refused with its position, an empty one
+    too: dropped, it would shift every later moment down one order."""
+    fields = text.split(",")
+    if len(fields) > 1 and not fields[-1].strip():
+        del fields[-1]  # the trailing comma
+    values = []
+    for i, field in enumerate(fields):
+        try:
+            values.append(float(field))
+        except ValueError:
+            raise ValueError(f"moment list {text!r}: M_{i} = {field!r} is not a number") from None
+    return np.array(values)
 
 
 def _report(args, name, payload, lines):
@@ -226,14 +228,12 @@ _SAMPLING_RANGES = {
 
 
 def _require_sampling(args, cap):
-    """Refuse an order outside 1..MAX_HALF_ORDER, a sample count outside
-    1..cap, or a sampling range that is not finite with low <= high
-    (low > 0 where required).  Far larger counts would fail inside numpy's
-    allocation of the draws, which names no flag."""
-    if args.n < 1:
-        raise ValueError("n must be >= 1")
-    if args.n > MAX_HALF_ORDER:
-        raise ValueError(f"n={args.n} exceeds the supported cap n={MAX_HALF_ORDER}")
+    """Refuse what closures._refusal refuses (verify-stability certifies
+    gamma = 1), a sample count outside 1..cap, or a sampling range that is
+    not finite with low <= high (low > 0 where required).  Far larger counts
+    would fail inside numpy's allocation of the draws, which names no flag."""
+    if reason := _refusal(args.n, getattr(args, "gamma", 1.0)):
+        raise ValueError(reason)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     if args.samples > cap:
@@ -269,10 +269,6 @@ def _cmd_verify_hyperbolicity(args):
         raise ValueError(f"--tol must be a finite number >= 0, got {tol!r}")
     n, gamma = args.n, args.gamma
     _require_sampling(args, MAX_CELLS)
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
-    if gamma <= -2 * n:
-        raise ValueError(f"gamma must exceed -2n = {-2 * n}")
     rng = np.random.default_rng(args.seed)
     a = rng.uniform(args.a_range[0], args.a_range[1], (args.samples, n))
     b = rng.uniform(args.b_range[0], args.b_range[1], (args.samples, n + 1))

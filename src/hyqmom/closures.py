@@ -28,26 +28,25 @@ eigenvalues are the merged, interlacing roots of the two factors.
 Whether a computed hyqmom spectrum is certified is decided here and only
 here, by ``_spectral_verdicts``: ``spectral_decomposition`` (and with it
 ``hyqmom spectrum``) and ``hyqmom verify-hyperbolicity`` read its masks.
+Which (n, gamma) are admitted is decided here too, by ``_refusal`` and
+``_positive_weights``, which every entry point of the package reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import (
-    _as_moment_array,
-    affine_transform,
-    moments_to_recurrence,
-)
-from .orthopoly import (
-    NEAR_DEGENERACY_RTOL,
-    _jacobi_batch,
-    _monic_pair_batch,
-)
+from .moments import _as_moment_array, _order_refusal, affine_transform, moments_to_recurrence
+from .orthopoly import _jacobi_batch, _monic_pair_batch
 
 VARIANTS = ("qmom", "hyqmom", "new", "polynomial")
+
+# Roots closer than this fraction of the spectral radius are flagged as
+# near-degenerate (boundary-of-realizability inputs), not refused
+NEAR_DEGENERACY_RTOL = 1e-8
 
 
 class InconsistentClosureError(ValueError):
@@ -63,8 +62,8 @@ class ClosureSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown closure variant {self.variant!r}")
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
+        if reason := _refusal(None, self.gamma):
+            raise ValueError(reason)
         if self.variant == "polynomial" and not callable(self.builder):
             raise ValueError("polynomial closure needs a callable builder")
 
@@ -107,23 +106,21 @@ class SpectralDecomposition:
         }
 
 
-def _check_gamma(gamma, n):
-    if gamma <= -2 * n:
-        raise ValueError(f"gamma must exceed -2n = {-2 * n}, got {gamma}")
+def _refusal(n, gamma):
+    """Why the hyqmom closure of half order n at gamma is not admitted, or
+    None: gamma must be finite, n an integer in 1..MAX_HALF_ORDER
+    (``moments._order_refusal``) and gamma > -2n, where the closed system
+    is strictly hyperbolic.  n None checks gamma alone."""
+    if not math.isfinite(gamma):
+        return "gamma must be finite"
+    if n is not None:
+        return _order_refusal(n) or (
+            None if gamma > -2 * n else f"gamma must exceed -2n = {-2 * n}, got {gamma}")
 
 
-def _odd_input(m):
-    m = _as_moment_array(m)
-    if len(m) % 2 == 0 or len(m) < 3:
-        raise ValueError("hyqmom closures take an odd-length vector (M_0..M_2n), n >= 1")
-    return m
-
-
-def _even_input(m):
-    m = _as_moment_array(m)
-    if len(m) % 2 or len(m) < 2:
-        raise ValueError("this closure takes an even-length vector (M_0..M_{2n-1}), n >= 1")
-    return m
+def _positive_weights(n, gamma):
+    """gamma > -n, where the theorem gives positive eigenvalue weights."""
+    return gamma > -n
 
 
 def _hyqmom_an(a, gamma):
@@ -216,12 +213,15 @@ def characteristic_polynomial(m, spec):
 
 def _recurrence_rows(m, spec):
     """Validated Wheeler rows (a, b), shapes (1, n) and (1, len(b)), of a
-    hyqmom (odd-length) or qmom/new (even-length) input; one sweep."""
-    if spec.variant == "hyqmom":
-        m = _odd_input(m)
-        _check_gamma(spec.gamma, len(m) // 2)
-    else:
-        m = _even_input(m)
+    hyqmom (odd-length, refused by ``_refusal``) or qmom/new (even-length)
+    input; one sweep, which caps the order by the same rule."""
+    m = _as_moment_array(m)
+    hyqmom = spec.variant == "hyqmom"
+    if len(m) % 2 != hyqmom:
+        raise ValueError("hyqmom closures take an odd-length vector (M_0..M_2n)" if hyqmom
+                         else "this closure takes an even-length vector (M_0..M_{2n-1})")
+    if hyqmom and (reason := _refusal(len(m) // 2, spec.gamma)):
+        raise ValueError(reason)
     a, b = moments_to_recurrence(m)
     return a[None, :], b[None, :]
 
@@ -330,7 +330,7 @@ def _spectral_verdicts(a, b, gamma, lam, om):
         radius = _enclosure_radii(a, b, gamma)
         separation = gap / np.max(np.abs(lam), axis=1)
     failed = {"interlacing": ~np.all(gaps > 0, axis=1), "enclosures overlap": ~(gap > radius)}
-    if gamma > -n:
+    if _positive_weights(n, gamma):
         failed["nonpositive weight"] = ~(np.min(om, axis=1) > 0)
     return failed, gap, separation, radius
 
@@ -341,10 +341,8 @@ def spectral_decomposition(m, spec):
     ``_spectral_batch`` and ``_spectral_verdicts``, raising RuntimeError
     that names every rule the spectrum fails."""
     if spec.variant != "hyqmom":
-        raise ValueError(
-            "spectral_decomposition is defined for the hyqmom closure; "
-            "other variants expose only their characteristic polynomial"
-        )
+        raise ValueError("spectral_decomposition is defined for the hyqmom closure; "
+                         "other variants expose only their characteristic polynomial")
     a, b = _recurrence_rows(m, spec)
     c, factors = _characteristic_rows(a, b, "hyqmom", spec.gamma)
     lam, om = _spectral_batch(a, b, spec.gamma)

@@ -122,14 +122,21 @@ def _as_moment_array(m, dtype=float):
     return m
 
 
+def _order_refusal(n):
+    """Why n is no supported half order, an integer in 1..MAX_HALF_ORDER,
+    or None: the one order rule, which closures._refusal reads too."""
+    if not 1 <= n <= MAX_HALF_ORDER:
+        return "n must be >= 1" if n < 1 else (
+            f"n={n} exceeds the supported cap n={MAX_HALF_ORDER} "
+            "(double precision cannot resolve the raw-moment bijection beyond it)")
+
+
 def _half_order(length):
-    """n such that length == 2n+1 (odd) or length == 2n (even)."""
-    n = (length - 1) // 2 if length % 2 else length // 2
-    if n > MAX_HALF_ORDER:
-        raise ValueError(
-            f"moment order n={n} exceeds the supported cap n={MAX_HALF_ORDER} "
-            "(double precision cannot resolve the raw-moment bijection beyond it)"
-        )
+    """n = length // 2, so length is 2n+1 or 2n, refused above the cap by
+    _order_refusal; n = 0, M_0 alone, has no order to cap."""
+    n = length // 2
+    if n and (reason := _order_refusal(n)):
+        raise ValueError(reason)
     return n
 
 

@@ -50,10 +50,6 @@ import numpy as np
 
 from .moments import _as_moment_array, moments_to_recurrence
 
-# Two roots closer than this fraction of the spectral radius are flagged as
-# near-degenerate (boundary-of-realizability inputs); not an error.
-NEAR_DEGENERACY_RTOL = 1e-8
-
 # Newton steps of the warm path at m >= 5, at most (``_newton_steps``).  At
 # the filter's edge, ||E|| = g/8, m = 5 lanes were off by 9.5e-4, 7.2e-6,
 # 4.0e-10 and 1.1e-15 of the spread after the guess and each of three steps;

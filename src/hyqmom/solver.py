@@ -74,13 +74,16 @@ from . import __version__ as _version
 from .closures import (
     ClosureSpec,
     _extended_jacobi_rows,
+    _positive_weights,
     _recurrence_rows,
+    _refusal,
     _spectral_batch,
 )
 from .moments import (
     MAX_HALF_ORDER,
     _maxwellian_recurrence,
     _moments_from_recurrence_batch,
+    _order_refusal,
     _primitive_rows,
     _realizable_pivots_batch,
     gaussian_moments,
@@ -240,11 +243,15 @@ class RunResult:
 
 
 def _check_flux(spec, variant, n):
+    """Refuse a closure other than hyqmom, an unknown flux variant, what
+    closures._refusal refuses and eigen nodes without _positive_weights."""
     if spec.variant != "hyqmom":
         raise ValueError("the kinetic solver closes with the hyqmom closure")
     if variant not in FLUX_VARIANTS:
         raise ValueError(f"flux variant must be one of {FLUX_VARIANTS}")
-    if variant == "eigen" and spec.gamma <= -n:
+    if reason := _refusal(n, spec.gamma):
+        raise ValueError(reason)
+    if variant == "eigen" and not _positive_weights(n, spec.gamma):
         raise ValueError("eigen-node fluxes need gamma > -n for positive weights")
 
 
@@ -254,9 +261,8 @@ def reconstruct_nodes(m, spec, variant):
 
     ``gauss``: the n+1-point Gauss rule of the vector augmented by the
     hyqmom closure.  ``eigen``: system eigenvalues and weights.  Either way
-    the rule reproduces M_0..M_2n.
+    the rule reproduces M_0..M_2n.  Refuses what ``step`` refuses.
     """
-    m = np.asarray(m, dtype=float)
     _check_flux(spec, variant, len(m) // 2)
     nodes, weights = _reconstruct_batch(*_recurrence_rows(m, spec), spec.gamma, variant)
     return Quadrature(nodes=nodes[0], weights=weights[0])
@@ -430,7 +436,8 @@ def step(grid, spec, variant, cfl=0.9, dt=None, dt_max=None):
     dt must still respect the per-cell CFL bound (asserted through the
     convex-update factors).  The step gates on the input grid's memoized
     realizability check; the output grid's check runs block by block inside
-    the update and stays memoized as the next step's gate.
+    the update and stays memoized as the next step's gate.  Like its J = 1
+    view ``reconstruct_nodes`` it refuses what ``_check_flux`` refuses.
     """
     _check_flux(spec, variant, grid.n)
     if not 0 < cfl <= 1:
@@ -498,15 +505,16 @@ def validate_config(cfg):
     the offending field on any problem: every number goes through _number,
     flux_variant and boundary through _choice, a key it does not read is
     refused, and so is a segment whose moment row overflows or fails the
-    realizability gate."""
+    realizability gate.  n, gamma and flux_variant are refused by the rules
+    that ``step`` reads (``_check_flux``)."""
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     get, cap = cfg.get, MAX_HALF_ORDER
-    n = _number("n", get("n"), lambda v: 1 <= v <= cap, f"an integer in 1..{cap}", int)
+    n = _number("n", get("n"), lambda v: not _order_refusal(v), f"an integer in 1..{cap}", int)
     out = {"n": n}
-    out["gamma"] = _number("gamma", get("gamma"), lambda v: -2 * n < v < np.inf, "finite, > -2n")
+    out["gamma"] = _number("gamma", get("gamma"), lambda v: not _refusal(n, v), "finite, > -2n")
     out["flux_variant"] = _choice("flux_variant", get("flux_variant"), FLUX_VARIANTS)
-    if out["flux_variant"] == "eigen" and out["gamma"] <= -n:
+    if out["flux_variant"] == "eigen" and not _positive_weights(n, out["gamma"]):
         raise ConfigError("flux_variant", "eigen nodes need gamma > -n")
     out["cfl"] = _number("cfl", get("cfl"), lambda v: 0 < v <= 1, "a number in (0, 1]")
     tau = get("tau")
@@ -629,13 +637,8 @@ def build_initial_grid(cfg):
             row = _moments_from_recurrence_batch(a, b, 2 * n + 1)[0]
             rows[:, start:stop] = row[:, None]
         lower = seg["x_until"]
-    return GridState(
-        cells=_Owned(rows),
-        dx=np.full(J, dx),
-        tau=cfg["tau"],
-        time=0.0,
-        boundary=cfg["boundary"],
-    )
+    return GridState(cells=_Owned(rows), dx=np.full(J, dx), tau=cfg["tau"],
+                     boundary=cfg["boundary"])
 
 
 def _snapshot_csv_head(cfg, grid):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import _characteristic_rows, _companion, _row_products, _spectral_batch
+from .closures import _characteristic_rows, _companion, _refusal, _row_products, _spectral_batch
 from .moments import EquilibriumState, _gaussian_u_derivatives, _maxwellian_recurrence
 from .orthopoly import _monic_pair_batch, poly_eval
 
@@ -181,8 +181,8 @@ def symmetrizer_weights(n):
     The weights depend on n alone, so each n is computed once; the array
     returned is shared between calls and read-only.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    if reason := _refusal(n, 1.0):
+        raise ValueError(reason)
     w = _spectral_batch(*_maxwellian_recurrence(1.0, 0.0, 1.0, n), 1.0)[1][0]
     w[1::2] *= n / (n + 1)
     w[0::2] *= (n + 1) / n

@@ -17,8 +17,7 @@ import pytest
 
 from hyqmom import cli, closures, moments, orthopoly, solver, stability
 from hyqmom.cli import _failure_records, build_parser, main
-from hyqmom.closures import _spectral_batch, _spectral_verdicts
-from hyqmom.orthopoly import NEAR_DEGENERACY_RTOL
+from hyqmom.closures import NEAR_DEGENERACY_RTOL, _spectral_batch, _spectral_verdicts
 
 CONFIGS = Path(__file__).parents[1] / "demos" / "configs"
 
@@ -50,6 +49,24 @@ class TestClose:
         assert code == 0
         assert out.splitlines()[0].startswith("M_5 = ")
         assert float(out.splitlines()[0].split("=")[1]) == 0.0
+
+    @pytest.mark.parametrize("command", [["close", "--hyqmom"], ["spectrum"]])
+    @pytest.mark.parametrize(
+        "moments, position", [("1,0,,1,0,3", 2), (",1,0,1,0,3", 0), ("1,0,1,0,3,,", 5)]
+    )
+    def test_empty_moment_field_refused(self, command, moments, position, capsys):
+        # "1,0,,1,0,3" read as M_0..M_4 = 1,0,1,0,3: every moment after the
+        # empty field moved down one order
+        code, out, err = run_cli(command + ["--moments", moments], capsys)
+        assert code == 1
+        assert f"M_{position} = '' is not a number" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", [["close", "--hyqmom"], ["spectrum"]])
+    def test_one_trailing_comma_taken(self, command, capsys):
+        plain = run_cli(command + ["--moments", "1,0,1,0,3"], capsys)
+        assert run_cli(command + ["--moments", "1,0,1,0,3,"], capsys) == plain
+        assert plain[0] == 0
 
     def test_qmom(self, capsys):
         code, out, _ = run_cli(

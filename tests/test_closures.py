@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import hyqmom as hq
-from hyqmom.closures import _spectral_batch, _spectral_verdicts
+from hyqmom.closures import NEAR_DEGENERACY_RTOL, _spectral_batch, _spectral_verdicts
 from hyqmom.moments import _wheeler_batch
-from hyqmom.orthopoly import NEAR_DEGENERACY_RTOL, _monic_pair_batch
+from hyqmom.orthopoly import _monic_pair_batch
 from corpus import random_even_moments, random_odd_moments
 from reference import mp_mul, mp_recurrence, vandermonde_weights
 
